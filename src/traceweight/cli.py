@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .codes import build_code
+from .codes import build_code  # noqa: F401 - a name perfbench/tracer.py wraps
 from .engine import TIER_BUDGETS, BudgetExceeded, brute_work, default_workers, verify
 from .fields import make_field, split_prime_power
 from .hermitian import (DEFAULT_WITNESS_BOUND, cayley_spectrum, rank1_count,
@@ -152,8 +152,7 @@ def cmd_verify(args, p: int, e: int, config: dict) -> int:
             budgets[tier] = config[f"{tier}_budget"]
     workers = args.workers or config.get("workers") or default_workers()
     state, cb = _progress_printer()
-    ctx = make_field(p, e, 2 * args.m, args.modulus_rank)
-    state["armed"] = brute_work(build_code(ctx, args.family)) >= state["threshold"]
+    state["armed"] = brute_work(p**e, args.m, args.family) >= state["threshold"]
     try:
         report = verify(p**e, args.m, args.family, tier=args.tier,
                         workers=workers, modulus_rank=args.modulus_rank,

@@ -2,14 +2,18 @@
 
 brute_distribution enumerates the whole parameter space.  It never
 materializes codewords: for each form (the quadratic part of the
-parameters) it keeps the n-vector of form values over the coordinates
-as F_q labels, updated incrementally while the form index walks its
-odometer, and counts coordinate matches against the precomputed table
-of linear-functional vectors, one row per beta.  Family E reuses the
-same match counts, one bin per constant shift; family C skips the beta
-loop entirely.  The merge over any partition of the form-index range is
-a plain integer histogram sum, so results are bitwise identical for
-every worker count and chunking.
+parameters) it keeps the n-vector of form values at the coordinates
+x = pi^i, in coordinate order, as F_q labels, updated incrementally
+while the form index walks its odometer.  The per-digit odometer steps
+and the per-beta match counts come from the coordinate tables shared
+with quadforms (value_labels, linear_trace_rows, coordinate_matches):
+a codeword b + Tr(beta x) + Q(x) vanishes where Tr(beta x) equals
+-b - Q(x), so each form costs one comparison of the linear-trace rows
+with one n-vector per constant shift.  Family E uses one bin per
+constant shift; family C has no beta and counts the zeros of Q alone.
+The merge over any partition of the form-index range is a plain integer
+histogram sum, so results are bitwise identical for every worker count
+and chunking.
 
 rank_sweep instead measures the radical rank of every form (the Gram
 matrix of the polarized bilinear form is F_p-linear in the form index,
@@ -23,7 +27,11 @@ of forms.
 
 Work is accounted in elementary operations: coordinate matches for the
 brute oracle (forms x betas x n, or forms x n for family C) and s^3 per
-form for the sweep.  Budgets refuse with the estimate attached.
+form for the sweep.  Both estimates depend on (q, m, family) alone, so
+verify picks its oracle, or refuses with the estimate attached, before
+building any field.  Brute D and E also need the linear-trace table
+within its size bound, and q above 256 is refused because F_q labels
+are bytes.
 """
 
 from __future__ import annotations
@@ -36,25 +44,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeSpec, ConsistencyError, build_code
-from .fields import (BudgetExceeded, label_matrix_rank, make_field,
-                     split_prime_power)
-from .quadforms import FormSpace, QuadForm, big_T
+from .fields import (BudgetExceeded, FieldSizeError, label_matrix_rank,
+                     make_field, split_prime_power)
+from .quadforms import (LINEAR_TRACE_BOUND, FormSpace, QuadForm,
+                        coordinate_matches)
 from .spectra import WeightDistribution, assemble_distribution, predict
 
 TIER_BUDGETS = {"quick": 2**24, "standard": 2**32, "extended": 2**38}
 DEFAULT_BUDGET = 2**36
 _EPSILON_SAMPLES = 12
+MAX_LABEL_Q = 256  # F_q labels are uint8
 
 
-def brute_work(spec: CodeSpec) -> int:
-    forms = spec.q ** (spec.m * spec.m)
-    if spec.family == "C":
-        return forms * spec.n
-    return forms * spec.ctx.size * spec.n
+def brute_work(q: int, m: int, family: str) -> int:
+    forms, size = q ** (m * m), q ** (2 * m)
+    if family == "C":
+        return forms * (size - 1)
+    return forms * size * (size - 1)
 
 
-def rank_sweep_work(spec: CodeSpec) -> int:
-    return spec.q ** (spec.m * spec.m) * spec.ctx.s**3
+def rank_sweep_work(q: int, m: int) -> int:
+    return q ** (m * m) * (2 * m) ** 3
+
+
+def _brute_table_fits(q: int, m: int, family: str) -> bool:
+    """D and E count against the linear-trace table, which is bounded."""
+    return family == "C" or q ** (2 * m) <= LINEAR_TRACE_BOUND
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +96,8 @@ class _Task:
 
 
 class _CountPlan:
-    """Everything a worker needs to match-count a form-index range."""
+    """The odometer a worker walks over a form-index range, and the
+    histogram of codeword weights it fills."""
 
     def __init__(self, spec: CodeSpec):
         ctx = spec.ctx
@@ -89,53 +105,21 @@ class _CountPlan:
         self.spec = spec
         self.ctx = ctx
         self.space = FormSpace(ctx)
-        q, n = ctx.q, ctx.n
-        sub = ctx.subfield(q)
-        self.sub = sub
-        idx = np.arange(n, dtype=np.int64)
-        exp = ctx.exp_table()
-        mul_t = sub.mul_table()
-        # per digit: the q prescaled coordinate vectors of its basis term
-        self.scaled_vectors = []
-        for d in range(self.space.digit_count):
-            slot = self.space.slot_of[d]
-            u = self.space.exponents[slot]
-            upper = q**ctx.m if (spec.m % 2 and slot == 0) else ctx.size
-            tr = ctx.trace_label_table(upper, q)
-            base = tr[exp[(ctx.log(self.space.basis_of[d]) + u * idx) % n]]
-            self.scaled_vectors.append(
-                np.stack([mul_t[c][base] for c in range(q)]))
-        # label delta of one digit increment (wrap included)
-        self.delta = np.array(
-            [sub.label_of(ctx.sub(sub.from_label((c + 1) % q), sub.from_label(c)))
-             for c in range(q)], dtype=np.uint8)
-        self.beta_rows = self._beta_matrix() if spec.family in ("D", "E") else None
-        self._sum_buf = (np.empty_like(self.beta_rows)
-                         if self.beta_rows is not None else None)
+        q = ctx.q
+        self.sub = sub = ctx.subfield(q)
+        # steps[d][c]: the form values added when digit d steps from label c
+        # to label c + 1 (mod q)
+        deltas = [ctx.sub(sub.from_label((c + 1) % q), sub.from_label(c))
+                  for c in range(q)]
+        self.steps = [np.stack([self._digit_values(d, delta) for delta in deltas])
+                      for d in range(self.space.digit_count)]
 
-    def _beta_matrix(self) -> np.ndarray:
-        ctx = self.ctx
-        n = ctx.n
-        exp = ctx.exp_table()
-        tr = ctx.trace_label_table(ctx.size, ctx.q)
-        rows = np.zeros((ctx.size, n), dtype=np.uint8)
-        j = np.arange(n, dtype=np.int64)
-        prods = exp[(j[:, None] + j[None, :]) % n]
-        rows[exp[j]] = tr[prods]
-        return rows
-
-    def _vec_add(self, qv: np.ndarray) -> np.ndarray:
-        """Label addition of the form vector onto every beta row."""
-        out, rows = self._sum_buf, self.beta_rows
-        ctx = self.ctx
-        if ctx.p == 2:
-            np.bitwise_xor(rows, qv[None, :], out=out)
-        elif ctx.e == 1:
-            np.add(rows, qv[None, :], out=out)
-            np.remainder(out, ctx.p, out=out)
-        else:
-            out[:] = self.sub.add_table()[rows, qv[None, :]]
-        return out
+    def _digit_values(self, d: int, scalar: int) -> np.ndarray:
+        """Values of the form whose only nonzero coefficient is scalar
+        times digit d's basis element."""
+        coeffs = [0] * len(self.space.exponents)
+        coeffs[self.space.slot_of[d]] = self.ctx.mul(scalar, self.space.basis_of[d])
+        return QuadForm(self.ctx, coeffs).value_labels()
 
     def count_range(self, lo: int, hi: int) -> tuple[np.ndarray, int]:
         """Histogram of codeword weights contributed by forms lo..hi-1."""
@@ -144,30 +128,26 @@ class _CountPlan:
         family = spec.family
         hist = np.zeros(n + 1, dtype=np.int64)
         digits = self.space.digits_at(lo)
-        qv = np.zeros(n, dtype=np.uint8)
-        for d, c in enumerate(digits):
-            if c:
-                qv = self.sub.add_labels(qv, self.scaled_vectors[d][c])
+        values = self.space.form_at(lo).value_labels()
         c_weights = np.empty(hi - lo, dtype=np.int64) if family == "C" else None
         for step, index in enumerate(range(lo, hi)):
             if family == "C":
-                c_weights[step] = n - np.count_nonzero(qv == 0)
+                c_weights[step] = np.count_nonzero(values)
             else:
-                sums = self._vec_add(qv)
-                remaining = np.full(sums.shape[0], n, dtype=np.int64)
+                # codeword b + Tr(beta x) + Q(x) vanishes where Tr(beta x) + Q(x) = -b
+                remaining = np.full(ctx.size, n, dtype=np.int64)
                 for lbl in range(q if family == "E" else 1):
                     if lbl < q - 1:
-                        cnt = np.count_nonzero(sums == lbl, axis=1)
+                        cnt = coordinate_matches(ctx, values, lbl)
+                        remaining -= cnt
                     else:
                         cnt = remaining
-                    if lbl < q - 1:
-                        remaining -= cnt
                     hist += np.bincount(n - cnt, minlength=n + 1)
             if index + 1 < hi:
                 d = 0
                 while True:
                     c = digits[d]
-                    qv = self.sub.add_labels(qv, self.scaled_vectors[d][self.delta[c]])
+                    values = self.sub.add_labels(values, self.steps[d][c])
                     digits[d] = (c + 1) % q
                     if digits[d]:
                         break
@@ -332,11 +312,16 @@ def _run_chunks(fn, task: _Task, total: int, workers: int, progress=None,
 def brute_distribution(spec: CodeSpec, budget: int = DEFAULT_BUDGET,
                        workers: int = 1, progress=None) -> WeightDistribution:
     """Exact weight distribution by enumerating every parameter tuple."""
-    work = brute_work(spec)
+    work = brute_work(spec.q, spec.m, spec.family)
     if work > budget:
         raise BudgetExceeded(
             f"brute enumeration needs ~{work} elementary operations "
             f"(budget {budget}); try rank_sweep", estimate=work, budget=budget)
+    if not _brute_table_fits(spec.q, spec.m, spec.family):
+        raise FieldSizeError(
+            f"brute {spec.family} needs the linear-trace table, refused above "
+            f"{LINEAR_TRACE_BOUND} field elements; try rank_sweep",
+            estimate=work, budget=budget)
     task = _Task(spec)
     forms = spec.q ** (spec.m * spec.m)
     hist = np.zeros(spec.n + 1, dtype=np.int64)
@@ -357,7 +342,7 @@ def brute_distribution(spec: CodeSpec, budget: int = DEFAULT_BUDGET,
 def measure_rank_counts(spec: CodeSpec, budget: int = DEFAULT_BUDGET,
                         workers: int = 1, progress=None) -> list[int]:
     """Rank-2j multiplicities measured by radical elimination per form."""
-    work = rank_sweep_work(spec)
+    work = rank_sweep_work(spec.q, spec.m)
     if work > budget:
         raise BudgetExceeded(
             f"rank sweep needs ~{work} elementary operations (budget {budget})",
@@ -371,12 +356,12 @@ def measure_rank_counts(spec: CodeSpec, budget: int = DEFAULT_BUDGET,
 
 
 def _epsilon_cross_check(spec: CodeSpec):
-    """Sample forms: the radical rank must match sign and magnitude of the
-    plain character sum (the sweep relies on eps = (-1)^(rank/2))."""
-    ctx = spec.ctx
-    if not ctx.tables_available():
+    """Sample forms: the sweep's rank must be the radical rank, and the plain
+    character sum must agree with it in magnitude and in the sign
+    (-1)^(rank/2) that the sweep relies on."""
+    if not spec.ctx.tables_available():
         return
-    space = FormSpace(ctx)
+    space = FormSpace(spec.ctx)
     plan = _RankPlan(spec)
     total = space.num_forms
     sample = sorted({round(i * (total - 1) / (_EPSILON_SAMPLES - 1))
@@ -387,10 +372,7 @@ def _epsilon_cross_check(spec: CodeSpec):
         if form.rank != r_sweep:
             raise ConsistencyError(
                 f"sweep rank {r_sweep} != radical rank {form.rank} at {index}")
-        t = big_T(form)
-        if abs(t) != ctx.q ** (ctx.s - r_sweep // 2) or (t < 0) != (r_sweep // 2 % 2 == 1):
-            raise ConsistencyError(
-                f"character sum {t} inconsistent with rank {r_sweep} at {index}")
+        form.epsilon  # raises unless |T| and the sign of T agree with form.rank
 
 
 def rank_sweep(spec: CodeSpec, budget: int = DEFAULT_BUDGET,
@@ -400,7 +382,7 @@ def rank_sweep(spec: CodeSpec, budget: int = DEFAULT_BUDGET,
     counts = measure_rank_counts(spec, budget, workers, progress)
     _epsilon_cross_check(spec)
     dist = assemble_distribution(spec.q, spec.m, spec.family, counts)
-    return dataclasses.replace(dist, work_count=rank_sweep_work(spec))
+    return dataclasses.replace(dist, work_count=rank_sweep_work(spec.q, spec.m))
 
 
 @dataclass
@@ -424,24 +406,31 @@ def verify(q: int, m: int, family: str, tier: str = "quick", workers: int = 1,
            progress=None) -> VerifyReport:
     """Predict the distribution and check it against the strongest oracle
     the tier budget affords: brute enumeration if it fits, else the rank
-    sweep, else a budget refusal."""
+    sweep, else a budget refusal.  The choice, and any refusal, is made
+    from (q, m, family) before the field is built."""
     budget = (budgets or TIER_BUDGETS)[tier]
     p, e = split_prime_power(q)
+    brute, sweep = brute_work(q, m, family), rank_sweep_work(q, m)
+    if q > MAX_LABEL_Q:
+        raise FieldSizeError(
+            f"F_q labels are bytes; q = {q} exceeds {MAX_LABEL_Q}",
+            estimate=min(brute, sweep), budget=budget)
+    brute_fits = _brute_table_fits(q, m, family)
+    if brute <= budget and brute_fits:
+        kind, run = "brute", brute_distribution
+    elif sweep <= budget:
+        kind, run = "rank_sweep", rank_sweep
+    else:
+        over = "" if brute_fits else ", over the linear-trace table bound"
+        raise BudgetExceeded(
+            f"no oracle fits tier {tier!r}: brute ~{brute}{over}, "
+            f"rank sweep ~{sweep} (budget {budget})",
+            estimate=min(brute, sweep), budget=budget)
     ctx = make_field(p, e, 2 * m, modulus_rank)
     spec = build_code(ctx, family)
     predicted = predict(q, m, family)
     start = time.monotonic()
-    if brute_work(spec) <= budget:
-        kind = "brute"
-        oracle = brute_distribution(spec, budget, workers, progress)
-    elif rank_sweep_work(spec) <= budget:
-        kind = "rank_sweep"
-        oracle = rank_sweep(spec, budget, workers, progress)
-    else:
-        raise BudgetExceeded(
-            f"no oracle fits tier {tier!r}: brute ~{brute_work(spec)}, "
-            f"rank sweep ~{rank_sweep_work(spec)} (budget {budget})",
-            estimate=min(brute_work(spec), rank_sweep_work(spec)), budget=budget)
+    oracle = run(spec, budget, workers, progress)
     runtime = time.monotonic() - start
     equal = predicted.counts == oracle.counts
     first_diff = None

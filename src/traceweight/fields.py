@@ -177,47 +177,16 @@ def _fp_powmod(p: int, a: list[int], k: int, mod: list[int]) -> list[int]:
     return result
 
 
-def _fp_gcd(p: int, a: list[int], b: list[int]) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _fp_divmod(p, a, b)[1]
-    return a
-
-
-def _is_irreducible(p: int, f: list[int]) -> bool:
-    # Rabin's test: x^(p^d) = x mod f, and x^(p^(d/r)) - x coprime to f
-    # for every prime r dividing d.
-    d = len(f) - 1
-    x = [0, 1]
-    if _fp_powmod(p, x, p**d, f) != x:
-        return False
-    for r in factorize(d):
-        h = _fp_powmod(p, x, p ** (d // r), f)
-        h = _fp_trim([(c - xc) % p for c, xc in _zip_padded(h, x)])
-        if len(_fp_gcd(p, f, h)) != 1:
-            return False
-    return True
-
-
-def _zip_padded(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
-
-
-def _x_is_primitive(p: int, f: list[int], group_factors: dict[int, int]) -> bool:
-    order = p ** (len(f) - 1) - 1
-    for r in group_factors:
-        if _fp_powmod(p, [0, 1], order // r, f) == [1]:
-            return False
-    return True
-
-
 def find_primitive_modulus(p: int, degree: int, rank: int = 0) -> tuple[int, ...]:
     """The (rank+1)-th lexicographically smallest primitive polynomial of the
     given degree over F_p, monic, coefficients low-to-high.  Lex order treats
     the non-leading coefficients as base-p digits, constant term least
     significant.  Deterministic; rank 0 is the canonical modulus."""
-    group_factors = factorize(p**degree - 1)
+    # x of order p^degree - 1 makes every nonzero residue a power of x, so
+    # F_p[x]/(f) is then a field and f is irreducible as well as primitive
+    order = p**degree - 1
+    cofactors = [order // r for r in factorize(order)]
+    x = [0, 1]
     found = 0
     for packed in range(p**degree):
         coeffs, v = [], packed
@@ -227,7 +196,8 @@ def find_primitive_modulus(p: int, degree: int, rank: int = 0) -> tuple[int, ...
         f = coeffs + [1]
         if f[0] == 0 and degree > 1:
             continue
-        if _is_irreducible(p, f) and _x_is_primitive(p, f, group_factors):
+        if (_fp_powmod(p, x, order, f) == [1]
+                and all(_fp_powmod(p, x, k, f) != [1] for k in cofactors)):
             if found == rank:
                 return tuple(f)
             found += 1
@@ -243,7 +213,7 @@ class FieldCtx:
 
     Elements are ints packing base-p coefficient vectors of length
     e*s.  All arithmetic methods are pure; lazy table construction is
-    idempotent (call warm_tables() before sharing across threads).
+    idempotent.
     """
 
     def __init__(self, p: int, e: int, s: int, modulus: tuple[int, ...],
@@ -438,14 +408,6 @@ class FieldCtx:
         self._exp = exp
         self._log = log
 
-    def warm_tables(self):
-        """Eagerly build the lazy tables (for sharing across threads)."""
-        self.require_tables()
-
-    def exp(self, k: int) -> int:
-        self.require_tables()
-        return int(self._exp[k % self.n])
-
     def log(self, a: int) -> int:
         if a == 0:
             raise ValueError("log(0) undefined")
@@ -455,10 +417,6 @@ class FieldCtx:
     def exp_table(self) -> np.ndarray:
         self.require_tables()
         return self._exp
-
-    def log_table(self) -> np.ndarray:
-        self.require_tables()
-        return self._log
 
     def frobenius_table(self) -> np.ndarray:
         """Value table of a -> a^q over the whole field."""
@@ -540,8 +498,8 @@ class SubfieldView:
             for b in basis:
                 c = rem % p
                 rem //= p
-                if c:
-                    v = ctx.add(v, ctx.mul(_small_scalar(ctx, c), b))
+                if c:  # the prime-field element c packs to the digit c
+                    v = ctx.add(v, ctx.mul(c, b))
             elems[lbl] = v
         self.elements_by_label = tuple(elems)
         self._label_of = {v: i for i, v in enumerate(elems)}
@@ -550,10 +508,6 @@ class SubfieldView:
 
     def contains(self, a: int) -> bool:
         return a in self._label_of
-
-    def abs_trace_residue(self, a: int) -> int:
-        """Trace of a subfield element down to F_p, as a residue 0..p-1."""
-        return self.ctx._trace_chain(a, self.ctx.p, self.ext_deg)
 
     def label_of(self, a: int) -> int:
         return self._label_of[a]
@@ -578,21 +532,20 @@ class SubfieldView:
     def mul_table(self) -> np.ndarray:
         return self._op_table("mul", self.ctx.mul)
 
+    def sub_table(self) -> np.ndarray:
+        return self._op_table("sub", self.ctx.sub)
+
     def inv_label(self, lbl: int) -> int:
         return self.label_of(self.ctx.inv(self.from_label(lbl)))
 
     def add_labels(self, a, b):
-        """Label addition, vectorized: digitwise base-p on label ints."""
+        """Label addition, vectorized: digitwise base-p on label ints.  The
+        prime-field sum is taken in int16, so p up to 251 cannot wrap."""
         if self.ctx.p == 2:
             return a ^ b
         if self.ext_deg == 1:
-            return (a + b) % self.ctx.p
+            return ((np.asarray(a, dtype=np.int16) + b) % self.ctx.p).astype(np.uint8)
         return self.add_table()[a, b]
-
-
-def _small_scalar(ctx: FieldCtx, c: int) -> int:
-    # the prime-field element c*1, packed (digit 0 = c)
-    return c % ctx.p
 
 
 def label_matrix_rank(sub: SubfieldView, rows: list[list[int]]) -> int:
@@ -656,9 +609,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __mul__(self, other: Poly) -> Poly:
         if self.is_zero() or other.is_zero():

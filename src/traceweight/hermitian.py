@@ -96,7 +96,7 @@ def _matrix_trace_residue(ctx: FieldCtx, a: Matrix, h: Matrix) -> int:
     for i in range(m):
         for k in range(m):
             acc = ctx.add(acc, ctx.mul(a[i][k], h[k][i]))
-    return ctx.subfield(ctx.q).abs_trace_residue(acc)
+    return ctx.trace_q_to_p(acc)
 
 
 def cayley_spectrum(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND) -> dict[int, int]:

@@ -16,6 +16,16 @@ is used as-is, with no quadratic refinement.  All character sums are
 kept exact: values of Tr down to F_p are tallied per residue and the
 tally is contracted against p-th roots of unity symbolically, so a
 non-integral sum raises instead of rounding.
+
+Counting works on the coordinates x = pi^i, i = 0..n-1, the nonzero
+elements in the order of a codeword's positions; sums over all of
+F_{q^s} add the x = 0 term (where Q and every Tr(beta x) vanish)
+explicitly.  Three shared tables, also read by the engine's brute
+oracle, do the counting: coordinate_values gives one trace term
+Tr(c x^u) at every coordinate, linear_trace_rows gives Tr(beta x) for
+every beta, and coordinate_matches counts, per beta, the coordinates
+where Tr(beta x) + Q(x) hits a target by comparing each row with the
+one n-vector target - Q(x).
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ import numpy as np
 from .codes import ConsistencyError, form_exponents
 from .fields import FieldCtx, FieldSizeError, label_matrix_rank
 
-_VALUE_TABLE_BOUND = 4096  # all-pairs trace matrices are N^2 bytes
+LINEAR_TRACE_BOUND = 4096  # linear_trace_rows holds size * n bytes
 
 
 def integral_character_sum(residue_counts, p: int) -> int:
@@ -107,21 +117,15 @@ class QuadForm:
         return self._epsilon
 
     def value_labels(self) -> np.ndarray:
-        """F_q labels of Q(x) for every packed x, as a uint8 array."""
+        """F_q labels of Q(pi^i) at every coordinate i = 0..n-1, as uint8."""
         if self._value_labels is None:
             ctx = self.ctx
-            out = np.zeros(ctx.size, dtype=np.uint8)
-            idx = np.arange(ctx.n, dtype=np.int64)
-            exp = ctx.exp_table()
-            nonzero = np.zeros(ctx.n, dtype=np.uint8)
+            sub = ctx.subfield(ctx.q)
+            out = np.zeros(ctx.n, dtype=np.uint8)
             for c, u, sel in zip(self.coeffs, self.exponents, self.selectors):
-                if not c:
-                    continue
-                upper = ctx.q**ctx.m if sel == "qm" else ctx.size
-                tr_tbl = ctx.trace_label_table(upper, ctx.q)
-                vals = exp[(ctx.log(c) + u * idx) % ctx.n]
-                nonzero = ctx.subfield(ctx.q).add_labels(nonzero, tr_tbl[vals])
-            out[exp[idx]] = nonzero
+                if c:
+                    upper = ctx.q**ctx.m if sel == "qm" else ctx.size
+                    out = sub.add_labels(out, coordinate_values(ctx, c, u, upper))
             self._value_labels = out
         return self._value_labels
 
@@ -181,19 +185,38 @@ def all_forms(ctx: FieldCtx):
         yield space.form_at(i)
 
 
+def coordinate_values(ctx: FieldCtx, coeff: int, u: int, upper: int) -> np.ndarray:
+    """uint8 n-vector: entry i is the F_q label of Tr(coeff * x^u) at the
+    coordinate x = pi^i, the trace taken from the subfield of order upper
+    (which must contain coeff) down to F_q."""
+    idx = np.arange(ctx.n, dtype=np.int64)
+    tr = ctx.trace_label_table(upper, ctx.q)
+    return tr[ctx.exp_table()[(ctx.log(coeff) + u * idx) % ctx.n]]
+
+
 @lru_cache(maxsize=8)
-def _linear_trace_labels(ctx: FieldCtx) -> np.ndarray:
-    """(size, size) uint8 matrix: entry [b, x] is the F_q label of
-    Tr_{q^s/q}(b*x).  Verification-scale only."""
-    if ctx.size > _VALUE_TABLE_BOUND:
-        raise FieldSizeError("all-pairs trace matrix refused at this field size")
-    exp = ctx.exp_table()
-    logs = np.arange(ctx.n, dtype=np.int64)
-    tr = ctx.trace_label_table(ctx.size, ctx.q)
-    out = np.zeros((ctx.size, ctx.size), dtype=np.uint8)
-    prods = exp[(logs[:, None] + logs[None, :]) % ctx.n]
-    out[np.ix_(exp[logs], exp[logs])] = tr[prods]
-    return out
+def linear_trace_rows(ctx: FieldCtx) -> np.ndarray:
+    """(size, n) uint8 table: entry [b, i] is the F_q label of
+    Tr_{q^s/q}(b * pi^i), one row per packed b.  Row pi^j is the sequence
+    Tr(pi^k) read from k = j on, so the rows are the cyclic shifts of one
+    n-vector.  Verification-scale only."""
+    if ctx.size > LINEAR_TRACE_BOUND:
+        raise FieldSizeError(
+            f"linear-trace table refused above {LINEAR_TRACE_BOUND} field elements")
+    seq = coordinate_values(ctx, 1, 1, ctx.size)
+    rows = np.zeros((ctx.size, ctx.n), dtype=np.uint8)
+    rows[ctx.exp_table()] = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([seq, seq[:-1]]), ctx.n)
+    rows.flags.writeable = False  # one cached table serves every caller
+    return rows
+
+
+def coordinate_matches(ctx: FieldCtx, values: np.ndarray, target: int) -> np.ndarray:
+    """For every packed beta, |{i : Tr(beta * pi^i) + values[i] = target}|,
+    with values and target as F_q labels.  Each linear-trace row is compared
+    with the single n-vector target - values."""
+    wanted = ctx.subfield(ctx.q).sub_table()[target, values]
+    return (linear_trace_rows(ctx) == wanted).sum(axis=1, dtype=np.int32)
 
 
 def big_T(form: QuadForm) -> int:
@@ -206,33 +229,30 @@ def big_T(form: QuadForm) -> int:
     residue_of_label = np.array(
         [ctx.trace_q_to_p(sub.from_label(l)) for l in range(ctx.q)], dtype=np.int64)
     counts = np.bincount(residue_of_label[form.value_labels()], minlength=ctx.p)
+    counts[0] += 1  # x = 0, where Q vanishes
     return integral_character_sum(counts.tolist(), ctx.p)
 
 
 def count_solutions(form: QuadForm, beta: int, zeta: int) -> int:
     """|{x : Q(x) + Tr(beta x) = zeta}| by direct counting; zeta in F_q."""
     ctx = form.ctx
-    sub = ctx.subfield(ctx.q)
-    target = sub.label_of(zeta)
-    sums = sub.add_labels(form.value_labels(), _linear_trace_labels(ctx)[beta])
-    return int(np.count_nonzero(sums == target))
+    target = ctx.subfield(ctx.q).label_of(zeta)
+    return int(coordinate_matches(ctx, form.value_labels(), target)[beta]) + (zeta == 0)
 
 
-def _match_counts(form: QuadForm, target_label: int) -> np.ndarray:
-    """For every beta: |{x : Q(x) + Tr(beta x) = the target value}|."""
+def _beta_histogram(form: QuadForm, target: int) -> dict[int, int]:
+    """Value distribution over beta of q*N_beta - q^s, where N_beta counts
+    the x in F_{q^s} with Q(x) + Tr(beta x) equal to the target label."""
     ctx = form.ctx
-    sub = ctx.subfield(ctx.q)
-    sums = sub.add_labels(form.value_labels()[None, :], _linear_trace_labels(ctx))
-    return (sums == target_label).sum(axis=1)
+    counts = coordinate_matches(ctx, form.value_labels(), target) + (target == 0)
+    values, freqs = np.unique(ctx.q * counts - ctx.size, return_counts=True)
+    return {int(v): int(c) for v, c in zip(values, freqs)}
 
 
 def s_histogram(form: QuadForm) -> dict[int, int]:
     """Value distribution over beta of the shifted sum S(beta), computed
     through the exact identity S(beta) = q*N_beta(0) - q^s."""
-    ctx = form.ctx
-    counts = _match_counts(form, 0)
-    values, freqs = np.unique(ctx.q * counts - ctx.size, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, freqs)}
+    return _beta_histogram(form, 0)
 
 
 def r_histogram(form: QuadForm, b: int) -> dict[int, int]:
@@ -244,6 +264,4 @@ def r_histogram(form: QuadForm, b: int) -> dict[int, int]:
     sub = ctx.subfield(ctx.q)
     if not sub.contains(b):
         raise ValueError("b is not in the embedded F_q")
-    counts = _match_counts(form, sub.label_of(ctx.neg(b)))
-    values, freqs = np.unique(ctx.q * counts - ctx.size, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, freqs)}
+    return _beta_histogram(form, sub.label_of(ctx.neg(b)))

@@ -140,3 +140,11 @@ def test_modulus_rank_flag(capsys):
     _, out1, _ = run(capsys, "verify", "--q", "3", "--m", "2", "--family", "C",
                      "--workers", "1", "--modulus-rank", "1")
     assert json.loads(out0)["oracle"] == json.loads(out1)["oracle"]
+
+
+def test_verify_refuses_q_above_256_exit_3(capsys):
+    code, out, _ = run(capsys, "verify", "--q", "257", "--m", "1", "--family", "C")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["refused"] is True
+    assert doc["work_estimate"] > 0

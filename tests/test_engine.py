@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from traceweight import engine
 from traceweight.codes import build_code, codeword, weight
 from traceweight.engine import (TIER_BUDGETS, brute_distribution, brute_work,
                                 measure_rank_counts, rank_sweep,
@@ -69,27 +70,25 @@ def test_measured_rank_counts_equal_frequencies():
 
 
 def test_work_estimates():
-    d25 = build_code(make_field(2, 1, 10), "D")
-    assert brute_work(d25) == 2**25 * 2**10 * 1023
-    assert rank_sweep_work(d25) == 2**25 * 1000
-    assert brute_work(d25) > TIER_BUDGETS["extended"]
-    assert rank_sweep_work(d25) < TIER_BUDGETS["extended"]
-    c24 = build_code(make_field(2, 1, 8), "C")
-    assert brute_work(c24) == 2**16 * 255
+    assert brute_work(2, 5, "D") == 2**25 * 2**10 * 1023
+    assert rank_sweep_work(2, 5) == 2**25 * 1000
+    assert brute_work(2, 5, "D") > TIER_BUDGETS["extended"]
+    assert rank_sweep_work(2, 5) < TIER_BUDGETS["extended"]
+    assert brute_work(2, 4, "C") == 2**16 * 255
 
 
 def test_work_count_within_twice_of_estimate():
     spec = build_code(make_field(3, 1, 4), "D")
     dist = brute_distribution(spec)
-    assert dist.work_count <= 2 * brute_work(spec)
-    assert brute_work(spec) <= 2 * dist.work_count
+    assert dist.work_count <= 2 * brute_work(3, 2, "D")
+    assert brute_work(3, 2, "D") <= 2 * dist.work_count
 
 
 def test_budget_refusal_carries_estimate():
     spec = build_code(make_field(2, 1, 10), "D")
     with pytest.raises(BudgetExceeded) as err:
         brute_distribution(spec, budget=10**6)
-    assert err.value.estimate == brute_work(spec)
+    assert err.value.estimate == brute_work(2, 5, "D")
     assert err.value.budget == 10**6
     with pytest.raises(BudgetExceeded):
         measure_rank_counts(spec, budget=10**6)
@@ -100,7 +99,7 @@ def test_verify_quick_32():
         report = verify(3, 2, family, tier="quick")
         assert report.equal and report.oracle_kind == "brute"
         assert report.first_diff is None
-        assert report.work_count == brute_work(build_code(make_field(3, 1, 4), family))
+        assert report.work_count == brute_work(3, 2, family)
 
 
 def test_verify_refuses_25_quick():
@@ -110,9 +109,8 @@ def test_verify_refuses_25_quick():
 
 def test_verify_picks_sweep_when_brute_too_big():
     # at (2, 3) with a budget squeezed below brute work but above sweep work
-    spec = build_code(make_field(2, 1, 6), "D")
-    budgets = {"quick": rank_sweep_work(spec) + 1}
-    assert brute_work(spec) > budgets["quick"]
+    budgets = {"quick": rank_sweep_work(2, 3) + 1}
+    assert brute_work(2, 3, "D") > budgets["quick"]
     report = verify(2, 3, "D", tier="quick", budgets=budgets)
     assert report.oracle_kind == "rank_sweep"
     assert report.equal
@@ -133,3 +131,26 @@ def test_progress_callback_monotone():
     brute_distribution(spec, progress=lambda done, total: seen.append((done, total)))
     assert seen and seen[-1][0] == seen[-1][1]
     assert all(a <= b for (a, _), (b, _) in zip(seen, seen[1:]))
+
+
+def test_verify_prime_q_above_127():
+    # label sums of two F_131 labels exceed 255
+    report = verify(131, 1, "C")
+    assert report.oracle_kind == "brute" and report.equal
+
+
+def test_verify_refuses_before_building_the_field(monkeypatch):
+    def no_setup(*args, **kwargs):
+        raise AssertionError("field built before the oracle choice")
+    monkeypatch.setattr(engine, "make_field", no_setup)
+    with pytest.raises(BudgetExceeded):
+        verify(2, 30, "C")
+    with pytest.raises(BudgetExceeded):
+        verify(257, 1, "C")
+
+
+def test_verify_takes_sweep_when_linear_trace_table_is_too_big():
+    report = verify(67, 1, "D", tier="standard")
+    assert report.oracle_kind == "rank_sweep" and report.equal
+    with pytest.raises(BudgetExceeded):
+        brute_distribution(build_code(make_field(67, 1, 2), "D"))

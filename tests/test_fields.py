@@ -4,7 +4,8 @@ import pytest
 from conftest import (frobenius_sum, lex_primitive_modulus, naive_add,
                       naive_mul, step_order_of_x)
 
-from traceweight.fields import (FieldSizeError, Poly, coset_size, make_field,
+from traceweight.fields import (FieldSizeError, Poly, coset_size,
+                                find_primitive_modulus, make_field,
                                 minimal_polynomial, split_prime_power)
 
 
@@ -13,6 +14,10 @@ def test_modulus_matches_independent_search():
         ctx = make_field(p, e, s)
         assert ctx.modulus == lex_primitive_modulus(p, e * s)
     assert make_field(3, 1, 4, modulus_rank=1).modulus == lex_primitive_modulus(3, 4, rank=1)
+    for p, degree, rank in [(2, 2, 0), (2, 3, 1), (2, 5, 2), (2, 6, 0), (2, 8, 3),
+                            (3, 2, 1), (3, 3, 1), (5, 2, 3), (7, 2, 2), (11, 2, 0)]:
+        assert find_primitive_modulus(p, degree, rank) == \
+            lex_primitive_modulus(p, degree, rank)
 
 
 def test_canonical_f16_modulus_is_x4_x_1():
@@ -172,7 +177,7 @@ def test_make_field_rejects_bad_input():
 def test_log_table_bound_refusal():
     ctx = make_field(2, 1, 4, table_bound=8)
     with pytest.raises(FieldSizeError):
-        ctx.exp(3)
+        ctx.exp_table()
 
 
 def test_split_prime_power():

@@ -8,8 +8,9 @@ from conftest import solution_count_multiset, offset_sum_rows, shift_sum_rows, n
 from traceweight.codes import ConsistencyError
 from traceweight.fields import make_field
 from traceweight.quadforms import (FormSpace, QuadForm, all_forms, big_T,
+                                   coordinate_matches, coordinate_values,
                                    count_solutions, integral_character_sum,
-                                   r_histogram, s_histogram)
+                                   linear_trace_rows, r_histogram, s_histogram)
 from traceweight.spectra import frequencies
 
 
@@ -220,3 +221,34 @@ def test_histograms_match_rank_driven_rows_exhaustively(p, e, m):
         assert sum(s_histogram(form).values()) == ctx.size
         for lbl in range(1, q):
             assert r_histogram(form, sub.from_label(lbl)) == offset_sum_rows(q, s, r, eps)
+
+
+@pytest.mark.parametrize("p,e,m,stride", [(2, 1, 2, 1), (3, 1, 2, 1), (2, 1, 3, 1),
+                                          (2, 2, 2, 17)])
+def test_coordinate_tables_match_literal_definitions(p, e, m, stride):
+    ctx = make_field(p, e, 2 * m)
+    sub = ctx.subfield(ctx.q)
+    coords = [ctx.pow(ctx.pi, i) for i in range(ctx.n)]
+    uppers = {"qm": ctx.q**ctx.m, "q": ctx.size}
+    space = FormSpace(ctx)
+    forms = [space.form_at(i) for i in range(0, space.num_forms, stride)]
+    for form in forms:
+        literal = [form(x) for x in coords]
+        assert form.value_labels().tolist() == [sub.label_of(v) for v in literal]
+        for c, u, sel in zip(form.coeffs, form.exponents, form.selectors):
+            if c:
+                term = [sub.label_of(ctx.trace(ctx.mul(c, ctx.pow(x, u)), sel))
+                        for x in coords]
+                assert coordinate_values(ctx, c, u, uppers[sel]).tolist() == term
+    if ctx.size > 81:
+        return
+    traces = [[ctx.trace(ctx.mul(b, x)) for x in coords] for b in range(ctx.size)]
+    assert linear_trace_rows(ctx).tolist() == \
+        [[sub.label_of(t) for t in row] for row in traces]
+    for form in forms[::7]:
+        literal = [form(x) for x in coords]
+        for target in sub.elements_by_label:
+            double_loop = [sum(ctx.add(t, v) == target for t, v in zip(row, literal))
+                           for row in traces]
+            assert coordinate_matches(ctx, form.value_labels(),
+                                      sub.label_of(target)).tolist() == double_loop
