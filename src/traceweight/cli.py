@@ -19,8 +19,8 @@ import sys
 from .codes import build_code  # noqa: F401 - a name perfbench/tracer.py wraps
 from .engine import TIER_BUDGETS, BudgetExceeded, brute_work, default_workers, verify
 from .fields import make_field, split_prime_power
-from .hermitian import (DEFAULT_WITNESS_BOUND, cayley_spectrum, rank1_count,
-                        verify_isomorphism)
+from .hermitian import (DEFAULT_WITNESS_BOUND, cayley_spectrum,
+                        check_witness_budget, rank1_count, verify_isomorphism)
 from .spectra import WeightDistribution, predict
 
 
@@ -183,8 +183,9 @@ def cmd_verify(args, p: int, e: int, config: dict) -> int:
 
 def cmd_witness(args, p: int, e: int, config: dict) -> int:
     budget = config.get("witness_budget", DEFAULT_WITNESS_BOUND)
-    ctx = make_field(p, e, 2 * args.m)
     try:
+        check_witness_budget(p**e, args.m, budget)
+        ctx = make_field(p, e, 2 * args.m)
         spectrum = cayley_spectrum(ctx, budget)
         r1 = rank1_count(ctx, budget)
         iso = verify_isomorphism(ctx, budget)

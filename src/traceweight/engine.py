@@ -15,23 +15,27 @@ The merge over any partition of the form-index range is a plain integer
 histogram sum, so results are bitwise identical for every worker count
 and chunking.
 
-rank_sweep instead measures the radical rank of every form (the Gram
-matrix of the polarized bilinear form is F_p-linear in the form index,
-so per-digit basis Grams are combined and eliminated, batched and
-bit-packed when q = 2) and converts the measured rank multiplicities
-into the weight distribution through the exponential-sum value classes.
-It trusts those value distributions, which quadforms.py property-tests,
-but not the closed-form rank frequencies, which it measures; the sign
-convention is cross-checked against the plain character sum on a sample
-of forms.
+rank_sweep instead measures the radical rank of every form and converts
+the measured rank multiplicities into the weight distribution through
+the exponential-sum value classes.  The Gram matrix of the polarized
+bilinear form is F_p-linear in the form index, so a chunk's Grams are
+combined from per-digit Grams, which are read off the digit forms'
+value tables (value_labels) through an s x s log table of basis sums.
+The whole chunk is then eliminated at once: over GF(2) on bit-packed
+rows when q = 2, over F_q labels through the subfield's mul and sub
+tables otherwise.  It trusts those value distributions, which
+quadforms.py property-tests, but not the closed-form rank frequencies,
+which it measures; the ranks are cross-checked against the per-form
+QuadForm.rank and the sign convention against the plain character sum
+on a sample of forms.
 
 Work is accounted in elementary operations: coordinate matches for the
 brute oracle (forms x betas x n, or forms x n for family C) and s^3 per
 form for the sweep.  Both estimates depend on (q, m, family) alone, so
 verify picks its oracle, or refuses with the estimate attached, before
 building any field.  Brute D and E also need the linear-trace table
-within its size bound, and q above 256 is refused because F_q labels
-are bytes.
+within its size bound, the sweep needs the field's exp/log tables
+within theirs, and q above 256 is refused because F_q labels are bytes.
 """
 
 from __future__ import annotations
@@ -44,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeSpec, ConsistencyError, build_code
-from .fields import (BudgetExceeded, FieldSizeError, label_matrix_rank,
-                     make_field, split_prime_power)
+from .fields import (DEFAULT_TABLE_BOUND, BudgetExceeded, FieldSizeError,
+                     SubfieldView, make_field, split_prime_power)
 from .quadforms import (LINEAR_TRACE_BOUND, FormSpace, QuadForm,
                         coordinate_matches)
 from .spectra import WeightDistribution, assemble_distribution, predict
@@ -53,6 +57,10 @@ from .spectra import WeightDistribution, assemble_distribution, predict
 TIER_BUDGETS = {"quick": 2**24, "standard": 2**32, "extended": 2**38}
 DEFAULT_BUDGET = 2**36
 _EPSILON_SAMPLES = 12
+# Sweeps over fewer forms run in-process whatever the worker count: a
+# second worker gained nothing at (4,3), 2^18 forms in about 1.5 s, and
+# below that a pool's start-up only adds to the time and to its spread.
+_POOL_MIN_FORMS = 1 << 18
 MAX_LABEL_Q = 256  # F_q labels are uint8
 
 
@@ -70,6 +78,11 @@ def rank_sweep_work(q: int, m: int) -> int:
 def _brute_table_fits(q: int, m: int, family: str) -> bool:
     """D and E count against the linear-trace table, which is bounded."""
     return family == "C" or q ** (2 * m) <= LINEAR_TRACE_BOUND
+
+
+def _sweep_table_fits(q: int, m: int) -> bool:
+    """The sweep reads form values through the field's exp/log tables."""
+    return q ** (2 * m) <= DEFAULT_TABLE_BOUND
 
 
 # ---------------------------------------------------------------------------
@@ -159,40 +172,52 @@ class _CountPlan:
 
 
 class _RankPlan:
-    """Per-digit Gram matrices; ranks via batched GF(2) elimination when
-    q = 2, per-form elimination over labels otherwise."""
+    """Gram matrices of the forms over a form-index range, and their ranks.
+
+    The Gram matrix of the polarized form on the basis pi^0..pi^(s-1) is
+    F_p-linear in the form index's base-p digits, so it is a combination
+    of per-digit Grams: digit d's Gram belongs to the form at index p^d.
+    Each per-digit Gram is read off that form's value table through
+    B(pi^a, pi^b) = Q(pi^a + pi^b) - Q(pi^a) - Q(pi^b), with pi^a + pi^b
+    located by an s x s log table (a zero sum reads Q(0) = 0).
+
+    When q = 2 a range's Grams are XORs of bit-packed rows, eliminated
+    over GF(2) one word per row.  Otherwise they are assembled by one
+    matmul of the index digits with the per-digit Grams' F_p coordinates
+    (reduced mod p), packed back to F_q labels, and eliminated all at once
+    through the subfield's mul and sub tables.
+    """
 
     def __init__(self, spec: CodeSpec):
         ctx = spec.ctx
-        self.spec = spec
+        ctx.require_tables()
         self.ctx = ctx
-        self.space = FormSpace(ctx)
-        q, s, p, e = ctx.q, ctx.s, ctx.p, ctx.e
-        sub = ctx.subfield(q)
-        self.sub = sub
+        q, s, p, e, n = ctx.q, ctx.s, ctx.p, ctx.e, ctx.n
+        space = FormSpace(ctx)
+        self.sub = sub = ctx.subfield(q)
+        self.p_digits = e * space.digit_count
         basis = [ctx.pow(ctx.pi, i) for i in range(s)]
-        fq_basis = sub.basis
-        self.p_digits = e * self.space.digit_count
-        grams = []
+        sums = [[ctx.add(a, b) for b in basis] for a in basis]
+        sum_log = np.array([[ctx.log(t) if t else n for t in row] for row in sums])
+        # column n holds Q(0) = 0
+        values = np.zeros((self.p_digits, n + 1), dtype=np.uint8)
         for d in range(self.p_digits):
-            coeff = ctx.mul(fq_basis[d % e], self.space.basis_of[d // e])
-            slot = self.space.slot_of[d // e]
-            coeffs = [0] * len(self.space.exponents)
-            coeffs[slot] = coeff
-            form = QuadForm(ctx, coeffs)
-            gram = np.array(
-                [[sub.label_of(form.bilinear(a, b)) for b in basis] for a in basis],
-                dtype=np.uint8)
-            grams.append(gram)
-        self.grams = grams
+            values[d, :n] = space.form_at(p**d).value_labels()
+        sub_t = sub.sub_table()
+        at_basis = values[:, :s]
+        # grams[d, a, b] = B_d(pi^a, pi^b) as an F_q label
+        self.grams = sub_t[sub_t[values[:, sum_log], at_basis[:, :, None]],
+                           at_basis[:, None, :]]
         if q == 2:
             weights = (1 << np.arange(s, dtype=np.uint32))
-            self.gram_bits = [g.astype(np.uint32) @ weights for g in grams]
+            self.gram_bits = self.grams.astype(np.uint32) @ weights
         else:
-            # scalar multiples of each Gram, per prime-field factor
-            mul_t = sub.mul_table()
-            self.scaled_grams = [
-                [mul_t[sub.label_of(c % p)][g] for c in range(p)] for g in grams]
+            self.digit_powers = p ** np.arange(self.p_digits, dtype=np.int64)
+            self.label_powers = p ** np.arange(e, dtype=np.int64)
+            # float64 for a BLAS matmul: every sum is an integer below
+            # p_digits * p^2, so it stays exact
+            self.gram_coords = (self.grams[..., None] // self.label_powers % p
+                                ).reshape(self.p_digits, -1).astype(np.float64)
 
     def ranks_q2(self, lo: int, hi: int) -> np.ndarray:
         s = self.ctx.s
@@ -203,31 +228,23 @@ class _RankPlan:
             mats ^= mask[:, None] * rowbits[None, :]
         return _batched_gf2_rank(mats, s)
 
+    def ranks(self, lo: int, hi: int) -> np.ndarray:
+        """Radical rank of every form in the index range."""
+        if self.ctx.q == 2:
+            return self.ranks_q2(lo, hi)
+        p, e, s = self.ctx.p, self.ctx.e, self.ctx.s
+        idx = np.arange(lo, hi, dtype=np.int64)
+        digits = (idx[:, None] // self.digit_powers % p).astype(np.float64)
+        coords = (digits @ self.gram_coords).astype(np.int64) % p
+        mats = coords.reshape(len(idx), s, s, e) @ self.label_powers
+        return _batched_label_rank(self.sub, mats.astype(np.uint8))
+
     def rank_counts(self, lo: int, hi: int) -> np.ndarray:
         """Multiplicity of rank 2j, j = 0..m, over the index range."""
-        m = self.ctx.m
-        counts = np.zeros(m + 1, dtype=np.int64)
-        if self.ctx.q == 2:
-            ranks = self.ranks_q2(lo, hi)
-            if np.any(ranks & 1):
-                raise ConsistencyError("odd rank in sweep")
-            counts += np.bincount(ranks >> 1, minlength=m + 1)
-            return counts
-        p = self.ctx.p
-        for index in range(lo, hi):
-            gram = np.zeros((self.ctx.s, self.ctx.s), dtype=np.uint8)
-            rem, d = index, 0
-            while rem:
-                c = rem % p
-                rem //= p
-                if c:
-                    gram = self.sub.add_labels(gram, self.scaled_grams[d][c])
-                d += 1
-            r = label_matrix_rank(self.sub, gram.tolist())
-            if r % 2:
-                raise ConsistencyError("odd rank in sweep")
-            counts[r // 2] += 1
-        return counts
+        ranks = self.ranks(lo, hi)
+        if np.any(ranks & 1):
+            raise ConsistencyError("odd rank in sweep")
+        return np.bincount(ranks >> 1, minlength=self.ctx.m + 1)
 
 
 def _batched_gf2_rank(mats: np.ndarray, s: int) -> np.ndarray:
@@ -253,6 +270,32 @@ def _batched_gf2_rank(mats: np.ndarray, s: int) -> np.ndarray:
     return pivot_count
 
 
+def _batched_label_rank(sub: SubfieldView, mats: np.ndarray) -> np.ndarray:
+    """Ranks over F_Q of a (batch, rows, cols) stack of label matrices.
+
+    One Gaussian elimination runs on the whole stack.  In each column every
+    matrix takes its first unused row with a nonzero entry as pivot, scales
+    it to 1 and subtracts it from every row to clear the column, which is
+    then dropped.  A used row is never read again, so clearing it (the
+    pivot row included) is harmless, and so is the row argmax picks for a
+    matrix without a pivot: its unused rows are already zero there."""
+    mul_t, sub_t = sub.mul_table(), sub.sub_table()
+    inv = (mul_t == 1).argmax(axis=1).astype(np.uint8)
+    batch = np.arange(mats.shape[0])
+    used = np.zeros(mats.shape[:2], dtype=bool)
+    rank = np.zeros(mats.shape[0], dtype=np.int64)
+    while mats.shape[2]:
+        entries, rest = mats[:, :, 0], mats[:, :, 1:]
+        cand = (entries != 0) & ~used
+        has = cand.any(axis=1)
+        piv = cand.argmax(axis=1)
+        used[batch, piv] |= has
+        rank += has
+        pivot_row = mul_t[inv[entries[batch, piv]][:, None], rest[batch, piv]]
+        mats = sub_t[rest, mul_t[entries[:, :, None], pivot_row[:, None, :]]]
+    return rank
+
+
 # ---------------------------------------------------------------------------
 # worker entry points (top level so they pickle)
 
@@ -260,10 +303,10 @@ def _batched_gf2_rank(mats: np.ndarray, s: int) -> np.ndarray:
 _PLAN_CACHE: dict = {}
 
 
-def _get_plan(task: _Task, kind: str):
+def _get_plan(task: _Task, kind: str, spec: CodeSpec | None = None):
     key = (task.key(), kind)
     if key not in _PLAN_CACHE:
-        spec = task.rebuild()
+        spec = spec or task.rebuild()
         _PLAN_CACHE[key] = _CountPlan(spec) if kind == "count" else _RankPlan(spec)
     return _PLAN_CACHE[key]
 
@@ -347,8 +390,17 @@ def measure_rank_counts(spec: CodeSpec, budget: int = DEFAULT_BUDGET,
         raise BudgetExceeded(
             f"rank sweep needs ~{work} elementary operations (budget {budget})",
             estimate=work, budget=budget)
+    if not spec.ctx.tables_available():
+        raise FieldSizeError(
+            f"rank sweep needs the exp/log tables, refused above "
+            f"{spec.ctx.table_bound} field elements", estimate=work, budget=budget)
     task = _Task(spec)
+    # built here, the plan serves the in-process chunks, the ε check and
+    # forked workers alike
+    _get_plan(task, "rank", spec)
     forms = spec.q ** (spec.m * spec.m)
+    if forms < _POOL_MIN_FORMS:
+        workers = 1
     counts = np.zeros(spec.m + 1, dtype=np.int64)
     for c, _ in _run_chunks(_rank_chunk, task, forms, workers, progress):
         counts += c
@@ -359,15 +411,13 @@ def _epsilon_cross_check(spec: CodeSpec):
     """Sample forms: the sweep's rank must be the radical rank, and the plain
     character sum must agree with it in magnitude and in the sign
     (-1)^(rank/2) that the sweep relies on."""
-    if not spec.ctx.tables_available():
-        return
     space = FormSpace(spec.ctx)
-    plan = _RankPlan(spec)
+    plan = _get_plan(_Task(spec), "rank", spec)
     total = space.num_forms
     sample = sorted({round(i * (total - 1) / (_EPSILON_SAMPLES - 1))
                      for i in range(_EPSILON_SAMPLES)}) if total > 1 else [0]
     for index in sample:
-        r_sweep = int(plan.rank_counts(index, index + 1).argmax() * 2)
+        r_sweep = int(plan.ranks(index, index + 1)[0])
         form = space.form_at(index)
         if form.rank != r_sweep:
             raise ConsistencyError(
@@ -416,15 +466,17 @@ def verify(q: int, m: int, family: str, tier: str = "quick", workers: int = 1,
             f"F_q labels are bytes; q = {q} exceeds {MAX_LABEL_Q}",
             estimate=min(brute, sweep), budget=budget)
     brute_fits = _brute_table_fits(q, m, family)
+    sweep_fits = _sweep_table_fits(q, m)
     if brute <= budget and brute_fits:
         kind, run = "brute", brute_distribution
-    elif sweep <= budget:
+    elif sweep <= budget and sweep_fits:
         kind, run = "rank_sweep", rank_sweep
     else:
-        over = "" if brute_fits else ", over the linear-trace table bound"
+        brute_over = "" if brute_fits else ", over the linear-trace table bound"
+        sweep_over = "" if sweep_fits else ", over the log-table bound"
         raise BudgetExceeded(
-            f"no oracle fits tier {tier!r}: brute ~{brute}{over}, "
-            f"rank sweep ~{sweep} (budget {budget})",
+            f"no oracle fits tier {tier!r}: brute ~{brute}{brute_over}, "
+            f"rank sweep ~{sweep}{sweep_over} (budget {budget})",
             estimate=min(brute, sweep), budget=budget)
     ctx = make_field(p, e, 2 * m, modulus_rank)
     spec = build_code(ctx, family)

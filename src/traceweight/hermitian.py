@@ -33,8 +33,10 @@ DEFAULT_WITNESS_BOUND = 2**20
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def _check_budget(ctx: FieldCtx, budget: int):
-    count = ctx.q ** (ctx.m * ctx.m)
+def check_witness_budget(q: int, m: int, budget: int):
+    """Refuse when the q^(m^2) Hermitian matrices of order m exceed the
+    budget; needs (q, m) alone, so callers check before building a field."""
+    count = q ** (m * m)
     if count > budget:
         raise BudgetExceeded(
             f"{count} Hermitian matrices exceed the witness budget {budget}",
@@ -60,7 +62,7 @@ def hermitian_at(ctx: FieldCtx, index: int) -> Matrix:
 
 def enumerate_hermitian(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND):
     """All q^(m^2) Hermitian matrices, in deterministic index order."""
-    _check_budget(ctx, budget)
+    check_witness_budget(ctx.q, ctx.m, budget)
     for index in range(ctx.q ** (ctx.m * ctx.m)):
         yield hermitian_at(ctx, index)
 
@@ -102,7 +104,7 @@ def _matrix_trace_residue(ctx: FieldCtx, a: Matrix, h: Matrix) -> int:
 def cayley_spectrum(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND) -> dict[int, int]:
     """Exact eigenvalue -> multiplicity multiset of the rank-1 Cayley graph,
     one character sum per dual Hermitian matrix."""
-    _check_budget(ctx, budget)
+    check_witness_budget(ctx.q, ctx.m, budget)
     kset = rank1_matrices(ctx, budget)
     spectrum: dict[int, int] = {}
     for index in range(ctx.q ** (ctx.m * ctx.m)):
@@ -117,7 +119,7 @@ def cayley_spectrum(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND) -> dict[
 
 def character_table_rows_distinct(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND) -> bool:
     """Nondegeneracy of the chosen pairing: all character rows differ."""
-    _check_budget(ctx, budget)
+    check_witness_budget(ctx.q, ctx.m, budget)
     count = ctx.q ** (ctx.m * ctx.m)
     rows = set()
     for index in range(count):
@@ -170,7 +172,7 @@ def verify_isomorphism(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND) -> Is
         {(x^(q^m+1),) x^(q+1), x^(q^3+1), ...},
     (c) that set has (q^(2m)-1)/(q+1) elements.
     """
-    _check_budget(ctx, budget)
+    check_witness_budget(ctx.q, ctx.m, budget)
     q, m, t = ctx.q, ctx.m, ctx.m // 2
     notes: list[str] = []
     alpha = [ctx.pow(ctx.pi, i) for i in range(m)]  # basis of F_{q^s} over F_{q^2}

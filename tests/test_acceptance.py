@@ -73,7 +73,7 @@ def test_criterion_1_golden_enumerators_heavy():
 
 def test_criterion_2_rank_distribution_equivalence():
     with criterion("2 measured rank counts equal closed-form frequencies"):
-        for q, m in [(2, 2), (3, 2), (2, 3), (4, 2)]:
+        for q, m in [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (4, 3), (5, 2), (9, 2)]:
             p, e = split_prime_power(q)
             spec = build_code(make_field(p, e, 2 * m), "D")
             assert measure_rank_counts(spec) == frequencies(q, m), (q, m)

@@ -148,3 +148,25 @@ def test_verify_refuses_q_above_256_exit_3(capsys):
     doc = json.loads(out)
     assert doc["refused"] is True
     assert doc["work_estimate"] > 0
+
+
+def test_refusals_exit_3_before_any_field_is_built(tmp_path, capsys, monkeypatch):
+    from traceweight import cli, engine
+
+    def no_setup(*args, **kwargs):
+        raise AssertionError("field built before the budget check")
+    monkeypatch.setattr(cli, "make_field", no_setup)
+    monkeypatch.setattr(engine, "make_field", no_setup)
+    cfg = tmp_path / "cfg"
+    cfg.write_text("witness_budget=15\n")  # 2^(2^2) = 16 matrices
+    code, out, _ = run(capsys, "witness", "--q", "2", "--m", "2", "--config", str(cfg))
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["refused"] is True
+    assert (doc["work_estimate"], doc["budget"]) == (16, 15)
+    # the rank sweep fits the extended budget, but F_{128^4} is over the
+    # exp/log-table bound
+    code, out, _ = run(capsys, "verify", "--q", "128", "--m", "2", "--family", "D",
+                       "--tier", "extended")
+    assert code == 3
+    assert json.loads(out)["work_estimate"] > 0

@@ -2,14 +2,19 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traceweight import engine
 from traceweight.codes import build_code, codeword, weight
 from traceweight.engine import (TIER_BUDGETS, brute_distribution, brute_work,
                                 measure_rank_counts, rank_sweep,
                                 rank_sweep_work, verify)
-from traceweight.fields import BudgetExceeded, make_field
+from traceweight.fields import (BudgetExceeded, FieldSizeError,
+                                label_matrix_rank, make_field)
+from traceweight.quadforms import FormSpace
 from traceweight.spectra import frequencies, predict
 
 
@@ -92,6 +97,8 @@ def test_budget_refusal_carries_estimate():
     assert err.value.budget == 10**6
     with pytest.raises(BudgetExceeded):
         measure_rank_counts(spec, budget=10**6)
+    with pytest.raises(FieldSizeError):  # the sweep needs the exp/log tables
+        measure_rank_counts(build_code(make_field(2, 1, 4, table_bound=8), "D"))
 
 
 def test_verify_quick_32():
@@ -125,6 +132,22 @@ def test_determinism_across_workers_and_moduli():
     assert brute_distribution(alt, workers=1).counts == reference
 
 
+def test_sweep_counts_equal_in_process_and_in_a_pool(monkeypatch):
+    spec = build_code(make_field(2, 2, 4), "D")
+    pools = []
+    run_chunks = engine._run_chunks
+
+    def spy(fn, task, total, workers, progress=None):
+        pools.append(workers)
+        return run_chunks(fn, task, total, workers, progress)
+
+    monkeypatch.setattr(engine, "_run_chunks", spy)
+    reference = measure_rank_counts(spec, workers=2)
+    monkeypatch.setattr(engine, "_POOL_MIN_FORMS", 0)
+    assert measure_rank_counts(spec, workers=2) == reference == frequencies(4, 2)
+    assert pools == [1, 2]
+
+
 def test_progress_callback_monotone():
     seen = []
     spec = build_code(make_field(2, 1, 4), "D")
@@ -147,6 +170,11 @@ def test_verify_refuses_before_building_the_field(monkeypatch):
         verify(2, 30, "C")
     with pytest.raises(BudgetExceeded):
         verify(257, 1, "C")
+    # the sweep fits the extended budget but not the exp/log-table bound
+    assert rank_sweep_work(128, 2) <= TIER_BUDGETS["extended"]
+    with pytest.raises(BudgetExceeded) as err:
+        verify(128, 2, "D", tier="extended")
+    assert err.value.estimate == rank_sweep_work(128, 2)
 
 
 def test_verify_takes_sweep_when_linear_trace_table_is_too_big():
@@ -154,3 +182,79 @@ def test_verify_takes_sweep_when_linear_trace_table_is_too_big():
     assert report.oracle_kind == "rank_sweep" and report.equal
     with pytest.raises(BudgetExceeded):
         brute_distribution(build_code(make_field(67, 1, 2), "D"))
+
+
+def _rank_plan(p, e, m):
+    return engine._RankPlan(build_code(make_field(p, e, 2 * m), "D"))
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2),
+                                   (3, 2, 2)])
+def test_per_digit_grams_equal_the_literal_bilinear_gram(p, e, m):
+    # covers the zero sums pi^a + pi^b = 0: a = b when p = 2
+    plan = _rank_plan(p, e, m)
+    ctx = plan.ctx
+    space, sub = FormSpace(ctx), ctx.subfield(ctx.q)
+    basis = [ctx.pow(ctx.pi, i) for i in range(ctx.s)]
+    assert len(plan.grams) == e * m * m
+    for d, gram in enumerate(plan.grams):
+        form = space.form_at(p**d)  # base-p digit d alone
+        literal = [[sub.label_of(form.bilinear(a, b)) for b in basis] for a in basis]
+        assert gram.tolist() == literal, d
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2)])
+def test_batched_ranks_equal_form_rank_on_every_form(p, e):
+    plan = _rank_plan(p, e, 2)
+    space = FormSpace(plan.ctx)
+    assert plan.ranks(0, space.num_forms).tolist() == \
+        [space.form_at(i).rank for i in range(space.num_forms)]
+
+
+# F_q with a field context of its own: q -> (p, e)
+_LABEL_FIELDS = {3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2)}
+
+
+@st.composite
+def _label_matrices(draw):
+    """(F_q view, stack), every matrix in the stack a product of rows x k
+    and k x cols label matrices, so its rank is at most k (k = 0 gives the
+    zero matrix)."""
+    q = draw(st.sampled_from(sorted(_LABEL_FIELDS)))
+    sub = make_field(*_LABEL_FIELDS[q], 2).subfield(q)
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    labels = st.integers(0, q - 1)
+    stack = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, min(rows, cols)))
+        left = np.array(draw(st.lists(labels, min_size=rows * k, max_size=rows * k)),
+                        dtype=np.uint8).reshape(rows, k)
+        right = np.array(draw(st.lists(labels, min_size=k * cols, max_size=k * cols)),
+                         dtype=np.uint8).reshape(k, cols)
+        mat = np.zeros((rows, cols), dtype=np.uint8)
+        for t in range(k):
+            mat = sub.add_labels(mat, sub.mul_table()[left[:, t, None], right[None, t, :]])
+        stack.append(mat)
+    return sub, np.stack(stack)
+
+
+@settings(deadline=None, max_examples=80)
+@given(_label_matrices())
+def test_batched_label_rank_equals_label_matrix_rank(case):
+    sub, stack = case
+    expected = [label_matrix_rank(sub, mat.tolist()) for mat in stack]
+    assert engine._batched_label_rank(sub, stack).tolist() == expected
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_rank_counts_add_up_over_any_split(data):
+    p, e, m = data.draw(st.sampled_from([(3, 1, 2), (2, 2, 2), (2, 1, 3)]))
+    plan = _rank_plan(p, e, m)
+    total = (p**e) ** (m * m)
+    lo = data.draw(st.integers(0, total))
+    hi = data.draw(st.integers(lo, total))
+    cuts = sorted(data.draw(st.lists(st.integers(lo, hi), max_size=6)))
+    bounds = [lo, *cuts, hi]
+    parts = sum(plan.rank_counts(a, b) for a, b in zip(bounds, bounds[1:]))
+    assert (parts == plan.rank_counts(lo, hi)).all()
