@@ -1,19 +1,32 @@
 """The independent oracles: exhaustive codeword counting and the rank sweep.
 
-brute_distribution enumerates the whole parameter space.  It never
-materializes codewords: for each form (the quadratic part of the
-parameters) it keeps the n-vector of form values at the coordinates
-x = pi^i, in coordinate order, as F_q labels, updated incrementally
-while the form index walks its odometer.  The per-digit odometer steps
-and the per-beta match counts come from the coordinate tables shared
-with quadforms (value_labels, linear_trace_rows, coordinate_matches):
-a codeword b + Tr(beta x) + Q(x) vanishes where Tr(beta x) equals
--b - Q(x), so each form costs one comparison of the linear-trace rows
-with one n-vector per constant shift.  Family E uses one bin per
-constant shift; family C has no beta and counts the zeros of Q alone.
-The merge over any partition of the form-index range is a plain integer
-histogram sum, so results are bitwise identical for every worker count
-and chunking.
+brute_distribution counts codewords one form (the quadratic part of the
+parameters) at a time, by literal match counting.  It never
+materializes codewords: for each form it keeps the n-vector of form
+values at the coordinates x = pi^i, in coordinate order, as F_q labels,
+updated incrementally while the form index walks its odometer.  The
+per-digit odometer steps and the per-beta match counts come from the
+coordinate tables shared with quadforms (value_labels,
+linear_trace_rows, coordinate_matches): a codeword b + Tr(beta x) + Q(x)
+vanishes where Tr(beta x) equals -b - Q(x), so each form costs one
+comparison of the linear-trace rows with one n-vector per constant
+shift.  Family E uses one bin per constant shift; family C has no beta
+and counts the zeros of Q alone.
+
+It counts one form per cyclic-shift orbit class, not all q^(m^2) forms.
+The substitution x -> pi^k x maps the form coefficients
+c_j -> c_j pi^(k u_j) and beta -> pi^k beta; it shifts every codeword
+cyclically (the cyclic-shift automorphism of a cyclic code), so a form's
+histogram, summed over beta and b, is the same across its orbit.
+_orbit_ranges lists the zero form with weight 1 and, for each slot j
+taken as the last nonzero slot, one coefficient per coset of <pi^g>,
+g = gcd(u_j, n), with the lower slots free: a contiguous form-index
+range of weight n/g, the orbit size (q^m - 1 for the F_{q^m} slot of odd
+m).  The ranges must cover all q^(m^2) forms with their weights before
+anything is counted, and the merge adds weight x histogram.  Only which
+forms are counted changes, never how a form is counted.  The merge over
+any partition of the ranges is a plain integer histogram sum, so results
+are bitwise identical for every worker count and chunking.
 
 rank_sweep instead measures the radical rank of every form and converts
 the measured rank multiplicities into the weight distribution through
@@ -29,18 +42,25 @@ which it measures; the ranks are cross-checked against the per-form
 QuadForm.rank and the sign convention against the plain character sum
 on a sample of forms.
 
+Both oracles run their chunks in-process, whatever the worker count,
+when they enumerate fewer than _POOL_MIN_FORMS forms.
+
 Work is accounted in elementary operations: coordinate matches for the
-brute oracle (forms x betas x n, or forms x n for family C) and s^3 per
-form for the sweep.  Both estimates depend on (q, m, family) alone, so
-verify picks its oracle, or refuses with the estimate attached, before
-building any field.  Brute D and E also need the linear-trace table
-within its size bound, the sweep needs the field's exp/log tables
-within theirs, and q above 256 is refused because F_q labels are bytes.
+brute oracle (forms x betas x n, or forms x n for family C; a counted
+form's matches times its weight, so the count covers all q^(m^2) forms)
+and s^3 per form for the sweep.  Both estimates depend on (q, m, family)
+alone, so verify picks its oracle, or refuses with the estimate
+attached, before building any field.  Brute D and E also need the
+linear-trace table within its size bound, the sweep needs the field's
+exp/log tables within theirs, and q above 256 is refused because F_q
+labels are bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -57,9 +77,10 @@ from .spectra import WeightDistribution, assemble_distribution, predict
 TIER_BUDGETS = {"quick": 2**24, "standard": 2**32, "extended": 2**38}
 DEFAULT_BUDGET = 2**36
 _EPSILON_SAMPLES = 12
-# Sweeps over fewer forms run in-process whatever the worker count: a
-# second worker gained nothing at (4,3), 2^18 forms in about 1.5 s, and
-# below that a pool's start-up only adds to the time and to its spread.
+# Enumerations of fewer forms run in-process whatever the worker count: a
+# second worker gained nothing on the (4,3) sweep, 2^18 forms in about
+# 1.5 s, and below that a pool's start-up only adds to the time and to its
+# spread.
 _POOL_MIN_FORMS = 1 << 18
 MAX_LABEL_Q = 256  # F_q labels are uint8
 
@@ -323,29 +344,59 @@ def _rank_chunk(args):
     return counts, (hi - lo) * task.s**3
 
 
-def _run_chunks(fn, task: _Task, total: int, workers: int, progress=None,
+def _run_chunks(fn, task: _Task, ranges, workers: int, progress=None,
                 batch_cap: int = 1 << 16):
-    """Split [0, total) into contiguous chunks, run fn over them (in a pool
-    when workers > 1), and return the in-order results."""
+    """Split each form-index range [lo, hi) into contiguous chunks and run fn
+    over them: in a pool when workers > 1 and the ranges hold at least
+    _POOL_MIN_FORMS forms, else in-process.  Returns (range number, result)
+    for every chunk, in order; progress counts the forms done."""
+    total = sum(hi - lo for lo, hi in ranges)
     n_chunks = min(total, max(100, 4 * workers))
     if total > n_chunks * batch_cap:
         n_chunks = -(-total // batch_cap)
-    bounds = [total * i // n_chunks for i in range(n_chunks + 1)]
-    jobs = [(task, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    results = []
-    if workers <= 1:
-        for i, job in enumerate(jobs):
-            results.append(fn(job))
-            if progress:
-                progress(bounds[i + 1], total)
-    else:
+    owners, jobs = [], []
+    for r, (lo, hi) in enumerate(ranges):
+        pieces = -(-(hi - lo) * n_chunks // total)
+        cuts = [lo + (hi - lo) * i // pieces for i in range(pieces + 1)]
+        owners += [r] * pieces
+        jobs += [(task, a, b) for a, b in zip(cuts, cuts[1:])]
+    pool = None
+    if workers > 1 and total >= _POOL_MIN_FORMS:
         import multiprocessing as mp
-        with mp.Pool(processes=workers) as pool:
-            for i, res in enumerate(pool.imap(fn, jobs)):
-                results.append(res)
-                if progress:
-                    progress(bounds[i + 1], total)
+        pool = mp.Pool(processes=workers)
+    results, done = [], 0
+    with pool or contextlib.nullcontext():
+        mapped = pool.imap(fn, jobs) if pool else map(fn, jobs)
+        for r, (_, lo, hi), res in zip(owners, jobs, mapped):
+            results.append((r, res))
+            done += hi - lo
+            if progress:
+                progress(done, total)
     return results
+
+
+def _orbit_ranges(space: FormSpace) -> list[tuple[int, int, int]]:
+    """Form-index ranges (lo, hi, weight), one per orbit class under the
+    cyclic shift (see the module docstring).  A class's representative is
+    the smallest slot-local index with that log(c_j) mod g; the slot's
+    nonzero values form the group <pi^h>, h = n / (q^width - 1), which
+    meets g / h of the classes."""
+    ctx = space.ctx
+    q, n = ctx.q, ctx.n
+    ranges = [(0, 1, 1)]  # the zero form
+    offset = 0
+    for j, (u, basis) in enumerate(zip(space.exponents, space.slot_bases)):
+        width, g = len(basis), math.gcd(u, n)
+        classes = g // (n // (q**width - 1))
+        reps: dict[int, int] = {}
+        for v in range(1, q**width):
+            reps.setdefault(ctx.log(space.coeffs_at(v * q**offset)[j]) % g, v)
+            if len(reps) == classes:
+                break
+        ranges += [(v * q**offset, (v + 1) * q**offset, n // g)
+                   for v in sorted(reps.values())]
+        offset += width
+    return ranges
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +417,21 @@ def brute_distribution(spec: CodeSpec, budget: int = DEFAULT_BUDGET,
             f"{LINEAR_TRACE_BOUND} field elements; try rank_sweep",
             estimate=work, budget=budget)
     task = _Task(spec)
-    forms = spec.q ** (spec.m * spec.m)
+    # built here, the plan serves the in-process chunks and forked workers
+    plan = _get_plan(task, "count", spec)
+    ranges = _orbit_ranges(plan.space)
+    covered = sum(weight * (hi - lo) for lo, hi, weight in ranges)
+    if covered != plan.space.num_forms:
+        raise ConsistencyError(
+            f"orbit ranges cover {covered} forms, expected {plan.space.num_forms}")
     hist = np.zeros(spec.n + 1, dtype=np.int64)
     done_work = 0
-    for h, w in _run_chunks(_count_chunk, task, forms, workers, progress):
-        hist += h
-        done_work += w
+    for r, (h, w) in _run_chunks(_count_chunk, task,
+                                 [(lo, hi) for lo, hi, _ in ranges],
+                                 workers, progress):
+        weight = ranges[r][2]
+        hist += weight * h
+        done_work += weight * w
     counts = {int(w): int(c) for w, c in enumerate(hist) if c}
     dist = WeightDistribution(spec.q, spec.m, spec.family, spec.n, spec.k,
                               counts, work_count=done_work)
@@ -399,10 +459,9 @@ def measure_rank_counts(spec: CodeSpec, budget: int = DEFAULT_BUDGET,
     # forked workers alike
     _get_plan(task, "rank", spec)
     forms = spec.q ** (spec.m * spec.m)
-    if forms < _POOL_MIN_FORMS:
-        workers = 1
     counts = np.zeros(spec.m + 1, dtype=np.int64)
-    for c, _ in _run_chunks(_rank_chunk, task, forms, workers, progress):
+    for _, (c, _) in _run_chunks(_rank_chunk, task, [(0, forms)], workers,
+                                 progress):
         counts += c
     return [int(c) for c in counts]
 

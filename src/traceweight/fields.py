@@ -385,28 +385,45 @@ class FieldCtx:
             raise FieldSizeError(
                 f"field of size {self.size} exceeds the log-table bound "
                 f"{self.table_bound}; discrete-log operations refused")
-        p, D, N = self.p, self.degree, self.size
-        exp = np.zeros(N - 1, dtype=np.int64)
-        log = np.zeros(N, dtype=np.int64)
-        digits = [0] * D
-        digits[0] = 1
-        top = self._top_reduction
-        for k in range(N - 1):
-            v = self.pack(digits)
-            exp[k] = v
-            log[v] = k
-            carry = digits[D - 1]
-            for i in range(D - 1, 0, -1):
-                digits[i] = digits[i - 1]
-            digits[0] = 0
-            if carry:
-                for i, r in enumerate(top):
-                    if r:
-                        digits[i] = (digits[i] + carry * r) % p
+        p, D, n = self.p, self.degree, self.n
+        # step = multiplication by x^filled as a matrix on coordinate rows:
+        # row i holds the coordinates of x^(i + filled); it starts as the
+        # companion matrix of the modulus and is squared as filled doubles
+        step = np.zeros((D, D))
+        step[np.arange(D - 1), np.arange(1, D)] = 1
+        step[D - 1] = self._top_reduction
+        exp = np.empty(n, dtype=np.int64)
+        exp[0] = 1
+        filled = 1
+        while filled < n:
+            take = min(filled, n - filled)
+            exp[filled:filled + take] = self._linear_image(exp[:take], step)
+            filled += take
+            step = step @ step
+            step -= p * np.floor(step / p)
+        log = np.zeros(self.size, dtype=np.int64)
+        log[exp] = np.arange(n)
         if int(exp[1]) != self.pi:
             raise AssertionError("exp table inconsistent with pi")
         self._exp = exp
         self._log = log
+
+    def _linear_image(self, values: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+        """Packed images of packed elements under an F_p-linear map, given
+        as a float64 matrix whose row i holds the coordinates of the image
+        of x^i.  Coordinates, products and their sums (below D * p^2) are
+        integers that float64 holds exactly, and so is x - p * floor(x / p).
+        Blocks of 2^14 elements keep the temporaries small."""
+        p, block = self.p, 1 << 14
+        weights = np.array(self._ppow[:self.degree], dtype=np.float64)
+        out = np.empty(len(values), dtype=np.int64)
+        for lo in range(0, len(values), block):
+            coords = np.floor(values[lo:lo + block, None] / weights)
+            coords -= p * np.floor(coords / p)
+            image = coords @ matrix
+            image -= p * np.floor(image / p)
+            out[lo:lo + block] = image @ weights
+        return out
 
     def log(self, a: int) -> int:
         if a == 0:
@@ -417,14 +434,6 @@ class FieldCtx:
     def exp_table(self) -> np.ndarray:
         self.require_tables()
         return self._exp
-
-    def frobenius_table(self) -> np.ndarray:
-        """Value table of a -> a^q over the whole field."""
-        self.require_tables()
-        table = np.zeros(self.size, dtype=np.int64)
-        idx = np.arange(self.n, dtype=np.int64)
-        table[self._exp] = self._exp[(idx * (self.q % self.n)) % self.n]
-        return table
 
     # -- subfields and traces as label tables -------------------------------
 
@@ -439,33 +448,27 @@ class FieldCtx:
         values outside subfield(upper) are 0xFF."""
         key = (upper, lower)
         if key not in self._trace_tables:
+            if lower > 256:
+                raise FieldSizeError(f"labels of F_{lower} do not fit the uint8 table")
             self.require_tables()
             sub_lo = self.subfield(lower)
             steps = round(math.log(upper, lower))
             if lower**steps != upper:
                 raise ValueError("incompatible trace levels")
+            # the Frobenius-chain sum a + a^lower + ... is F_p-linear: its
+            # matrix holds the sums of the basis elements x^i
+            chain = np.array([self.digits(self._trace_chain(self._ppow[i], lower, steps))
+                              for i in range(self.degree)], dtype=np.float64)
+            members = np.concatenate([[0], self._exp[::self.n // (upper - 1)]])
+            label_of = np.full(self.size, -1, dtype=np.int16)
+            label_of[list(sub_lo.elements_by_label)] = np.arange(lower)
+            labels = label_of[self._linear_image(members, chain)]
+            if np.any(labels < 0):
+                raise AssertionError("trace escaped the lower subfield")
             table = np.full(self.size, 0xFF, dtype=np.uint8)
-            frob = self.frobenius_table() if lower == self.q else None
-            for a in _subfield_values(self, upper):
-                acc, z = a, a
-                for _ in range(steps - 1):
-                    z = int(frob[z]) if frob is not None else self.pow(z, lower)
-                    acc = self.add(acc, z)
-                table[a] = sub_lo.label_of(acc)
+            table[members] = labels
             self._trace_tables[key] = table
         return self._trace_tables[key]
-
-
-def _subfield_values(ctx: FieldCtx, order: int):
-    yield 0
-    if order == ctx.size:
-        yield from range(1, ctx.size)
-        return
-    g = ctx.pow(ctx.pi, ctx.n // (order - 1))
-    v = 1
-    for _ in range(order - 1):
-        yield v
-        v = ctx.mul(v, g)
 
 
 class SubfieldView:

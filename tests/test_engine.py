@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traceweight import engine
-from traceweight.codes import build_code, codeword, weight
+from traceweight.codes import ConsistencyError, build_code, codeword, weight
 from traceweight.engine import (TIER_BUDGETS, brute_distribution, brute_work,
                                 measure_rank_counts, rank_sweep,
                                 rank_sweep_work, verify)
@@ -132,20 +132,37 @@ def test_determinism_across_workers_and_moduli():
     assert brute_distribution(alt, workers=1).counts == reference
 
 
-def test_sweep_counts_equal_in_process_and_in_a_pool(monkeypatch):
+@pytest.mark.parametrize("oracle", ["brute", "sweep"])
+def test_oracle_counts_equal_in_process_and_in_a_pool(monkeypatch, oracle):
+    import multiprocessing
     spec = build_code(make_field(2, 2, 4), "D")
-    pools = []
-    run_chunks = engine._run_chunks
+    if oracle == "brute":
+        def run():
+            return brute_distribution(spec, workers=2).counts
+        expected, forms = predict(4, 2, "D").counts, 6  # one form per orbit class
+    else:
+        def run():
+            return measure_rank_counts(spec, workers=2)
+        expected, forms = frequencies(4, 2), 256
+    enumerated, pools = [], []
+    run_chunks, start_pool = engine._run_chunks, multiprocessing.Pool
 
-    def spy(fn, task, total, workers, progress=None):
-        pools.append(workers)
-        return run_chunks(fn, task, total, workers, progress)
+    def spy(fn, task, ranges, workers, progress=None):
+        enumerated.append(sum(hi - lo for lo, hi in ranges))
+        return run_chunks(fn, task, ranges, workers, progress)
+
+    def pool_spy(processes=None, *args, **kwargs):
+        pools.append(processes)
+        return start_pool(processes, *args, **kwargs)
 
     monkeypatch.setattr(engine, "_run_chunks", spy)
-    reference = measure_rank_counts(spec, workers=2)
+    monkeypatch.setattr(multiprocessing, "Pool", pool_spy)
+    reference = run()  # fewer forms than _POOL_MIN_FORMS: in-process
+    assert pools == []
     monkeypatch.setattr(engine, "_POOL_MIN_FORMS", 0)
-    assert measure_rank_counts(spec, workers=2) == reference == frequencies(4, 2)
-    assert pools == [1, 2]
+    assert run() == reference == expected
+    assert pools == [2]
+    assert enumerated == [forms, forms]
 
 
 def test_progress_callback_monotone():
@@ -153,7 +170,51 @@ def test_progress_callback_monotone():
     spec = build_code(make_field(2, 1, 4), "D")
     brute_distribution(spec, progress=lambda done, total: seen.append((done, total)))
     assert seen and seen[-1][0] == seen[-1][1]
+    assert seen[-1] == (4, 4)  # the forms enumerated, one per orbit class
     assert all(a <= b for (a, _), (b, _) in zip(seen, seen[1:]))
+
+
+# The full enumeration of E at (7,2) and of D and E at (8,2) takes 30 to
+# 230 s a case, too long for the suite; those three were compared once.
+_ORBIT_CASES = [(p, e, m, family)
+                for p, e, m in [(2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 2), (5, 1, 2),
+                                (7, 1, 2), (2, 3, 2)]
+                for family in "CDE"
+                if (p**e, m, family) not in {(7, 2, "E"), (8, 2, "D"), (8, 2, "E")}]
+
+
+@pytest.mark.parametrize("modulus_rank", [0, 1])
+@pytest.mark.parametrize("p,e,m,family", _ORBIT_CASES)
+def test_orbit_reduced_brute_equals_full_enumeration(p, e, m, family, modulus_rank):
+    spec = build_code(make_field(p, e, 2 * m, modulus_rank), family)
+    full, work = engine._CountPlan(spec).count_range(0, (p**e) ** (m * m))
+    dist = brute_distribution(spec)
+    assert dist.counts == {w: int(c) for w, c in enumerate(full) if c}
+    assert dist.work_count == work == brute_work(p**e, m, family)
+
+
+@pytest.mark.parametrize("p,e,m,forms", [(2, 1, 4, 772), (3, 1, 3, 110),
+                                         (2, 2, 3, 322)])
+def test_orbit_ranges_pin_the_enumerated_form_count(p, e, m, forms):
+    space = FormSpace(make_field(p, e, 2 * m))
+    ranges = engine._orbit_ranges(space)
+    assert sum(hi - lo for lo, hi, _ in ranges) == forms
+    assert sum(w * (hi - lo) for lo, hi, w in ranges) == space.num_forms
+    assert ranges[0] == (0, 1, 1)  # the zero form is its own orbit
+
+
+def test_brute_refuses_ranges_that_miss_forms_before_counting(monkeypatch):
+    orbit_ranges = engine._orbit_ranges
+
+    def no_zero_form(space):
+        return orbit_ranges(space)[1:]
+
+    def no_counting(*args, **kwargs):
+        raise AssertionError("counted before the coverage check")
+    monkeypatch.setattr(engine, "_orbit_ranges", no_zero_form)
+    monkeypatch.setattr(engine, "_run_chunks", no_counting)
+    with pytest.raises(ConsistencyError):
+        brute_distribution(build_code(make_field(3, 1, 4), "D"))
 
 
 def test_verify_prime_q_above_127():

@@ -1,5 +1,6 @@
 """Field tower: modulus selection, traces, minimal polynomials, cosets."""
 
+import numpy as np
 import pytest
 from conftest import (frobenius_sum, lex_primitive_modulus, naive_add,
                       naive_mul, step_order_of_x)
@@ -178,6 +179,40 @@ def test_log_table_bound_refusal():
     ctx = make_field(2, 1, 4, table_bound=8)
     with pytest.raises(FieldSizeError):
         ctx.exp_table()
+
+
+# p = 2 and p = 3, e = 1 and e > 1, m even and odd
+@pytest.mark.parametrize("p,e,s", [(2, 1, 6), (2, 2, 4), (2, 3, 4), (3, 1, 6),
+                                   (3, 2, 2), (3, 2, 4)])
+def test_exp_log_and_trace_tables_match_literal_definitions(p, e, s):
+    ctx = make_field(p, e, s)
+    exp = ctx.exp_table()
+    assert exp.shape == (ctx.n,) and exp[0] == 1
+    for k in range(ctx.n - 1):
+        assert exp[k + 1] == ctx._mul_poly(int(exp[k]), ctx.pi), k
+    assert (ctx._log[exp] == np.arange(ctx.n)).all()
+    sub_q = ctx.subfield(ctx.q)
+    sample = range(0, ctx.size, max(1, ctx.size // 97))
+    table = ctx.trace_label_table(ctx.size, ctx.q)
+    assert [int(table[a]) for a in sample] == \
+        [sub_q.label_of(ctx.trace(a, "q")) for a in sample]
+    to_p = ctx.trace_label_table(ctx.q, ctx.p)
+    assert [int(to_p[a]) for a in sub_q.elements_by_label] == \
+        [ctx.trace_q_to_p(a) for a in sub_q.elements_by_label]
+    assert np.count_nonzero(to_p != 0xFF) == ctx.q  # 0xFF outside F_q
+    if ctx.m % 2:
+        qm = ctx.q**ctx.m
+        zeta = ctx.pow(ctx.pi, ctx.n // (qm - 1))
+        members = [0] + [ctx.pow(zeta, i) for i in range(0, qm - 1, max(1, qm // 50))]
+        table = ctx.trace_label_table(qm, ctx.q)
+        assert [int(table[a]) for a in members] == \
+            [sub_q.label_of(ctx.trace(a, "qm")) for a in members]
+        assert np.count_nonzero(table != 0xFF) == qm
+
+
+def test_trace_label_table_refuses_labels_above_a_byte():
+    with pytest.raises(FieldSizeError):
+        make_field(2, 9, 2).trace_label_table(2**18, 512)
 
 
 def test_split_prime_power():
