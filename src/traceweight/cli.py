@@ -17,7 +17,7 @@ import json
 import sys
 
 from .codes import build_code  # noqa: F401 - a name perfbench/tracer.py wraps
-from .engine import TIER_BUDGETS, BudgetExceeded, brute_work, default_workers, verify
+from .engine import TIER_BUDGETS, BudgetExceeded, default_workers, verify
 from .fields import make_field, split_prime_power
 from .hermitian import (DEFAULT_WITNESS_BOUND, cayley_spectrum,
                         check_witness_budget, rank1_count, verify_isomorphism)
@@ -49,17 +49,23 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _progress_printer(threshold: int = 2**26):
-    state = {"pct": -1, "armed": False, "threshold": threshold}
+# progress lines start at this many forms to enumerate (a rank sweep of
+# 2^18 forms takes about a second)
+PROGRESS_MIN_FORMS = 2**18
+
+
+def _progress_printer():
+    """Engine progress callback: one stderr line per new percentile, when
+    the engine's total of forms to enumerate reaches PROGRESS_MIN_FORMS."""
+    state = {"pct": -1}
 
     def cb(done, total):
         pct = int(100 * done / total)
-        if pct > state["pct"]:
+        if total >= PROGRESS_MIN_FORMS and pct > state["pct"]:
             state["pct"] = pct
-            if state["armed"]:
-                print(f"progress: {pct}%", file=sys.stderr, flush=True)
+            print(f"progress: {pct}%", file=sys.stderr, flush=True)
 
-    return state, cb
+    return cb
 
 
 def _read_config(path: str | None) -> dict:
@@ -151,12 +157,10 @@ def cmd_verify(args, p: int, e: int, config: dict) -> int:
         if f"{tier}_budget" in config:
             budgets[tier] = config[f"{tier}_budget"]
     workers = args.workers or config.get("workers") or default_workers()
-    state, cb = _progress_printer()
-    state["armed"] = brute_work(p**e, args.m, args.family) >= state["threshold"]
     try:
         report = verify(p**e, args.m, args.family, tier=args.tier,
                         workers=workers, modulus_rank=args.modulus_rank,
-                        budgets=budgets, progress=cb)
+                        budgets=budgets, progress=_progress_printer())
     except BudgetExceeded as exc:
         doc = {
             "q": p**e, "m": args.m, "family": args.family, "tier": args.tier,

@@ -132,75 +132,107 @@ def coset_size(u: int, n: int, q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# F_p[x] on coefficient lists (used only to find and check the modulus)
+# F_p[x] modulo a block of candidate moduli (used only to find the modulus)
+#
+# A block holds B monic candidates f of degree d, one per column: a residue
+# mod each f is a (d, B) int64 array with the constant coefficients in row
+# 0, and the reduction rows, a (d-1, d, B) array, hold x^(d+t) mod f in row
+# t.  Coefficients are reduced to 0..p-1 after every step, so every sum
+# taken below stays under d * p^2; int64 holds that while d * p^2 <= 2^63.
+
+_BLOCK_ELEMENTS = 1 << 14  # cap on B * d^2: the block temporaries stay < 1 MB
 
 
-def _fp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _block_coefficients(start: int, count: int, p: int, d: int) -> np.ndarray:
+    """Non-leading coefficients of the candidates with packed indices start
+    .. start+count-1, one per column, constant term in row 0.  The digits of
+    start come from the Python int and those of the offsets are added with
+    carries, so indices beyond int64 (p^d > 2^63) decode exactly."""
+    coeffs = np.empty((d, count), dtype=np.int64)
+    offsets = np.arange(count, dtype=np.int64)
+    carry = 0
+    for i in range(d):
+        digit = start % p + offsets % p + carry
+        coeffs[i] = digit % p
+        carry = digit // p
+        start //= p
+        offsets //= p
+    return coeffs
 
 
-def _fp_mulmod(p: int, a: list[int], b: list[int], mod: list[int]) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _fp_divmod(p, prod, mod)[1]
+def _times_x(acc: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
+    """acc * x mod f: shift up one place and fold the top coefficient back
+    through x^d mod f."""
+    out = acc[-1] * rows[0]
+    out[1:] += acc[:-1]
+    return out % p
 
 
-def _fp_divmod(p: int, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    a = list(a)
-    _fp_trim(a)
-    db, lb = len(b) - 1, b[-1]
-    linv = pow(lb, p - 2, p)
-    quot = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        c = a[-1] * linv % p
-        shift = len(a) - 1 - db
-        quot[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bi) % p
-        _fp_trim(a)
-    return quot, a
+def _square(acc: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
+    """acc^2 mod f.  The products acc_i * acc_j fill d rows of width 2d;
+    re-cut into rows of width 2d-1, row i starts i places further right, so
+    the column sums are the coefficients of x^(i+j).  The top d-1 of them
+    are folded back through the reduction rows."""
+    d, B = acc.shape
+    skew = np.zeros((d, 2 * d, B), dtype=np.int64)
+    np.multiply(acc[:, None], acc[None], out=skew[:, :d])
+    prod = skew.reshape(-1)[:d * (2 * d - 1) * B].reshape(d, 2 * d - 1, B).sum(axis=0) % p
+    return (prod[:d] + (prod[d:, None] * rows[:d - 1]).sum(axis=0)) % p
 
 
-def _fp_powmod(p: int, a: list[int], k: int, mod: list[int]) -> list[int]:
-    result = [1]
-    base = _fp_divmod(p, list(a), mod)[1]
-    while k:
-        if k & 1:
-            result = _fp_mulmod(p, result, base, mod)
-        base = _fp_mulmod(p, base, base, mod)
-        k >>= 1
-    return result
+def _x_power_is_one(rows: np.ndarray, k: int, p: int) -> np.ndarray:
+    """Which candidates have x^k = 1 mod f, by left-to-right square and
+    multiply."""
+    d, B = rows.shape[1:]
+    acc = np.zeros((d, B), dtype=np.int64)
+    acc[0] = 1
+    for bit in bin(k)[2:]:
+        acc = _square(acc, rows, p)
+        if bit == "1":
+            acc = _times_x(acc, rows, p)
+    return (acc[0] == 1) & ~acc[1:].any(axis=0)
 
 
 def find_primitive_modulus(p: int, degree: int, rank: int = 0) -> tuple[int, ...]:
     """The (rank+1)-th lexicographically smallest primitive polynomial of the
     given degree over F_p, monic, coefficients low-to-high.  Lex order treats
     the non-leading coefficients as base-p digits, constant term least
-    significant.  Deterministic; rank 0 is the canonical modulus."""
+    significant.  Deterministic; rank 0 is the canonical modulus.
+
+    f is primitive iff x^(p^d - 1) = 1 and x^((p^d - 1)/r) != 1 mod f for
+    every prime r dividing p^d - 1.  Candidates are tested a block at a
+    time in index order (64 first, doubling up to the temporaries' cap):
+    every candidate with f(0) != 0 gets x^(p^d - 1), and only those where
+    it is 1 get the cofactor powers.  The arithmetic is exact in int64 for
+    degree * p^2 <= 2^63; above that FieldSizeError is raised."""
+    if degree * p * p > 1 << 63:
+        raise FieldSizeError(
+            f"degree {degree} over F_{p}: sums up to degree * p^2 overflow int64")
     # x of order p^degree - 1 makes every nonzero residue a power of x, so
     # F_p[x]/(f) is then a field and f is irreducible as well as primitive
-    order = p**degree - 1
+    size = p**degree
+    order = size - 1
     cofactors = [order // r for r in factorize(order)]
-    x = [0, 1]
-    found = 0
-    for packed in range(p**degree):
-        coeffs, v = [], packed
-        for _ in range(degree):
-            coeffs.append(v % p)
-            v //= p
-        f = coeffs + [1]
-        if f[0] == 0 and degree > 1:
-            continue
-        if (_fp_powmod(p, x, order, f) == [1]
-                and all(_fp_powmod(p, x, k, f) != [1] for k in cofactors)):
-            if found == rank:
-                return tuple(f)
-            found += 1
+    cap = max(1, _BLOCK_ELEMENTS // degree**2)
+    found, start, block = 0, 0, 64
+    while start < size:
+        count = min(block, cap, size - start)
+        coeffs = _block_coefficients(start, count, p, degree)
+        keep = np.flatnonzero(coeffs[0])  # f(0) = 0 makes x a zero divisor
+        rows = np.empty((max(degree - 1, 1), degree, len(keep)), dtype=np.int64)
+        rows[0] = -coeffs[:, keep] % p
+        for t in range(1, degree - 1):
+            rows[t] = _times_x(rows[t - 1], rows, p)
+        passed = _x_power_is_one(rows, order, p)
+        keep, rows = keep[passed], rows[:, :, passed]
+        for k in cofactors:
+            passed = ~_x_power_is_one(rows, k, p)
+            keep, rows = keep[passed], rows[:, :, passed]
+        if found + len(keep) > rank:
+            return tuple(int(c) for c in coeffs[:, keep[rank - found]]) + (1,)
+        found += len(keep)
+        start += count
+        block *= 2
     raise ArithmeticError(f"no primitive polynomial of degree {degree} over F_{p}")
 
 

@@ -34,13 +34,16 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 def check_witness_budget(q: int, m: int, budget: int):
-    """Refuse when the q^(m^2) Hermitian matrices of order m exceed the
-    budget; needs (q, m) alone, so callers check before building a field."""
-    count = q ** (m * m)
-    if count > budget:
+    """Refuse when the witness work exceeds the budget: the spectrum pairs
+    each of the q^(m^2) Hermitian matrices of order m with each of the
+    (q^(2m)-1)/(q+1) rank-1 ones.  Needs (q, m) alone, so callers check
+    before building a field."""
+    matrices, rank1 = q ** (m * m), (q ** (2 * m) - 1) // (q + 1)
+    if matrices * rank1 > budget:
         raise BudgetExceeded(
-            f"{count} Hermitian matrices exceed the witness budget {budget}",
-            estimate=count, budget=budget)
+            f"{matrices} Hermitian matrices x {rank1} rank-1 matrices exceed "
+            f"the witness budget {budget}",
+            estimate=matrices * rank1, budget=budget)
 
 
 def hermitian_at(ctx: FieldCtx, index: int) -> Matrix:

@@ -72,17 +72,25 @@ def step_order_of_x(p, coeffs):
     return 0
 
 
-def lex_primitive_modulus(p, degree, rank=0):
-    """Independent search for the (rank+1)-th lex-smallest primitive
-    polynomial: order-of-x stepping decides primitivity outright."""
-    found = 0
+def lex_primitive_moduli(p, degree, count):
+    """Independent search for the first count lex-smallest primitive
+    polynomials (fewer when the degree has fewer): order-of-x stepping
+    decides primitivity outright."""
+    found = []
     for packed in range(p**degree):
         coeffs = [(packed // p**i) % p for i in range(degree)] + [1]
         if step_order_of_x(p, coeffs) == p**degree - 1:
-            if found == rank:
-                return tuple(coeffs)
-            found += 1
-    raise AssertionError("no primitive polynomial found")
+            found.append(tuple(coeffs))
+            if len(found) == count:
+                break
+    return found
+
+
+def lex_primitive_modulus(p, degree, rank=0):
+    found = lex_primitive_moduli(p, degree, rank + 1)
+    if len(found) <= rank:
+        raise AssertionError("no primitive polynomial found")
+    return found[rank]
 
 
 def nu(q, zeta_is_zero):

@@ -158,15 +158,61 @@ def test_refusals_exit_3_before_any_field_is_built(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(cli, "make_field", no_setup)
     monkeypatch.setattr(engine, "make_field", no_setup)
     cfg = tmp_path / "cfg"
-    cfg.write_text("witness_budget=15\n")  # 2^(2^2) = 16 matrices
+    cfg.write_text("witness_budget=79\n")  # 16 matrices x 5 rank-1 = 80
     code, out, _ = run(capsys, "witness", "--q", "2", "--m", "2", "--config", str(cfg))
     assert code == 3
     doc = json.loads(out)
     assert doc["refused"] is True
-    assert (doc["work_estimate"], doc["budget"]) == (16, 15)
+    assert (doc["work_estimate"], doc["budget"]) == (80, 79)
     # the rank sweep fits the extended budget, but F_{128^4} is over the
     # exp/log-table bound
     code, out, _ = run(capsys, "verify", "--q", "128", "--m", "2", "--family", "D",
                        "--tier", "extended")
     assert code == 3
     assert json.loads(out)["work_estimate"] > 0
+
+
+@pytest.mark.parametrize("q,m,work", [(2, 4, 2**16 * 85), (3, 3, 3**9 * 182)])
+def test_witness_refuses_its_real_work_before_any_field_is_built(capsys, monkeypatch,
+                                                                 q, m, work):
+    from traceweight import cli
+
+    def no_setup(*args, **kwargs):
+        raise AssertionError("field built before the budget check")
+    monkeypatch.setattr(cli, "make_field", no_setup)
+    # the matrices alone (2^16, 3^9) fit the default 2^20 budget; the
+    # matrices x rank-1 set pairs do not
+    code, out, _ = run(capsys, "witness", "--q", str(q), "--m", str(m))
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["refused"] is True
+    assert (doc["work_estimate"], doc["budget"]) == (work, 2**20)
+
+
+def _progress_percents(err):
+    lines = [line for line in err.splitlines() if line.startswith("progress:")]
+    return [int(line.split()[1].rstrip("%")) for line in lines]
+
+
+def test_short_brute_run_prints_no_progress(capsys):
+    code, out, err = run(capsys, "verify", "--q", "2", "--m", "4", "--family", "D",
+                         "--tier", "standard", "--workers", "1")
+    assert code == 0
+    assert json.loads(out)["oracle_kind"] == "brute"  # 772 forms enumerated
+    assert _progress_percents(err) == []
+
+
+def test_sweep_over_the_threshold_prints_monotone_progress(capsys, monkeypatch):
+    from traceweight import cli
+    monkeypatch.setattr(cli, "PROGRESS_MIN_FORMS", 3**9)  # D(3,3) sweeps 3^9 forms
+    code, out, err = run(capsys, "verify", "--q", "3", "--m", "3", "--family", "D",
+                         "--workers", "1")
+    assert code == 0
+    assert json.loads(out)["oracle_kind"] == "rank_sweep"
+    percents = _progress_percents(err)
+    assert len(percents) > 10
+    assert percents == sorted(set(percents)) and percents[-1] == 100
+    monkeypatch.setattr(cli, "PROGRESS_MIN_FORMS", 3**9 + 1)
+    _, _, err = run(capsys, "verify", "--q", "3", "--m", "3", "--family", "D",
+                    "--workers", "1")
+    assert _progress_percents(err) == []

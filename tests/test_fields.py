@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
-from conftest import (frobenius_sum, lex_primitive_modulus, naive_add,
-                      naive_mul, step_order_of_x)
+from conftest import (frobenius_sum, lex_primitive_moduli, lex_primitive_modulus,
+                      naive_add, naive_mul, prime_powers_up_to, step_order_of_x)
 
 from traceweight.fields import (FieldSizeError, Poly, coset_size,
                                 find_primitive_modulus, make_field,
@@ -19,6 +19,47 @@ def test_modulus_matches_independent_search():
                             (3, 2, 1), (3, 3, 1), (5, 2, 3), (7, 2, 2), (11, 2, 0)]:
         assert find_primitive_modulus(p, degree, rank) == \
             lex_primitive_modulus(p, degree, rank)
+
+
+@pytest.mark.parametrize("p,degree", [(p, 2) for p in (5, 7, 11, 13, 31, 67, 131)]
+                         + [(2, d) for d in range(2, 13)]
+                         + [(3, d) for d in range(2, 7)])
+def test_block_search_matches_independent_search_at_ranks_0_to_3(p, degree):
+    expected = lex_primitive_moduli(p, degree, 4)
+    for rank in range(4):
+        if rank < len(expected):
+            assert find_primitive_modulus(p, degree, rank) == expected[rank], rank
+        else:  # the degree has fewer primitive polynomials, e.g. one at (2, 2)
+            with pytest.raises(ArithmeticError):
+                find_primitive_modulus(p, degree, rank)
+
+
+# the list-polynomial search's outputs; p^degree >= 2^63 in each case, where
+# powers of p or packed indices would overflow int64
+@pytest.mark.parametrize("p,degree,terms", [
+    (2, 64, {0: 1, 1: 1, 3: 1, 4: 1, 64: 1}),
+    (2, 63, {0: 1, 1: 1, 63: 1}),
+    (3, 40, {0: 2, 1: 1, 40: 1}),
+    (5, 28, {0: 3, 1: 2, 3: 1, 28: 1}),
+])
+def test_block_search_pins_high_degree_moduli(p, degree, terms):
+    assert find_primitive_modulus(p, degree) == \
+        tuple(terms.get(i, 0) for i in range(degree + 1))
+
+
+def test_block_search_refuses_sums_beyond_int64():
+    p = 2**31 - 1  # prime, 2 * p^2 < 2^63 < 3 * p^2
+    with pytest.raises(FieldSizeError):
+        find_primitive_modulus(p, 3)
+
+
+def test_pi_generates_on_the_structural_grid():
+    for q in prime_powers_up_to(1 << 10):
+        for m in range(1, 11):
+            if q ** (2 * m) <= 1 << 20:
+                p, e = split_prime_power(q)
+                ctx = make_field(p, e, 2 * m)
+                assert ctx.element_order(ctx.pi) == ctx.n, (q, m)
 
 
 def test_canonical_f16_modulus_is_x4_x_1():

@@ -101,4 +101,4 @@ def test_budget_refusal():
     ctx = make_field(2, 1, 10)  # q^(m^2) = 2^25 matrices
     with pytest.raises(BudgetExceeded) as err:
         list(enumerate_hermitian(ctx))
-    assert err.value.estimate == 2**25
+    assert err.value.estimate == 2**25 * 341  # matrices x rank-1 set
