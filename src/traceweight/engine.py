@@ -13,30 +13,39 @@ comparison of the linear-trace rows with one n-vector per constant
 shift.  Family E uses one bin per constant shift; family C has no beta
 and counts the zeros of Q alone.
 
-It counts one form per cyclic-shift orbit class, not all q^(m^2) forms.
-The substitution x -> pi^k x maps the form coefficients
-c_j -> c_j pi^(k u_j) and beta -> pi^k beta; it shifts every codeword
-cyclically (the cyclic-shift automorphism of a cyclic code), so a form's
-histogram, summed over beta and b, is the same across its orbit.
-_orbit_ranges lists the zero form with weight 1 and, for each slot j
-taken as the last nonzero slot, one coefficient per coset of <pi^g>,
-g = gcd(u_j, n), with the lower slots free: a contiguous form-index
-range of weight n/g, the orbit size (q^m - 1 for the F_{q^m} slot of odd
-m).  The ranges must cover all q^(m^2) forms with their weights before
-anything is counted, and the merge adds weight x histogram.  Only which
-forms are counted changes, never how a form is counted.  The merge over
-any partition of the ranges is a plain integer histogram sum, so results
-are bitwise identical for every worker count and chunking.
+Both oracles count one form per orbit of the code's symmetry group, not
+all q^(m^2) forms.  Three maps act on every slot coefficient c_j = pi^l
+separately and preserve each form's histogram (summed over beta and b)
+and its radical rank: the cyclic shift x -> pi^k x (c_j -> c_j pi^(k u_j),
+beta -> pi^k beta; it shifts every codeword), the scalars lambda in F_q^*
+(Q, beta and b scaled together) and the Frobenius c -> c^p (coordinates
+permuted by i -> p i, values through F_q's Frobenius).  On logs the
+element (f, k, a) acts as l -> p^f l + k u_j + a n/(q-1) mod n, and the
+group has order e s n (q-1).  _form_orbits walks the slots from the most
+significant down: under the current stabilizer H it takes the zero
+value (which keeps H) and one value per H-orbit of the slot's nonzero
+values, and recurses with that value's stabilizer.  Once H fixes every
+value of every lower slot, the lower slots are free: it emits one
+contiguous form-index range of weight |G|/|H|, the orbit size of each of
+its forms.  H is held as the translations k allowed per (f, a), a coset
+of one subgroup d Z_n (or none), so no temporary grows with |G|.  The
+ranges must cover all q^(m^2) forms with their weights before anything
+is counted; they are then flattened into one index array with one weight
+per form, which _run_chunks cuts into contiguous slices.  Only which
+forms are counted changes, never how a form is counted, and every merge
+is a plain int64 sum of weight x histogram (brute) or weight x rank
+count (sweep), so results are bitwise identical for every worker count
+and chunking.
 
-rank_sweep instead measures the radical rank of every form and converts
+rank_sweep instead measures the radical rank of each form and converts
 the measured rank multiplicities into the weight distribution through
 the exponential-sum value classes.  The Gram matrix of the polarized
 bilinear form is F_p-linear in the form index, so a chunk's Grams are
 combined from per-digit Grams, which are read off the digit forms'
 value tables (value_labels) through an s x s log table of basis sums.
-The whole chunk is then eliminated at once: over GF(2) on bit-packed
-rows when q = 2, over F_q labels through the subfield's mul and sub
-tables otherwise.  It trusts those value distributions, which
+A chunk of form indices is then eliminated at once: over GF(2) on
+bit-packed rows when q = 2, over F_q labels through the subfield's mul
+and sub tables otherwise.  It trusts those value distributions, which
 quadforms.py property-tests, but not the closed-form rank frequencies,
 which it measures; the ranks are cross-checked against the per-form
 QuadForm.rank and the sign convention against the plain character sum
@@ -68,8 +77,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeSpec, ConsistencyError, build_code
-from .fields import (DEFAULT_TABLE_BOUND, BudgetExceeded, FieldSizeError,
-                     SubfieldView, make_field, split_prime_power)
+from .fields import (DEFAULT_TABLE_BOUND, MAX_LABEL_Q, BudgetExceeded,
+                     FieldSizeError, SubfieldView, make_field,
+                     split_prime_power)
 from .quadforms import (LINEAR_TRACE_BOUND, FormSpace, QuadForm,
                         coordinate_matches)
 from .spectra import WeightDistribution, assemble_distribution, predict
@@ -82,7 +92,9 @@ _EPSILON_SAMPLES = 12
 # 1.5 s, and below that a pool's start-up only adds to the time and to its
 # spread.
 _POOL_MIN_FORMS = 1 << 18
-MAX_LABEL_Q = 256  # F_q labels are uint8
+# A chunk holds at least this many forms: a rank call costs about 0.5 ms
+# before its first form, as much as about 200 GF(2) ranks at (2,5).
+_MIN_CHUNK_FORMS = 256
 
 
 def brute_work(q: int, m: int, family: str) -> int:
@@ -191,9 +203,22 @@ class _CountPlan:
         per_form = n if family == "C" else ctx.size * n
         return hist, (hi - lo) * per_form
 
+    def count_batch(self, idx: np.ndarray,
+                    weights: np.ndarray) -> tuple[np.ndarray, int]:
+        """Weighted histogram of the forms at the ascending indices idx: each
+        run of consecutive indices with one weight is one odometer walk."""
+        hist = np.zeros(self.ctx.n + 1, dtype=np.int64)
+        work = 0
+        cuts = np.flatnonzero((np.diff(idx) != 1) | (np.diff(weights) != 0)) + 1
+        for a, b in zip([0, *cuts], [*cuts, len(idx)]):
+            h, w = self.count_range(int(idx[a]), int(idx[b - 1]) + 1)
+            hist += weights[a] * h
+            work += int(weights[a]) * w
+        return hist, work
+
 
 class _RankPlan:
-    """Gram matrices of the forms over a form-index range, and their ranks.
+    """Gram matrices of the forms at a batch of form indices, and their ranks.
 
     The Gram matrix of the polarized form on the basis pi^0..pi^(s-1) is
     F_p-linear in the form index's base-p digits, so it is a combination
@@ -202,7 +227,7 @@ class _RankPlan:
     B(pi^a, pi^b) = Q(pi^a + pi^b) - Q(pi^a) - Q(pi^b), with pi^a + pi^b
     located by an s x s log table (a zero sum reads Q(0) = 0).
 
-    When q = 2 a range's Grams are XORs of bit-packed rows, eliminated
+    When q = 2 a batch's Grams are XORs of bit-packed rows, eliminated
     over GF(2) one word per row.  Otherwise they are assembled by one
     matmul of the index digits with the per-digit Grams' F_p coordinates
     (reduced mod p), packed back to F_q labels, and eliminated all at once
@@ -240,32 +265,33 @@ class _RankPlan:
             self.gram_coords = (self.grams[..., None] // self.label_powers % p
                                 ).reshape(self.p_digits, -1).astype(np.float64)
 
-    def ranks_q2(self, lo: int, hi: int) -> np.ndarray:
+    def ranks_q2(self, idx: np.ndarray) -> np.ndarray:
         s = self.ctx.s
-        idx = np.arange(lo, hi, dtype=np.int64)
         mats = np.zeros((len(idx), s), dtype=np.uint32)
         for d, rowbits in enumerate(self.gram_bits):
             mask = ((idx >> d) & 1).astype(np.uint32)
             mats ^= mask[:, None] * rowbits[None, :]
         return _batched_gf2_rank(mats, s)
 
-    def ranks(self, lo: int, hi: int) -> np.ndarray:
-        """Radical rank of every form in the index range."""
+    def ranks(self, idx: np.ndarray) -> np.ndarray:
+        """Radical rank of the form at every index in the int64 array idx."""
         if self.ctx.q == 2:
-            return self.ranks_q2(lo, hi)
+            return self.ranks_q2(idx)
         p, e, s = self.ctx.p, self.ctx.e, self.ctx.s
-        idx = np.arange(lo, hi, dtype=np.int64)
         digits = (idx[:, None] // self.digit_powers % p).astype(np.float64)
         coords = (digits @ self.gram_coords).astype(np.int64) % p
         mats = coords.reshape(len(idx), s, s, e) @ self.label_powers
         return _batched_label_rank(self.sub, mats.astype(np.uint8))
 
-    def rank_counts(self, lo: int, hi: int) -> np.ndarray:
-        """Multiplicity of rank 2j, j = 0..m, over the index range."""
-        ranks = self.ranks(lo, hi)
+    def rank_counts(self, idx: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Weighted multiplicity of rank 2j, j = 0..m, over the indices idx,
+        summed in int64."""
+        ranks = self.ranks(idx)
         if np.any(ranks & 1):
             raise ConsistencyError("odd rank in sweep")
-        return np.bincount(ranks >> 1, minlength=self.ctx.m + 1)
+        counts = np.zeros(self.ctx.m + 1, dtype=np.int64)
+        np.add.at(counts, ranks >> 1, weights)
+        return counts
 
 
 def _batched_gf2_rank(mats: np.ndarray, s: int) -> np.ndarray:
@@ -333,33 +359,28 @@ def _get_plan(task: _Task, kind: str, spec: CodeSpec | None = None):
 
 
 def _count_chunk(args):
-    task, lo, hi = args
-    hist, work = _get_plan(task, "count").count_range(lo, hi)
-    return hist, work
+    task, idx, weights = args
+    return _get_plan(task, "count").count_batch(idx, weights)
 
 
 def _rank_chunk(args):
-    task, lo, hi = args
-    counts = _get_plan(task, "rank").rank_counts(lo, hi)
-    return counts, (hi - lo) * task.s**3
+    task, idx, weights = args
+    return _get_plan(task, "rank").rank_counts(idx, weights)
 
 
-def _run_chunks(fn, task: _Task, ranges, workers: int, progress=None,
-                batch_cap: int = 1 << 16):
-    """Split each form-index range [lo, hi) into contiguous chunks and run fn
-    over them: in a pool when workers > 1 and the ranges hold at least
-    _POOL_MIN_FORMS forms, else in-process.  Returns (range number, result)
-    for every chunk, in order; progress counts the forms done."""
-    total = sum(hi - lo for lo, hi in ranges)
-    n_chunks = min(total, max(100, 4 * workers))
-    if total > n_chunks * batch_cap:
-        n_chunks = -(-total // batch_cap)
-    owners, jobs = [], []
-    for r, (lo, hi) in enumerate(ranges):
-        pieces = -(-(hi - lo) * n_chunks // total)
-        cuts = [lo + (hi - lo) * i // pieces for i in range(pieces + 1)]
-        owners += [r] * pieces
-        jobs += [(task, a, b) for a, b in zip(cuts, cuts[1:])]
+def _run_chunks(fn, task: _Task, idx: np.ndarray, weights: np.ndarray,
+                workers: int, progress=None, batch_cap: int = 1 << 16):
+    """Cut the form indices and their weights into contiguous slices and run
+    fn over them: in a pool when workers > 1 and there are at least
+    _POOL_MIN_FORMS indices, else in-process.  Up to 100 slices (4 per
+    worker if more) of at least _MIN_CHUNK_FORMS forms, and none over
+    batch_cap.  Returns every slice's result, in order; progress counts
+    the forms done."""
+    total = len(idx)
+    n_chunks = max(min(-(-total // _MIN_CHUNK_FORMS), max(100, 4 * workers)),
+                   -(-total // batch_cap))
+    cuts = [total * i // n_chunks for i in range(n_chunks + 1)]
+    jobs = [(task, idx[a:b], weights[a:b]) for a, b in zip(cuts, cuts[1:])]
     pool = None
     if workers > 1 and total >= _POOL_MIN_FORMS:
         import multiprocessing as mp
@@ -367,36 +388,134 @@ def _run_chunks(fn, task: _Task, ranges, workers: int, progress=None,
     results, done = [], 0
     with pool or contextlib.nullcontext():
         mapped = pool.imap(fn, jobs) if pool else map(fn, jobs)
-        for r, (_, lo, hi), res in zip(owners, jobs, mapped):
-            results.append((r, res))
-            done += hi - lo
+        for (_, part, _), res in zip(jobs, mapped):
+            results.append(res)
+            done += len(part)
             if progress:
                 progress(done, total)
     return results
 
 
-def _orbit_ranges(space: FormSpace) -> list[tuple[int, int, int]]:
-    """Form-index ranges (lo, hi, weight), one per orbit class under the
-    cyclic shift (see the module docstring).  A class's representative is
-    the smallest slot-local index with that log(c_j) mod g; the slot's
-    nonzero values form the group <pi^h>, h = n / (q^width - 1), which
-    meets g / h of the classes."""
+# ---------------------------------------------------------------------------
+# the orbit layer
+
+
+def _logs_to_values(space: FormSpace, j: int) -> np.ndarray:
+    """Slot j's local value v at every log l of a nonzero slot coefficient
+    (entries at other logs are unset).  The coefficient is F_p-linear in
+    v's base-p digits: digit e*d + i scales basis_d by the F_q label p^i."""
     ctx = space.ctx
-    q, n = ctx.q, ctx.n
-    ranges = [(0, 1, 1)]  # the zero form
-    offset = 0
-    for j, (u, basis) in enumerate(zip(space.exponents, space.slot_bases)):
-        width, g = len(basis), math.gcd(u, n)
-        classes = g // (n // (q**width - 1))
-        reps: dict[int, int] = {}
-        for v in range(1, q**width):
-            reps.setdefault(ctx.log(space.coeffs_at(v * q**offset)[j]) % g, v)
-            if len(reps) == classes:
-                break
-        ranges += [(v * q**offset, (v + 1) * q**offset, n // g)
-                   for v in sorted(reps.values())]
-        offset += width
-    return ranges
+    sub = ctx.subfield(ctx.q)
+    basis = space.slot_bases[j]
+    matrix = np.zeros((ctx.degree, ctx.degree))
+    matrix[:ctx.e * len(basis)] = [ctx.digits(ctx.mul(sub.from_label(ctx.p**i), b))
+                                   for b in basis for i in range(ctx.e)]
+    values = np.arange(1, ctx.q ** len(basis), dtype=np.int64)
+    out = np.empty(ctx.n, dtype=np.int64)
+    out[ctx.log_table()[ctx.linear_image(values, matrix)]] = values
+    return out
+
+
+def _form_orbits(space: FormSpace) -> list[tuple[int, int, int]]:
+    """Form-index ranges (lo, hi, weight), ascending: the forms counted for
+    each orbit of the symmetry group, with the orbit size as weight (see
+    the module docstring).
+
+    A stabilizer H is a pair (K, d): K[f, a] >= 0 when H holds elements
+    (f, k, a), which are then those with k = K[f, a] mod d, and -1 when it
+    holds none.  So |H| = |{K >= 0}| n / d."""
+    ctx = space.ctx
+    p, q, n, degree = ctx.p, ctx.q, ctx.n, ctx.degree
+    order = degree * (q - 1) * n
+    p_pow = np.array([pow(p, f, n) for f in range(degree)], dtype=np.int64)
+    scalar = np.arange(q - 1, dtype=np.int64) * (n // (q - 1))
+    us = [u % n for u in space.exponents]
+    widths = [len(b) for b in space.slot_bases]
+    # slot j's coefficient logs are the multiples of steps[j]; digits
+    # below ends[j] belong to slots 0..j-1
+    steps = [n // (q**w - 1) for w in widths]
+    ends = [sum(widths[:j]) for j in range(len(widths) + 1)]
+    values_at = {}
+    ranges = []
+
+    def fixes_slot(K, d, i):
+        valid = K >= 0
+        moved = (K * us[i] + scalar) % n
+        frob = p_pow[valid.any(axis=1)] - 1
+        return (d * us[i] % n == 0 and not np.any(moved[valid])
+                and not np.any(frob * steps[i] % n))
+
+    def stabilizer(K, d, j, log):
+        """(K, d) of the elements of H that fix log in slot j: each (f, a)
+        solves k u_j = log - p^f log - a n/(q-1) over k = K[f, a] + d y."""
+        g = math.gcd(d * us[j], n)
+        m = n // g
+        rhs = (log - p_pow[:, None] * log - scalar[None, :] - K * us[j]) % n
+        y = rhs // g * pow(d * us[j] // g, -1, m) % m
+        fixed = (K >= 0) & (rhs % g == 0)
+        return np.where(fixed, (K + d * y) % (d * m), -1), d * m
+
+    def orbits(K, d, j):
+        """One log per H-orbit of slot j's nonzero coefficients, and the
+        orbit's size.  The f = 0 elements of H translate logs by the
+        multiples of g, and the smallest positive f in H permutes the
+        residues mod g in cycles whose lengths divide degree / f."""
+        valid = K >= 0
+        g = int(np.gcd.reduce([n, d * us[j] % n,
+                               *((K[0] * us[j] + scalar) % n)[valid[0]]]))
+        residues = np.arange(0, g, steps[j], dtype=np.int64)
+        # powers of that element: how many, and how many fix each residue
+        smallest, fixing, powers = residues, np.ones_like(residues), 1
+        frobs = np.flatnonzero(valid.any(axis=1))
+        if len(frobs) > 1:
+            f = frobs[1]
+            a = np.flatnonzero(valid[f])[0]
+            shift = (K[f, a] * us[j] + scalar[a]) % g
+            image, powers = residues, degree // f
+            for _ in range(powers - 1):
+                image = (image * p_pow[f] + shift) % g
+                smallest = np.minimum(smallest, image)
+                fixing += image == residues
+        first = smallest == residues
+        return residues[first], powers // fixing[first] * (n // g)
+
+    def visit(j, base, K, d):
+        weight = order // (np.count_nonzero(K >= 0) * (n // d))
+        if all(fixes_slot(K, d, i) for i in range(j + 1)):
+            ranges.append((base, base + q ** ends[j + 1], weight))
+            return
+        if j not in values_at:
+            values_at[j] = _logs_to_values(space, j)
+        logs, sizes = orbits(K, d, j)
+        if j == 0:
+            # no slot is left below: each value's form is one orbit, of
+            # |G|/|H| times the value's H-orbit size
+            ranges.append((base, base + 1, weight))
+            ranges.extend((base + v, base + v + 1, weight * size) for v, size in
+                          zip(values_at[0][logs].tolist(), sizes.tolist()))
+            return
+        visit(j - 1, base, K, d)  # the zero coefficient keeps H
+        for log in logs.tolist():
+            v = int(values_at[j][log])
+            visit(j - 1, base + v * q ** ends[j], *stabilizer(K, d, j, log))
+
+    visit(len(widths) - 1, 0, np.zeros((degree, q - 1), dtype=np.int64), 1)
+    return sorted(ranges)
+
+
+def _orbit_batch(space: FormSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The index of every counted form and its weight, in ascending index
+    order, after checking that the weighted ranges cover every form."""
+    ranges = _form_orbits(space)
+    covered = sum(weight * (hi - lo) for lo, hi, weight in ranges)
+    if covered != space.num_forms:
+        raise ConsistencyError(
+            f"orbit ranges cover {covered} forms, expected {space.num_forms}")
+    lo, hi, weight = (np.array(col, dtype=np.int64) for col in zip(*ranges))
+    sizes = hi - lo
+    starts = np.cumsum(sizes) - sizes
+    idx = np.arange(int(sizes.sum()), dtype=np.int64) + np.repeat(lo - starts, sizes)
+    return idx, np.repeat(weight, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -419,19 +538,12 @@ def brute_distribution(spec: CodeSpec, budget: int = DEFAULT_BUDGET,
     task = _Task(spec)
     # built here, the plan serves the in-process chunks and forked workers
     plan = _get_plan(task, "count", spec)
-    ranges = _orbit_ranges(plan.space)
-    covered = sum(weight * (hi - lo) for lo, hi, weight in ranges)
-    if covered != plan.space.num_forms:
-        raise ConsistencyError(
-            f"orbit ranges cover {covered} forms, expected {plan.space.num_forms}")
+    idx, weights = _orbit_batch(plan.space)
     hist = np.zeros(spec.n + 1, dtype=np.int64)
     done_work = 0
-    for r, (h, w) in _run_chunks(_count_chunk, task,
-                                 [(lo, hi) for lo, hi, _ in ranges],
-                                 workers, progress):
-        weight = ranges[r][2]
-        hist += weight * h
-        done_work += weight * w
+    for h, w in _run_chunks(_count_chunk, task, idx, weights, workers, progress):
+        hist += h
+        done_work += w
     counts = {int(w): int(c) for w, c in enumerate(hist) if c}
     dist = WeightDistribution(spec.q, spec.m, spec.family, spec.n, spec.k,
                               counts, work_count=done_work)
@@ -458,10 +570,9 @@ def measure_rank_counts(spec: CodeSpec, budget: int = DEFAULT_BUDGET,
     # built here, the plan serves the in-process chunks, the ε check and
     # forked workers alike
     _get_plan(task, "rank", spec)
-    forms = spec.q ** (spec.m * spec.m)
+    idx, weights = _orbit_batch(FormSpace(spec.ctx))
     counts = np.zeros(spec.m + 1, dtype=np.int64)
-    for _, (c, _) in _run_chunks(_rank_chunk, task, [(0, forms)], workers,
-                                 progress):
+    for c in _run_chunks(_rank_chunk, task, idx, weights, workers, progress):
         counts += c
     return [int(c) for c in counts]
 
@@ -475,8 +586,7 @@ def _epsilon_cross_check(spec: CodeSpec):
     total = space.num_forms
     sample = sorted({round(i * (total - 1) / (_EPSILON_SAMPLES - 1))
                      for i in range(_EPSILON_SAMPLES)}) if total > 1 else [0]
-    for index in sample:
-        r_sweep = int(plan.ranks(index, index + 1)[0])
+    for index, r_sweep in zip(sample, plan.ranks(np.array(sample, dtype=np.int64))):
         form = space.form_at(index)
         if form.rank != r_sweep:
             raise ConsistencyError(

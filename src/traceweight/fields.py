@@ -30,6 +30,8 @@ import numpy as np
 
 DEFAULT_TABLE_BOUND = 2**26
 MAX_DEGREE = 64
+# F_q labels are uint8, and an F_{q^2} label table holds at most 2^16 elements
+MAX_LABEL_Q = 256
 
 
 class BudgetExceeded(RuntimeError):
@@ -361,15 +363,6 @@ class FieldCtx:
         """The relative Frobenius a -> a^q whose fixed set is the embedded F_q."""
         return self.pow(a, self.q)
 
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("order of 0 undefined")
-        order = self.n
-        for r in factorize(self.n):
-            while order % r == 0 and self.pow(a, order // r) == 1:
-                order //= r
-        return order
-
     # -- traces -------------------------------------------------------------
 
     def trace(self, a: int, lower: str = "q") -> int:
@@ -429,7 +422,7 @@ class FieldCtx:
         filled = 1
         while filled < n:
             take = min(filled, n - filled)
-            exp[filled:filled + take] = self._linear_image(exp[:take], step)
+            exp[filled:filled + take] = self.linear_image(exp[:take], step)
             filled += take
             step = step @ step
             step -= p * np.floor(step / p)
@@ -440,7 +433,7 @@ class FieldCtx:
         self._exp = exp
         self._log = log
 
-    def _linear_image(self, values: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    def linear_image(self, values: np.ndarray, matrix: np.ndarray) -> np.ndarray:
         """Packed images of packed elements under an F_p-linear map, given
         as a float64 matrix whose row i holds the coordinates of the image
         of x^i.  Coordinates, products and their sums (below D * p^2) are
@@ -466,6 +459,11 @@ class FieldCtx:
     def exp_table(self) -> np.ndarray:
         self.require_tables()
         return self._exp
+
+    def log_table(self) -> np.ndarray:
+        """log of every packed nonzero element (entry 0 is unused)."""
+        self.require_tables()
+        return self._log
 
     # -- subfields and traces as label tables -------------------------------
 
@@ -494,7 +492,7 @@ class FieldCtx:
             members = np.concatenate([[0], self._exp[::self.n // (upper - 1)]])
             label_of = np.full(self.size, -1, dtype=np.int16)
             label_of[list(sub_lo.elements_by_label)] = np.arange(lower)
-            labels = label_of[self._linear_image(members, chain)]
+            labels = label_of[self.linear_image(members, chain)]
             if np.any(labels < 0):
                 raise AssertionError("trace escaped the lower subfield")
             table = np.full(self.size, 0xFF, dtype=np.uint8)
@@ -518,7 +516,7 @@ class SubfieldView:
         k = round(math.log(order, ctx.p))
         if ctx.p**k != order:
             raise ValueError(f"{order} is not a power of p={ctx.p}")
-        if order > 1 << 16:
+        if order > MAX_LABEL_Q**2:
             raise FieldSizeError("subfield label tables capped at 2^16 elements")
         self.ctx = ctx
         self.order = order
@@ -629,13 +627,6 @@ class Poly:
         c = list(coeffs)
         while c and c[-1] == 0:
             c.pop()
-        return Poly(ctx, tuple(c))
-
-    @staticmethod
-    def x_power_minus_one(ctx: FieldCtx, n: int) -> Poly:
-        c = [0] * (n + 1)
-        c[0] = ctx.neg(1)
-        c[n] = 1
         return Poly(ctx, tuple(c))
 
     @property

@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .codes import ConsistencyError
-from .fields import BudgetExceeded, FieldCtx, label_matrix_rank
+from .fields import (MAX_LABEL_Q, BudgetExceeded, FieldCtx, FieldSizeError,
+                     label_matrix_rank)
 from .quadforms import integral_character_sum
 
 DEFAULT_WITNESS_BOUND = 2**20
@@ -36,9 +37,14 @@ Matrix = tuple[tuple[int, ...], ...]
 def check_witness_budget(q: int, m: int, budget: int):
     """Refuse when the witness work exceeds the budget: the spectrum pairs
     each of the q^(m^2) Hermitian matrices of order m with each of the
-    (q^(2m)-1)/(q+1) rank-1 ones.  Needs (q, m) alone, so callers check
-    before building a field."""
+    (q^(2m)-1)/(q+1) rank-1 ones.  q above MAX_LABEL_Q is refused first,
+    since the F_{q^2} label tables would not fit.  Needs (q, m) alone, so
+    callers check before building a field."""
     matrices, rank1 = q ** (m * m), (q ** (2 * m) - 1) // (q + 1)
+    if q > MAX_LABEL_Q:
+        raise FieldSizeError(
+            f"F_{{q^2}} label tables are capped at {MAX_LABEL_Q**2} elements; "
+            f"q = {q} exceeds {MAX_LABEL_Q}", estimate=matrices * rank1, budget=budget)
     if matrices * rank1 > budget:
         raise BudgetExceeded(
             f"{matrices} Hermitian matrices x {rank1} rank-1 matrices exceed "

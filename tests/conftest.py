@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from traceweight.fields import Poly, factorize
+
 
 def naive_mul(ctx, a, b):
     """Schoolbook product in F_p[x]/(modulus) on digit lists; avoids the
@@ -36,6 +38,23 @@ def naive_pow(ctx, a, k):
     for _ in range(k):
         out = naive_mul(ctx, a, out)
     return out
+
+
+def element_order(ctx, a):
+    """Multiplicative order of a nonzero element: n with every prime
+    factor divided out while the power stays 1."""
+    if a == 0:
+        raise ValueError("order of 0 undefined")
+    order = ctx.n
+    for r in factorize(ctx.n):
+        while order % r == 0 and ctx.pow(a, order // r) == 1:
+            order //= r
+    return order
+
+
+def x_power_minus_one(ctx, n):
+    """The polynomial x^n - 1 over the field of ctx."""
+    return Poly(ctx, (ctx.neg(1),) + (0,) * (n - 1) + (1,))
 
 
 def naive_add(ctx, a, b):

@@ -170,6 +170,12 @@ def test_refusals_exit_3_before_any_field_is_built(tmp_path, capsys, monkeypatch
                        "--tier", "extended")
     assert code == 3
     assert json.loads(out)["work_estimate"] > 0
+    # F_{257^2} labels do not fit, whatever the witness budget
+    code, out, _ = run(capsys, "witness", "--q", "257", "--m", "1")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["refused"] is True
+    assert (doc["work_estimate"], doc["budget"]) == (257 * 256, 2**20)
 
 
 @pytest.mark.parametrize("q,m,work", [(2, 4, 2**16 * 85), (3, 3, 3**9 * 182)])
@@ -198,21 +204,22 @@ def test_short_brute_run_prints_no_progress(capsys):
     code, out, err = run(capsys, "verify", "--q", "2", "--m", "4", "--family", "D",
                          "--tier", "standard", "--workers", "1")
     assert code == 0
-    assert json.loads(out)["oracle_kind"] == "brute"  # 772 forms enumerated
+    assert json.loads(out)["oracle_kind"] == "brute"  # 109 forms enumerated
     assert _progress_percents(err) == []
 
 
 def test_sweep_over_the_threshold_prints_monotone_progress(capsys, monkeypatch):
     from traceweight import cli
-    monkeypatch.setattr(cli, "PROGRESS_MIN_FORMS", 3**9)  # D(3,3) sweeps 3^9 forms
-    code, out, err = run(capsys, "verify", "--q", "3", "--m", "3", "--family", "D",
-                         "--workers", "1")
+    # D(2,5) extended sweeps 9,962 forms, one per orbit of its 2^25
+    monkeypatch.setattr(cli, "PROGRESS_MIN_FORMS", 9962)
+    code, out, err = run(capsys, "verify", "--q", "2", "--m", "5", "--family", "D",
+                         "--tier", "extended", "--workers", "1")
     assert code == 0
     assert json.loads(out)["oracle_kind"] == "rank_sweep"
     percents = _progress_percents(err)
     assert len(percents) > 10
     assert percents == sorted(set(percents)) and percents[-1] == 100
-    monkeypatch.setattr(cli, "PROGRESS_MIN_FORMS", 3**9 + 1)
-    _, _, err = run(capsys, "verify", "--q", "3", "--m", "3", "--family", "D",
-                    "--workers", "1")
+    monkeypatch.setattr(cli, "PROGRESS_MIN_FORMS", 9962 + 1)
+    _, _, err = run(capsys, "verify", "--q", "2", "--m", "5", "--family", "D",
+                    "--tier", "extended", "--workers", "1")
     assert _progress_percents(err) == []

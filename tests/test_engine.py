@@ -139,17 +139,18 @@ def test_oracle_counts_equal_in_process_and_in_a_pool(monkeypatch, oracle):
     if oracle == "brute":
         def run():
             return brute_distribution(spec, workers=2).counts
-        expected, forms = predict(4, 2, "D").counts, 6  # one form per orbit class
+        expected = predict(4, 2, "D").counts
     else:
         def run():
             return measure_rank_counts(spec, workers=2)
-        expected, forms = frequencies(4, 2), 256
+        expected = frequencies(4, 2)
+    forms = 3  # one form per orbit of the symmetry group
     enumerated, pools = [], []
     run_chunks, start_pool = engine._run_chunks, multiprocessing.Pool
 
-    def spy(fn, task, ranges, workers, progress=None):
-        enumerated.append(sum(hi - lo for lo, hi in ranges))
-        return run_chunks(fn, task, ranges, workers, progress)
+    def spy(fn, task, idx, weights, workers, progress=None):
+        enumerated.append(len(idx))
+        return run_chunks(fn, task, idx, weights, workers, progress)
 
     def pool_spy(processes=None, *args, **kwargs):
         pools.append(processes)
@@ -170,7 +171,7 @@ def test_progress_callback_monotone():
     spec = build_code(make_field(2, 1, 4), "D")
     brute_distribution(spec, progress=lambda done, total: seen.append((done, total)))
     assert seen and seen[-1][0] == seen[-1][1]
-    assert seen[-1] == (4, 4)  # the forms enumerated, one per orbit class
+    assert seen[-1] == (3, 3)  # the forms enumerated, one per orbit
     assert all(a <= b for (a, _), (b, _) in zip(seen, seen[1:]))
 
 
@@ -193,28 +194,48 @@ def test_orbit_reduced_brute_equals_full_enumeration(p, e, m, family, modulus_ra
     assert dist.work_count == work == brute_work(p**e, m, family)
 
 
-@pytest.mark.parametrize("p,e,m,forms", [(2, 1, 4, 772), (3, 1, 3, 110),
-                                         (2, 2, 3, 322)])
-def test_orbit_ranges_pin_the_enumerated_form_count(p, e, m, forms):
-    space = FormSpace(make_field(p, e, 2 * m))
-    ranges = engine._orbit_ranges(space)
-    assert sum(hi - lo for lo, hi, _ in ranges) == forms
-    assert sum(w * (hi - lo) for lo, hi, w in ranges) == space.num_forms
-    assert ranges[0] == (0, 1, 1)  # the zero form is its own orbit
+_SWEEP_CASES = [(2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 2), (5, 1, 2), (3, 1, 3),
+                (2, 1, 4)]
+
+
+@pytest.mark.parametrize("modulus_rank", [0, 1])
+@pytest.mark.parametrize("p,e,m", _SWEEP_CASES)
+def test_orbit_reduced_sweep_equals_full_sweep(p, e, m, modulus_rank):
+    spec = build_code(make_field(p, e, 2 * m, modulus_rank), "D")
+    every = np.arange((p**e) ** (m * m), dtype=np.int64)
+    full = engine._RankPlan(spec).rank_counts(every, np.ones_like(every))
+    assert measure_rank_counts(spec) == full.tolist() == frequencies(p**e, m)
+
+
+@pytest.mark.parametrize("modulus_rank", [0, 1])
+@pytest.mark.parametrize("p,e,m,forms,ranges", [
+    (2, 2, 2, 3, 3), (3, 1, 3, 30, 30), (2, 1, 4, 109, 109), (2, 2, 3, 40, 40),
+    (2, 1, 5, 9962, 383), (3, 1, 4, 3337, 3337)])
+def test_orbit_layer_pins_the_counted_form_count(p, e, m, forms, ranges, modulus_rank):
+    space = FormSpace(make_field(p, e, 2 * m, modulus_rank))
+    found = engine._form_orbits(space)
+    assert (sum(hi - lo for lo, hi, _ in found), len(found)) == (forms, ranges)
+    assert sum(w * (hi - lo) for lo, hi, w in found) == space.num_forms
+    assert found[0] == (0, 1, 1)  # the zero form is its own orbit
+    idx, weights = engine._orbit_batch(space)
+    assert len(idx) == forms and idx.tolist() == sorted(set(idx.tolist()))
+    assert int(weights.sum()) == space.num_forms
 
 
 def test_brute_refuses_ranges_that_miss_forms_before_counting(monkeypatch):
-    orbit_ranges = engine._orbit_ranges
+    form_orbits = engine._form_orbits
 
     def no_zero_form(space):
-        return orbit_ranges(space)[1:]
+        return form_orbits(space)[1:]
 
     def no_counting(*args, **kwargs):
         raise AssertionError("counted before the coverage check")
-    monkeypatch.setattr(engine, "_orbit_ranges", no_zero_form)
+    monkeypatch.setattr(engine, "_form_orbits", no_zero_form)
     monkeypatch.setattr(engine, "_run_chunks", no_counting)
-    with pytest.raises(ConsistencyError):
-        brute_distribution(build_code(make_field(3, 1, 4), "D"))
+    spec = build_code(make_field(3, 1, 4), "D")
+    for oracle in (brute_distribution, measure_rank_counts):  # the sweep too
+        with pytest.raises(ConsistencyError):
+            oracle(spec)
 
 
 def test_verify_prime_q_above_127():
@@ -268,7 +289,7 @@ def test_per_digit_grams_equal_the_literal_bilinear_gram(p, e, m):
 def test_batched_ranks_equal_form_rank_on_every_form(p, e):
     plan = _rank_plan(p, e, 2)
     space = FormSpace(plan.ctx)
-    assert plan.ranks(0, space.num_forms).tolist() == \
+    assert plan.ranks(np.arange(space.num_forms)).tolist() == \
         [space.form_at(i).rank for i in range(space.num_forms)]
 
 
@@ -317,5 +338,9 @@ def test_rank_counts_add_up_over_any_split(data):
     hi = data.draw(st.integers(lo, total))
     cuts = sorted(data.draw(st.lists(st.integers(lo, hi), max_size=6)))
     bounds = [lo, *cuts, hi]
-    parts = sum(plan.rank_counts(a, b) for a, b in zip(bounds, bounds[1:]))
-    assert (parts == plan.rank_counts(lo, hi)).all()
+
+    def counts(a, b):
+        idx = np.arange(a, b, dtype=np.int64)
+        return plan.rank_counts(idx, np.ones_like(idx))
+    parts = sum(counts(a, b) for a, b in zip(bounds, bounds[1:]))
+    assert (parts == counts(lo, hi)).all()
