@@ -41,15 +41,18 @@ rank_sweep instead measures the radical rank of each form and converts
 the measured rank multiplicities into the weight distribution through
 the exponential-sum value classes.  The Gram matrix of the polarized
 bilinear form is F_p-linear in the form index, so a chunk's Grams are
-combined from per-digit Grams, which are read off the digit forms'
-value tables (value_labels) through an s x s log table of basis sums.
-A chunk of form indices is then eliminated at once: over GF(2) on
-bit-packed rows when q = 2, over F_q labels through the subfield's mul
-and sub tables otherwise.  It trusts those value distributions, which
-quadforms.py property-tests, but not the closed-form rank frequencies,
-which it measures; the ranks are cross-checked against the per-form
-QuadForm.rank and the sign convention against the plain character sum
-on a sample of forms.
+combined from per-digit Grams, which quadforms.gram_labels reads off
+the digit forms' value tables (value_labels).  A chunk of form indices
+is then eliminated at once: over GF(2) on bit-packed rows when q = 2,
+over F_q labels through the subfield's mul and sub tables otherwise.
+It trusts the value tables, which the tests check against the literal
+Q(x), but not the closed-form rank frequencies, which it measures.  On
+a sample of forms the epsilon check compares the sweep's digit-linear
+Gram combination and batched elimination with QuadForm.rank, which
+reads each form's Gram off its own value table and eliminates it
+separately (fields.label_matrix_rank), and checks the sign convention
+against the plain character sum.  Neither side evaluates Q through pow
+and trace at run time.
 
 Both oracles run their chunks in-process, whatever the worker count,
 when they enumerate fewer than _POOL_MIN_FORMS forms.
@@ -81,7 +84,7 @@ from .fields import (DEFAULT_TABLE_BOUND, MAX_LABEL_Q, BudgetExceeded,
                      FieldSizeError, SubfieldView, make_field,
                      split_prime_power)
 from .quadforms import (LINEAR_TRACE_BOUND, FormSpace, QuadForm,
-                        coordinate_matches)
+                        coordinate_matches, gram_labels)
 from .spectra import WeightDistribution, assemble_distribution, predict
 
 TIER_BUDGETS = {"quick": 2**24, "standard": 2**32, "extended": 2**38}
@@ -153,12 +156,19 @@ class _CountPlan:
         self.space = FormSpace(ctx)
         q = ctx.q
         self.sub = sub = ctx.subfield(q)
-        # steps[d][c]: the form values added when digit d steps from label c
-        # to label c + 1 (mod q)
-        deltas = [ctx.sub(sub.from_label((c + 1) % q), sub.from_label(c))
-                  for c in range(q)]
-        self.steps = [np.stack([self._digit_values(d, delta) for delta in deltas])
-                      for d in range(self.space.digit_count)]
+        self._deltas = [ctx.sub(sub.from_label((c + 1) % q), sub.from_label(c))
+                        for c in range(q)]
+        self._steps: list[np.ndarray | None] = [None] * self.space.digit_count
+
+    def _step_rows(self, d: int) -> np.ndarray:
+        """Row c: the form values added when digit d steps from label c to
+        label c + 1 (mod q).  Built the first time a walk carries into
+        digit d: the counted forms sit in short runs, which step only the
+        low digits."""
+        if self._steps[d] is None:
+            self._steps[d] = np.stack([self._digit_values(d, delta)
+                                       for delta in self._deltas])
+        return self._steps[d]
 
     def _digit_values(self, d: int, scalar: int) -> np.ndarray:
         """Values of the form whose only nonzero coefficient is scalar
@@ -193,7 +203,7 @@ class _CountPlan:
                 d = 0
                 while True:
                     c = digits[d]
-                    values = self.sub.add_labels(values, self.steps[d][c])
+                    values = self.sub.add_labels(values, self._step_rows(d)[c])
                     digits[d] = (c + 1) % q
                     if digits[d]:
                         break
@@ -223,9 +233,8 @@ class _RankPlan:
     The Gram matrix of the polarized form on the basis pi^0..pi^(s-1) is
     F_p-linear in the form index's base-p digits, so it is a combination
     of per-digit Grams: digit d's Gram belongs to the form at index p^d.
-    Each per-digit Gram is read off that form's value table through
-    B(pi^a, pi^b) = Q(pi^a + pi^b) - Q(pi^a) - Q(pi^b), with pi^a + pi^b
-    located by an s x s log table (a zero sum reads Q(0) = 0).
+    Each per-digit Gram is read off that form's value table by
+    quadforms.gram_labels, as QuadForm.rank reads a single form's.
 
     When q = 2 a batch's Grams are XORs of bit-packed rows, eliminated
     over GF(2) one word per row.  Otherwise they are assembled by one
@@ -238,22 +247,14 @@ class _RankPlan:
         ctx = spec.ctx
         ctx.require_tables()
         self.ctx = ctx
-        q, s, p, e, n = ctx.q, ctx.s, ctx.p, ctx.e, ctx.n
+        q, s, p, e = ctx.q, ctx.s, ctx.p, ctx.e
         space = FormSpace(ctx)
-        self.sub = sub = ctx.subfield(q)
+        self.sub = ctx.subfield(q)
         self.p_digits = e * space.digit_count
-        basis = [ctx.pow(ctx.pi, i) for i in range(s)]
-        sums = [[ctx.add(a, b) for b in basis] for a in basis]
-        sum_log = np.array([[ctx.log(t) if t else n for t in row] for row in sums])
-        # column n holds Q(0) = 0
-        values = np.zeros((self.p_digits, n + 1), dtype=np.uint8)
-        for d in range(self.p_digits):
-            values[d, :n] = space.form_at(p**d).value_labels()
-        sub_t = sub.sub_table()
-        at_basis = values[:, :s]
+        values = np.stack([space.form_at(p**d).value_labels()
+                           for d in range(self.p_digits)])
         # grams[d, a, b] = B_d(pi^a, pi^b) as an F_q label
-        self.grams = sub_t[sub_t[values[:, sum_log], at_basis[:, :, None]],
-                           at_basis[:, None, :]]
+        self.grams = gram_labels(ctx, values)
         if q == 2:
             weights = (1 << np.arange(s, dtype=np.uint32))
             self.gram_bits = self.grams.astype(np.uint32) @ weights

@@ -9,23 +9,29 @@ enumeration: an index's base-q digits are F_q labels of the coefficient
 coordinates with respect to the power bases, least-significant digit
 first; the engine relies on this exact order for partitioning.
 
+Everything here works on the coordinates x = pi^i, i = 0..n-1, the
+nonzero elements in the order of a codeword's positions; sums over all
+of F_{q^s} add the x = 0 term (where Q and every Tr(beta x) vanish)
+explicitly.  A form's values are read only through its value table,
+value_labels (Q(pi^i) as F_q labels), which the tests check against the
+literal Q(x) evaluated through pow and trace.
+
 The rank of a form is the codimension of the radical of its polarized
 bilinear form B(x,y) = Q(x+y) - Q(x) - Q(y), computed as s minus the
 nullity of the Gram matrix over F_q; for even q the symplectic radical
-is used as-is, with no quadratic refinement.  All character sums are
-kept exact: values of Tr down to F_p are tallied per residue and the
-tally is contracted against p-th roots of unity symbolically, so a
-non-integral sum raises instead of rounding.
+is used as-is, with no quadratic refinement.  gram_labels reads the
+Gram on the basis pi^0..pi^(s-1) off a value table, and the engine's
+rank sweep reads its per-digit Grams through the same function.  All
+character sums are kept exact: values of Tr down to F_p are tallied per
+residue and the tally is contracted against p-th roots of unity
+symbolically, so a non-integral sum raises instead of rounding.
 
-Counting works on the coordinates x = pi^i, i = 0..n-1, the nonzero
-elements in the order of a codeword's positions; sums over all of
-F_{q^s} add the x = 0 term (where Q and every Tr(beta x) vanish)
-explicitly.  Three shared tables, also read by the engine's brute
-oracle, do the counting: coordinate_values gives one trace term
-Tr(c x^u) at every coordinate, linear_trace_rows gives Tr(beta x) for
-every beta, and coordinate_matches counts, per beta, the coordinates
-where Tr(beta x) + Q(x) hits a target by comparing each row with the
-one n-vector target - Q(x).
+Three shared tables, also read by the engine's brute oracle, do the
+counting: coordinate_values gives one trace term Tr(c x^u) at every
+coordinate, linear_trace_rows gives Tr(beta x) for every beta, and
+coordinate_matches counts, per beta, the coordinates where
+Tr(beta x) + Q(x) hits a target by comparing each row with the one
+n-vector target - Q(x).
 """
 
 from __future__ import annotations
@@ -70,30 +76,14 @@ class QuadForm:
         self._epsilon: int | None = None
         self._value_labels: np.ndarray | None = None
 
-    def __call__(self, x: int) -> int:
-        ctx, acc = self.ctx, 0
-        for c, u, sel in zip(self.coeffs, self.exponents, self.selectors):
-            if c:
-                acc = ctx.add(acc, ctx.trace(ctx.mul(c, ctx.pow(x, u)), sel))
-        return acc
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def bilinear(self, x: int, y: int) -> int:
-        """Polarization B(x,y) = Q(x+y) - Q(x) - Q(y), an element of F_q."""
-        ctx = self.ctx
-        return ctx.sub(ctx.sub(self(ctx.add(x, y)), self(x)), self(y))
-
     @property
     def rank(self) -> int:
-        """s minus the F_q-dimension of the radical of B."""
+        """s minus the F_q-dimension of the radical of B, from the Gram
+        that gram_labels reads off the value table."""
         if self._rank is None:
             ctx = self.ctx
-            sub = ctx.subfield(ctx.q)
-            basis = [ctx.pow(ctx.pi, i) for i in range(ctx.s)]
-            gram = [[sub.label_of(self.bilinear(a, b)) for b in basis] for a in basis]
-            r = label_matrix_rank(sub, gram)
+            gram = gram_labels(ctx, self.value_labels())
+            r = label_matrix_rank(ctx.subfield(ctx.q), gram.tolist())
             if r % 2:
                 raise ConsistencyError(f"odd radical rank {r} for {self.coeffs}")
             self._rank = r
@@ -209,6 +199,34 @@ def linear_trace_rows(ctx: FieldCtx) -> np.ndarray:
         np.concatenate([seq, seq[:-1]]), ctx.n)
     rows.flags.writeable = False  # one cached table serves every caller
     return rows
+
+
+@lru_cache(maxsize=8)
+def _basis_sum_logs(ctx: FieldCtx) -> np.ndarray:
+    """(s, s) int64 table: entry [a, b] is the log of pi^a + pi^b, or n
+    where the sum is zero (only at a = b when p = 2: a - b = n/2 is
+    impossible with a, b < s)."""
+    basis = [ctx.pow(ctx.pi, i) for i in range(ctx.s)]
+    sums = [[ctx.add(a, b) for b in basis] for a in basis]
+    logs = np.array([[ctx.log(t) if t else ctx.n for t in row] for row in sums],
+                    dtype=np.int64)
+    logs.flags.writeable = False  # one cached table serves every caller
+    return logs
+
+
+def gram_labels(ctx: FieldCtx, values: np.ndarray) -> np.ndarray:
+    """Gram matrices of polarized forms on the basis pi^0..pi^(s-1), read
+    off value tables: values of shape (..., n) give F_q labels of shape
+    (..., s, s), entry [a, b] being
+    B(pi^a, pi^b) = Q(pi^a + pi^b) - Q(pi^a) - Q(pi^b)."""
+    sum_log = _basis_sum_logs(ctx)
+    # column n holds Q(0) = 0
+    padded = np.zeros(values.shape[:-1] + (ctx.n + 1,), dtype=np.uint8)
+    padded[..., :ctx.n] = values
+    sub_t = ctx.subfield(ctx.q).sub_table()
+    at_basis = values[..., :ctx.s]
+    return sub_t[sub_t[padded[..., sum_log], at_basis[..., :, None]],
+                 at_basis[..., None, :]]
 
 
 def coordinate_matches(ctx: FieldCtx, values: np.ndarray, target: int) -> np.ndarray:

@@ -57,6 +57,30 @@ def x_power_minus_one(ctx, n):
     return Poly(ctx, (ctx.neg(1),) + (0,) * (n - 1) + (1,))
 
 
+def literal_value(form, x):
+    """Q(x) through pow and trace chains, term by term, with no table."""
+    ctx, acc = form.ctx, 0
+    for c, u, sel in zip(form.coeffs, form.exponents, form.selectors):
+        if c:
+            acc = ctx.add(acc, ctx.trace(ctx.mul(c, ctx.pow(x, u)), sel))
+    return acc
+
+
+def literal_bilinear(form, x, y):
+    """Polarization B(x,y) = Q(x+y) - Q(x) - Q(y), an element of F_q."""
+    ctx = form.ctx
+    return ctx.sub(ctx.sub(literal_value(form, ctx.add(x, y)),
+                           literal_value(form, x)), literal_value(form, y))
+
+
+def literal_gram(form):
+    """F_q labels of B(pi^a, pi^b), a, b = 0..s-1, through literal_bilinear."""
+    ctx = form.ctx
+    sub = ctx.subfield(ctx.q)
+    basis = [ctx.pow(ctx.pi, i) for i in range(ctx.s)]
+    return [[sub.label_of(literal_bilinear(form, a, b)) for b in basis] for a in basis]
+
+
 def naive_add(ctx, a, b):
     p, D = ctx.p, ctx.degree
     return sum(((a // p**i) % p + (b // p**i) % p) % p * p**i for i in range(D))

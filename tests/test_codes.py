@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from conftest import x_power_minus_one
+from conftest import literal_value, x_power_minus_one
 
 from traceweight.codes import (FAMILIES, annihilated_by, build_code,
                                build_gamma, codeword, weight, zero_params)
@@ -138,7 +138,7 @@ def test_weight_identity_against_form_zero_count():
         form = QuadForm(ctx, (lam,))
         zeros = sum(
             1 for i in range(ctx.n)
-            if ctx.add(form(ctx.pow(ctx.pi, i)),
+            if ctx.add(literal_value(form, ctx.pow(ctx.pi, i)),
                        ctx.trace(ctx.mul(beta, ctx.pow(ctx.pi, i)), "q")) == 0)
         assert spec.n - w == zeros
 

@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import literal_gram
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -276,13 +277,11 @@ def test_per_digit_grams_equal_the_literal_bilinear_gram(p, e, m):
     # covers the zero sums pi^a + pi^b = 0: a = b when p = 2
     plan = _rank_plan(p, e, m)
     ctx = plan.ctx
-    space, sub = FormSpace(ctx), ctx.subfield(ctx.q)
-    basis = [ctx.pow(ctx.pi, i) for i in range(ctx.s)]
+    space = FormSpace(ctx)
     assert len(plan.grams) == e * m * m
     for d, gram in enumerate(plan.grams):
         form = space.form_at(p**d)  # base-p digit d alone
-        literal = [[sub.label_of(form.bilinear(a, b)) for b in basis] for a in basis]
-        assert gram.tolist() == literal, d
+        assert gram.tolist() == literal_gram(form), d
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 2)])
@@ -291,6 +290,19 @@ def test_batched_ranks_equal_form_rank_on_every_form(p, e):
     space = FormSpace(plan.ctx)
     assert plan.ranks(np.arange(space.num_forms)).tolist() == \
         [space.form_at(i).rank for i in range(space.num_forms)]
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 1, 3), (3, 1, 2), (2, 2, 2)])
+def test_epsilon_check_catches_sweep_ranks_off_by_two(p, e, m, monkeypatch):
+    spec = build_code(make_field(p, e, 2 * m), "D")
+    ranks = engine._RankPlan.ranks
+
+    def off_by_two(self, idx):
+        r = ranks(self, idx)
+        return np.where(r < 2 * m, r + 2, r - 2)  # still even, still in range
+    monkeypatch.setattr(engine._RankPlan, "ranks", off_by_two)
+    with pytest.raises(ConsistencyError, match="sweep rank"):
+        rank_sweep(spec)
 
 
 # F_q with a field context of its own: q -> (p, e)
