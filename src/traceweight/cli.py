@@ -224,6 +224,11 @@ def main(argv=None) -> int:
     p, e = _resolve_q(parser, args)
     if args.m < 1:
         parser.error("--m must be >= 1")
+    if args.command == "verify":
+        if args.modulus_rank < 0:
+            parser.error("--modulus-rank must be >= 0")
+        if args.workers is not None and args.workers < 1:
+            parser.error("--workers must be >= 1")
     try:
         if args.command == "predict":
             return cmd_predict(args, p, e)

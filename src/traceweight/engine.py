@@ -2,16 +2,14 @@
 
 brute_distribution counts codewords one form (the quadratic part of the
 parameters) at a time, by literal match counting.  It never
-materializes codewords: for each form it keeps the n-vector of form
-values at the coordinates x = pi^i, in coordinate order, as F_q labels,
-updated incrementally while the form index walks its odometer.  The
-per-digit odometer steps and the per-beta match counts come from the
-coordinate tables shared with quadforms (value_labels,
-linear_trace_rows, coordinate_matches): a codeword b + Tr(beta x) + Q(x)
-vanishes where Tr(beta x) equals -b - Q(x), so each form costs one
-comparison of the linear-trace rows with one n-vector per constant
-shift.  Family E uses one bin per constant shift; family C has no beta
-and counts the zeros of Q alone.
+materializes codewords: each counted form is read through its own value
+table (QuadForm.value_labels, the n-vector of F_q labels of Q(pi^i) in
+coordinate order) and matched against the linear-trace rows shared with
+quadforms (linear_trace_rows, coordinate_matches): a codeword
+b + Tr(beta x) + Q(x) vanishes where Tr(beta x) equals -b - Q(x), so
+each form costs one comparison of the linear-trace rows with one
+n-vector per constant shift.  Family E uses one bin per constant shift;
+family C has no beta and counts the zeros of Q alone.
 
 Both oracles count one form per orbit of the code's symmetry group, not
 all q^(m^2) forms.  Three maps act on every slot coefficient c_j = pi^l
@@ -83,8 +81,8 @@ from .codes import CodeSpec, ConsistencyError, build_code
 from .fields import (DEFAULT_TABLE_BOUND, MAX_LABEL_Q, BudgetExceeded,
                      FieldSizeError, SubfieldView, make_field,
                      split_prime_power)
-from .quadforms import (LINEAR_TRACE_BOUND, FormSpace, QuadForm,
-                        coordinate_matches, gram_labels)
+from .quadforms import (LINEAR_TRACE_BOUND, FormSpace, coordinate_matches,
+                        gram_labels)
 from .spectra import WeightDistribution, assemble_distribution, predict
 
 TIER_BUDGETS = {"quick": 2**24, "standard": 2**32, "extended": 2**38}
@@ -145,86 +143,38 @@ class _Task:
 
 
 class _CountPlan:
-    """The odometer a worker walks over a form-index range, and the
-    histogram of codeword weights it fills."""
+    """The histogram of codeword weights a worker fills, one counted form
+    at a time, from each form's own value table."""
 
     def __init__(self, spec: CodeSpec):
-        ctx = spec.ctx
-        ctx.require_tables()
+        spec.ctx.require_tables()
         self.spec = spec
-        self.ctx = ctx
-        self.space = FormSpace(ctx)
-        q = ctx.q
-        self.sub = sub = ctx.subfield(q)
-        self._deltas = [ctx.sub(sub.from_label((c + 1) % q), sub.from_label(c))
-                        for c in range(q)]
-        self._steps: list[np.ndarray | None] = [None] * self.space.digit_count
-
-    def _step_rows(self, d: int) -> np.ndarray:
-        """Row c: the form values added when digit d steps from label c to
-        label c + 1 (mod q).  Built the first time a walk carries into
-        digit d: the counted forms sit in short runs, which step only the
-        low digits."""
-        if self._steps[d] is None:
-            self._steps[d] = np.stack([self._digit_values(d, delta)
-                                       for delta in self._deltas])
-        return self._steps[d]
-
-    def _digit_values(self, d: int, scalar: int) -> np.ndarray:
-        """Values of the form whose only nonzero coefficient is scalar
-        times digit d's basis element."""
-        coeffs = [0] * len(self.space.exponents)
-        coeffs[self.space.slot_of[d]] = self.ctx.mul(scalar, self.space.basis_of[d])
-        return QuadForm(self.ctx, coeffs).value_labels()
-
-    def count_range(self, lo: int, hi: int) -> tuple[np.ndarray, int]:
-        """Histogram of codeword weights contributed by forms lo..hi-1."""
-        spec, ctx = self.spec, self.ctx
-        q, n = ctx.q, ctx.n
-        family = spec.family
-        hist = np.zeros(n + 1, dtype=np.int64)
-        digits = self.space.digits_at(lo)
-        values = self.space.form_at(lo).value_labels()
-        c_weights = np.empty(hi - lo, dtype=np.int64) if family == "C" else None
-        for step, index in enumerate(range(lo, hi)):
-            if family == "C":
-                c_weights[step] = np.count_nonzero(values)
-            else:
-                # codeword b + Tr(beta x) + Q(x) vanishes where Tr(beta x) + Q(x) = -b
-                remaining = np.full(ctx.size, n, dtype=np.int64)
-                for lbl in range(q if family == "E" else 1):
-                    if lbl < q - 1:
-                        cnt = coordinate_matches(ctx, values, lbl)
-                        remaining -= cnt
-                    else:
-                        cnt = remaining
-                    hist += np.bincount(n - cnt, minlength=n + 1)
-            if index + 1 < hi:
-                d = 0
-                while True:
-                    c = digits[d]
-                    values = self.sub.add_labels(values, self._step_rows(d)[c])
-                    digits[d] = (c + 1) % q
-                    if digits[d]:
-                        break
-                    d += 1
-        if family == "C":
-            hist += np.bincount(c_weights, minlength=n + 1)
-        per_form = n if family == "C" else ctx.size * n
-        return hist, (hi - lo) * per_form
+        self.ctx = spec.ctx
+        self.space = FormSpace(spec.ctx)
 
     def count_batch(self, idx: np.ndarray,
                     weights: np.ndarray) -> tuple[np.ndarray, int]:
-        """Weighted histogram of the forms at the ascending indices idx: each
-        run of consecutive indices with one weight is one odometer walk."""
-        hist = np.zeros(self.ctx.n + 1, dtype=np.int64)
-        work = 0
-        cuts = np.flatnonzero((np.diff(idx) != 1) | (np.diff(weights) != 0)) + 1
-        for a, b in zip([0, *cuts], [*cuts, len(idx)]):
-            h, w = self.count_range(int(idx[a]), int(idx[b - 1]) + 1)
-            hist += weights[a] * h
-            work += int(weights[a]) * w
-        return hist, work
+        """Weighted histogram of the forms at the indices idx, and the
+        matches performed times each form's weight."""
+        ctx, family = self.ctx, self.spec.family
+        q, n = ctx.q, ctx.n
+        hist = np.zeros(n + 1, dtype=np.int64)
+        for index, weight in zip(idx.tolist(), weights.tolist()):
+            values = self.space.form_at(index).value_labels()
+            if family == "C":
+                hist[np.count_nonzero(values)] += weight
+                continue
+            # codeword b + Tr(beta x) + Q(x) vanishes where Tr(beta x) + Q(x) = -b
+            remaining = np.full(ctx.size, n, dtype=np.int64)
+            for lbl in range(q if family == "E" else 1):
+                if lbl < q - 1:
+                    cnt = coordinate_matches(ctx, values, lbl)
+                    remaining -= cnt
+                else:
+                    cnt = remaining
+                hist += weight * np.bincount(n - cnt, minlength=n + 1)
+        per_form = n if family == "C" else ctx.size * n
+        return hist, int(weights.sum()) * per_form
 
 
 class _RankPlan:

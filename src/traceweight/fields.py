@@ -207,6 +207,8 @@ def find_primitive_modulus(p: int, degree: int, rank: int = 0) -> tuple[int, ...
     every candidate with f(0) != 0 gets x^(p^d - 1), and only those where
     it is 1 get the cofactor powers.  The arithmetic is exact in int64 for
     degree * p^2 <= 2^63; above that FieldSizeError is raised."""
+    if rank < 0:
+        raise ValueError(f"modulus rank {rank} is negative")
     if degree * p * p > 1 << 63:
         raise FieldSizeError(
             f"degree {degree} over F_{p}: sums up to degree * p^2 overflow int64")

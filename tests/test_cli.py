@@ -142,6 +142,16 @@ def test_modulus_rank_flag(capsys):
     assert json.loads(out0)["oracle"] == json.loads(out1)["oracle"]
 
 
+@pytest.mark.parametrize("flag,value", [("--modulus-rank", "-1"), ("--modulus-rank", "-5"),
+                                        ("--workers", "0"), ("--workers", "-3")])
+def test_negative_modulus_rank_and_workers_below_1_are_usage_errors(capsys, flag,
+                                                                     value):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--q", "2", "--m", "2", "--family", "D", flag, value])
+    assert err.value.code == 2
+    assert f"{flag} must be" in capsys.readouterr().err
+
+
 def test_verify_refuses_q_above_256_exit_3(capsys):
     code, out, _ = run(capsys, "verify", "--q", "257", "--m", "1", "--family", "C")
     assert code == 3

@@ -189,7 +189,8 @@ _ORBIT_CASES = [(p, e, m, family)
 @pytest.mark.parametrize("p,e,m,family", _ORBIT_CASES)
 def test_orbit_reduced_brute_equals_full_enumeration(p, e, m, family, modulus_rank):
     spec = build_code(make_field(p, e, 2 * m, modulus_rank), family)
-    full, work = engine._CountPlan(spec).count_range(0, (p**e) ** (m * m))
+    every = np.arange((p**e) ** (m * m), dtype=np.int64)
+    full, work = engine._CountPlan(spec).count_batch(every, np.ones_like(every))
     dist = brute_distribution(spec)
     assert dist.counts == {w: int(c) for w, c in enumerate(full) if c}
     assert dist.work_count == work == brute_work(p**e, m, family)
@@ -343,16 +344,25 @@ def test_batched_label_rank_equals_label_matrix_rank(case):
 @settings(deadline=None, max_examples=30)
 @given(st.data())
 def test_rank_counts_add_up_over_any_split(data):
+    """Both plans, on any ascending subset of indices with any weights: the
+    parts of any split add up to the whole, and the result scales with the
+    weights."""
     p, e, m = data.draw(st.sampled_from([(3, 1, 2), (2, 2, 2), (2, 1, 3)]))
-    plan = _rank_plan(p, e, m)
+    spec = build_code(make_field(p, e, 2 * m), data.draw(st.sampled_from("CDE")))
+    rank_plan, count_plan = engine._RankPlan(spec), engine._CountPlan(spec)
     total = (p**e) ** (m * m)
-    lo = data.draw(st.integers(0, total))
-    hi = data.draw(st.integers(lo, total))
-    cuts = sorted(data.draw(st.lists(st.integers(lo, hi), max_size=6)))
-    bounds = [lo, *cuts, hi]
+    idx = np.array(sorted(data.draw(st.sets(st.integers(0, total - 1), max_size=40))),
+                   dtype=np.int64)
+    weights = np.array(data.draw(st.lists(st.integers(1, 10**6), min_size=len(idx),
+                                          max_size=len(idx))), dtype=np.int64)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(idx)), max_size=6)))
+    bounds = [0, *cuts, len(idx)]
 
-    def counts(a, b):
-        idx = np.arange(a, b, dtype=np.int64)
-        return plan.rank_counts(idx, np.ones_like(idx))
-    parts = sum(counts(a, b) for a, b in zip(bounds, bounds[1:]))
-    assert (parts == counts(lo, hi)).all()
+    def count_hist(i, w):
+        hist, work = count_plan.count_batch(i, w)
+        return np.append(hist, work)
+    for counts in (rank_plan.rank_counts, count_hist):
+        whole = counts(idx, weights)
+        parts = sum(counts(idx[a:b], weights[a:b]) for a, b in zip(bounds, bounds[1:]))
+        assert (parts == whole).all()
+        assert (counts(idx, 3 * weights) == 3 * whole).all()

@@ -54,6 +54,14 @@ def test_block_search_refuses_sums_beyond_int64():
         find_primitive_modulus(p, 3)
 
 
+@pytest.mark.parametrize("p,degree,rank", [(2, 4, -1), (3, 4, -5)])
+def test_negative_modulus_rank_is_refused(p, degree, rank):
+    with pytest.raises(ValueError, match="negative"):
+        find_primitive_modulus(p, degree, rank)
+    with pytest.raises(ValueError, match="negative"):
+        make_field(p, 1, degree, modulus_rank=rank)
+
+
 def test_pi_generates_on_the_structural_grid():
     for q in prime_powers_up_to(1 << 10):
         for m in range(1, 11):
