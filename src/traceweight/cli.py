@@ -84,6 +84,8 @@ def _read_config(path: str | None) -> dict:
             if key not in allowed:
                 raise ValueError(f"unknown config key {key!r}")
             config[key] = int(value.strip())
+            if config[key] < 1:  # the rule the --workers flag follows
+                raise ValueError(f"{key} must be >= 1, got {config[key]}")
     return config
 
 

@@ -16,9 +16,17 @@ packed values.
 
 Exp/log tables are built lazily and only for fields up to
 ctx.table_bound elements (default 2**26); operations that need them on
-a larger field raise FieldSizeError.  Everything on a context is a pure
-function of its inputs; contexts are immutable after construction apart
-from idempotent lazy caches, so they are safe to share across workers.
+a larger field raise FieldSizeError.  Without tables, multiplication
+works on the packed ints themselves.  At p = 2 it is a carry-less
+shift-and-XOR product, reduced by XOR-ing in shifted copies of the
+modulus bits.  At odd p the operands' digits are spread into slots wide
+enough never to carry, one integer product gives every coefficient of
+the polynomial product (Kronecker substitution), and the high slots
+fold back through x^(D+t) mod the modulus, precomputed per context.
+
+Everything on a context is a pure function of its inputs; contexts are
+immutable after construction apart from idempotent lazy caches, so they
+are safe to share across workers.
 """
 
 from __future__ import annotations
@@ -269,6 +277,21 @@ class FieldCtx:
         self._ppow = [p**i for i in range(self.degree + 1)]
         # x^degree = -(low part of modulus), precomputed as digits
         self._top_reduction = [(-c) % p for c in modulus[:-1]]
+        if p == 2:
+            self._modulus_bits = sum(c << i for i, c in enumerate(modulus))
+        else:
+            D = self.degree
+            # a product slot sums at most D digit products and the folds add
+            # D - 1 more, so slots of w bits with 2^w > 2 D (p-1)^2 never carry
+            w = self._slot_bits = (2 * D * (p - 1) ** 2).bit_length()
+            self._low_slots = (1 << w * D) - 1
+            # slot ints of x^(D+t) mod f, t = 0 .. D-2
+            self._folds = []
+            r = self._top_reduction
+            for _ in range(D - 1):
+                self._folds.append(sum(c << w * i for i, c in enumerate(r)))
+                r = [(low + r[-1] * top) % p
+                     for low, top in zip([0] + r[:-1], self._top_reduction)]
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
         self._subfields: dict[int, SubfieldView] = {}
@@ -285,12 +308,6 @@ class FieldCtx:
             out.append(a % p)
             a //= p
         return out
-
-    def pack(self, digits) -> int:
-        v = 0
-        for d, pw in zip(digits, self._ppow):
-            v += d * pw
-        return v
 
     # -- ring operations ----------------------------------------------------
 
@@ -322,21 +339,47 @@ class FieldCtx:
         return self._mul_poly(a, b)
 
     def _mul_poly(self, a: int, b: int) -> int:
-        p, D = self.p, self.degree
-        da, db = self.digits(a), self.digits(b)
-        prod = [0] * (2 * D - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        for k in range(2 * D - 2, D - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for i, r in enumerate(self._top_reduction):
-                    if r:
-                        prod[k - D + i] = (prod[k - D + i] + c * r) % p
-        return self.pack(prod[:D])
+        """a * b mod the modulus on packed ints, without tables."""
+        D = self.degree
+        if self.p == 2:
+            # carry-less product: XOR a copy of a shifted to each set bit of
+            # b (low is that bit alone, so a * low is a shift)
+            prod = 0
+            while b:
+                low = b & -b
+                prod ^= a * low
+                b ^= low
+            f = self._modulus_bits
+            while (shift := prod.bit_length() - 1 - D) >= 0:
+                prod ^= f << shift
+            return prod
+        # Kronecker substitution: one integer product of the digit-spread
+        # operands holds every coefficient of the polynomial product
+        p, w = self.p, self._slot_bits
+        slot = (1 << w) - 1
+        spread_a = self._spread(a)
+        prod = spread_a * (spread_a if b == a else self._spread(b))
+        low, high = prod & self._low_slots, prod >> w * D
+        for fold in self._folds:
+            if not high:
+                break
+            if c := (high & slot) % p:
+                low += c * fold
+            high >>= w
+        v = 0
+        for shift in range(w * (D - 1), -1, -w):
+            v = v * p + (low >> shift & slot) % p
+        return v
+
+    def _spread(self, a: int) -> int:
+        """The base-p digits of a, one per slot of _slot_bits bits."""
+        p, w = self.p, self._slot_bits
+        out = shift = 0
+        while a:
+            a, d = divmod(a, p)
+            out |= d << shift
+            shift += w
+        return out
 
     def pow(self, a: int, k: int) -> int:
         if a == 0:

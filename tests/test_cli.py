@@ -128,6 +128,17 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config key" in err
 
 
+@pytest.mark.parametrize("line", ["workers=0", "workers=-3", "quick_budget=-5",
+                                  "witness_budget=0"])
+def test_config_values_below_1_are_config_errors(tmp_path, capsys, line):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run(capsys, "verify", "--q", "2", "--m", "2", "--family", "D",
+                         "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert f"config error: {line.partition('=')[0]} must be >= 1" in err
+
+
 def test_internal_error_exit_1(capsys):
     code, _, err = run(capsys, "verify", "--q", "2", "--m", "1", "--family", "E")
     assert code == 1

@@ -1,10 +1,14 @@
 """Field tower: modulus selection, traces, minimal polynomials, cosets."""
 
+import random
+
 import numpy as np
 import pytest
 from conftest import (element_order, frobenius_sum, lex_primitive_moduli,
                       lex_primitive_modulus, naive_add, naive_mul,
                       prime_powers_up_to, step_order_of_x)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traceweight.fields import (FieldSizeError, Poly, coset_size,
                                 find_primitive_modulus, make_field,
@@ -103,6 +107,33 @@ def test_mul_against_schoolbook():
             for b in sample:
                 assert ctx.mul(a, b) == naive_mul(ctx, a, b)
                 assert ctx.add(a, b) == naive_add(ctx, a, b)
+
+
+# p = 2 at degrees 4, 20 and 64; the pinned (3,40) and (5,28) moduli;
+# q = 4 and q = 9; and p = 1021 at degree 2, whose Kronecker slots are the
+# widest
+KERNEL_FIELDS = [(2, 1, 4), (2, 1, 20), (2, 1, 64), (3, 1, 40), (5, 1, 28),
+                 (2, 2, 4), (3, 2, 4), (1021, 1, 2)]
+
+
+@pytest.mark.parametrize("p,e,s", KERNEL_FIELDS)
+def test_table_free_mul_against_schoolbook(p, e, s):
+    ctx = make_field(p, e, s)
+    rng = random.Random(f"{p},{e},{s}")
+    # size - 1 has every digit p - 1, the largest slot sums
+    sample = [0, 1, ctx.pi, ctx.size - 1] + [rng.randrange(ctx.size) for _ in range(8)]
+    for a in sample:
+        for b in sample:
+            assert ctx._mul_poly(a, b) == naive_mul(ctx, a, b), (a, b)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+def test_table_free_mul_on_random_pairs(field, data):
+    ctx = make_field(*field)
+    a = data.draw(st.integers(0, ctx.size - 1))
+    b = data.draw(st.integers(0, ctx.size - 1))
+    assert ctx._mul_poly(a, b) == naive_mul(ctx, a, b)
 
 
 def test_trace_examples_f16():
