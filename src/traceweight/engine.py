@@ -38,19 +38,18 @@ and chunking.
 rank_sweep instead measures the radical rank of each form and converts
 the measured rank multiplicities into the weight distribution through
 the exponential-sum value classes.  The Gram matrix of the polarized
-bilinear form is F_p-linear in the form index, so a chunk's Grams are
-combined from per-digit Grams, which quadforms.gram_labels reads off
-the digit forms' value tables (value_labels).  A chunk of form indices
-is then eliminated at once: over GF(2) on bit-packed rows when q = 2,
-over F_q labels through the subfield's mul and sub tables otherwise.
-It trusts the value tables, which the tests check against the literal
-Q(x), but not the closed-form rank frequencies, which it measures.  On
-a sample of forms the epsilon check compares the sweep's digit-linear
-Gram combination and batched elimination with QuadForm.rank, which
-reads each form's Gram off its own value table and eliminates it
-separately (fields.label_matrix_rank), and checks the sign convention
-against the plain character sum.  Neither side evaluates Q through pow
-and trace at run time.
+bilinear form B is F_p-linear in the form index, so a chunk's Grams are
+combined from per-digit Grams, which quadforms.gram_labels reads off the
+digit forms' value tables, and eliminated at once over F_p: as
+bit-packed GF(2) rows at every even q, mod p otherwise.  The trace form
+of F_q/F_p is nondegenerate, so Tr_{q/p}(B) has F_p-rank e times the
+F_q-rank of B.  The sweep trusts the value tables, which the tests check
+against the literal Q(x), but not the closed-form rank frequencies,
+which it measures.  On a sample of forms the epsilon check compares its
+ranks with QuadForm.rank, which eliminates each form's own Gram over F_q
+(fields.label_matrix_rank): two eliminations over two fields must agree.
+It also checks the sign convention against the plain character sum.
+Neither side evaluates Q through pow and trace at run time.
 
 Both oracles run their chunks in-process, whatever the worker count,
 when they enumerate fewer than _POOL_MIN_FORMS forms.
@@ -79,10 +78,9 @@ import numpy as np
 
 from .codes import CodeSpec, ConsistencyError, build_code
 from .fields import (DEFAULT_TABLE_BOUND, MAX_LABEL_Q, BudgetExceeded,
-                     FieldSizeError, SubfieldView, make_field,
-                     split_prime_power)
+                     FieldSizeError, make_field, split_prime_power)
 from .quadforms import (LINEAR_TRACE_BOUND, FormSpace, coordinate_matches,
-                        gram_labels)
+                        gram_labels, trace_residues)
 from .spectra import WeightDistribution, assemble_distribution, predict
 
 TIER_BUDGETS = {"quick": 2**24, "standard": 2**32, "extended": 2**38}
@@ -180,117 +178,103 @@ class _CountPlan:
 class _RankPlan:
     """Gram matrices of the forms at a batch of form indices, and their ranks.
 
-    The Gram matrix of the polarized form on the basis pi^0..pi^(s-1) is
-    F_p-linear in the form index's base-p digits, so it is a combination
-    of per-digit Grams: digit d's Gram belongs to the form at index p^d.
-    Each per-digit Gram is read off that form's value table by
-    quadforms.gram_labels, as QuadForm.rank reads a single form's.
-
-    When q = 2 a batch's Grams are XORs of bit-packed rows, eliminated
-    over GF(2) one word per row.  Otherwise they are assembled by one
-    matmul of the index digits with the per-digit Grams' F_p coordinates
-    (reduced mod p), packed back to F_q labels, and eliminated all at once
-    through the subfield's mul and sub tables.
+    The Gram matrix of the polarized form B on the basis pi^0..pi^(s-1) is
+    F_p-linear in the form index's base-p digits: a combination of
+    per-digit Grams, digit d's read off the value table of the form at
+    index p^d by quadforms.gram_labels, as QuadForm.rank reads a single
+    form's.  The ranks are measured over F_p: on the F_p-basis g^i pi^a
+    (g generating F_q, i < e) the Gram of Tr_{q/p}(B) holds the e x e block
+    Tr_{q/p}(g^(i+j) L) for each F_q label L of B's, and as the trace form
+    of F_q/F_p is nondegenerate, its F_p-rank is e times B's F_q-rank.  At
+    p = 2 a batch's Grams are XORs of bit-packed rows, eliminated over
+    GF(2); at odd p they are one matmul of the index digits with the
+    per-digit Grams, reduced mod p and eliminated all at once.
     """
 
     def __init__(self, spec: CodeSpec):
         ctx = spec.ctx
         ctx.require_tables()
         self.ctx = ctx
-        q, s, p, e = ctx.q, ctx.s, ctx.p, ctx.e
+        p, e = ctx.p, ctx.e
+        self.es = e * ctx.s
         space = FormSpace(ctx)
-        self.sub = ctx.subfield(q)
         self.p_digits = e * space.digit_count
         values = np.stack([space.form_at(p**d).value_labels()
                            for d in range(self.p_digits)])
         # grams[d, a, b] = B_d(pi^a, pi^b) as an F_q label
         self.grams = gram_labels(ctx, values)
-        if q == 2:
-            weights = (1 << np.arange(s, dtype=np.uint32))
-            self.gram_bits = self.grams.astype(np.uint32) @ weights
+        # block[L, i, j] = Tr_{q/p}(g^(i+j) L) as a residue
+        sub = ctx.subfield(ctx.q)
+        g_ij = [[sub.label_of(ctx.pow(sub.gen, i + j)) for j in range(e)] for i in range(e)]
+        block = trace_residues(ctx)[sub.mul_table()[:, g_ij]]
+        # fp_grams[d] has row (a, i) and column (b, j) at a * e + i, b * e + j
+        fp_grams = block[self.grams].swapaxes(2, 3).reshape(self.p_digits, self.es, -1)
+        if p == 2:
+            # es = log2(field size) <= 26 under the default table bound
+            weights = (1 << np.arange(self.es, dtype=np.uint32))
+            self.gram_bits = fp_grams.astype(np.uint32) @ weights
         else:
             self.digit_powers = p ** np.arange(self.p_digits, dtype=np.int64)
-            self.label_powers = p ** np.arange(e, dtype=np.int64)
             # float64 for a BLAS matmul: every sum is an integer below
             # p_digits * p^2, so it stays exact
-            self.gram_coords = (self.grams[..., None] // self.label_powers % p
-                                ).reshape(self.p_digits, -1).astype(np.float64)
-
-    def ranks_q2(self, idx: np.ndarray) -> np.ndarray:
-        s = self.ctx.s
-        mats = np.zeros((len(idx), s), dtype=np.uint32)
-        for d, rowbits in enumerate(self.gram_bits):
-            mask = ((idx >> d) & 1).astype(np.uint32)
-            mats ^= mask[:, None] * rowbits[None, :]
-        return _batched_gf2_rank(mats, s)
+            self.gram_coords = fp_grams.reshape(self.p_digits, -1).astype(np.float64)
 
     def ranks(self, idx: np.ndarray) -> np.ndarray:
         """Radical rank of the form at every index in the int64 array idx."""
-        if self.ctx.q == 2:
-            return self.ranks_q2(idx)
-        p, e, s = self.ctx.p, self.ctx.e, self.ctx.s
-        digits = (idx[:, None] // self.digit_powers % p).astype(np.float64)
-        coords = (digits @ self.gram_coords).astype(np.int64) % p
-        mats = coords.reshape(len(idx), s, s, e) @ self.label_powers
-        return _batched_label_rank(self.sub, mats.astype(np.uint8))
+        p, e, es = self.ctx.p, self.ctx.e, self.es
+        if p == 2:
+            mats = np.zeros((len(idx), es), dtype=np.uint32)
+            for d, rowbits in enumerate(self.gram_bits):
+                mats ^= ((idx >> d) & 1).astype(np.uint32)[:, None] * rowbits
+            fp_ranks = _batched_gf2_rank(mats, es)
+        else:
+            digits = (idx[:, None] // self.digit_powers % p).astype(np.float64)
+            mats = (digits @ self.gram_coords).astype(np.uint32) % p
+            fp_ranks = _batched_fp_rank(mats.reshape(len(idx), es, es), p)
+        if np.any(fp_ranks % (2 * e)):
+            raise ConsistencyError(f"sweep F_p rank not a multiple of 2e = {2 * e}")
+        return fp_ranks // e
 
     def rank_counts(self, idx: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Weighted multiplicity of rank 2j, j = 0..m, over the indices idx,
         summed in int64."""
-        ranks = self.ranks(idx)
-        if np.any(ranks & 1):
-            raise ConsistencyError("odd rank in sweep")
         counts = np.zeros(self.ctx.m + 1, dtype=np.int64)
-        np.add.at(counts, ranks >> 1, weights)
+        np.add.at(counts, self.ranks(idx) >> 1, weights)
         return counts
 
 
-def _batched_gf2_rank(mats: np.ndarray, s: int) -> np.ndarray:
-    """Ranks of a batch of GF(2) matrices given as bit-packed rows."""
-    b = mats.shape[0]
-    rows = np.arange(b)
-    cols = np.arange(s)
-    pivot_count = np.zeros(b, dtype=np.int64)
-    for col in range(s):
+def _batched_gf2_rank(mats: np.ndarray, cols: int) -> np.ndarray:
+    """Ranks over GF(2) of a (batch, rows) stack of cols-bit row words, by
+    _batched_fp_rank's elimination, XOR-ing the pivot row into the rows."""
+    batch = np.arange(mats.shape[0])
+    rank = np.zeros(mats.shape[0], dtype=np.int64)
+    for col in range(cols):
         bit = (mats >> col) & 1
-        cand = (bit == 1) & (cols[None, :] >= pivot_count[:, None])
-        has = cand.any(axis=1)
-        piv = cand.argmax(axis=1)
-        pc = np.minimum(pivot_count, s - 1)
-        a_vals = mats[rows, piv]
-        b_vals = mats[rows, pc]
-        mats[rows, piv] = np.where(has, b_vals, a_vals)
-        mats[rows, pc] = np.where(has, a_vals, b_vals)
-        bit = (mats >> col) & 1
-        elim = (bit == 1) & (cols[None, :] != pc[:, None]) & has[:, None]
-        mats ^= elim * mats[rows, pc][:, None]
-        pivot_count += has
-    return pivot_count
+        rank += bit.any(axis=1)
+        mats ^= bit * mats[batch, bit.argmax(axis=1)][:, None]
+    return rank
 
 
-def _batched_label_rank(sub: SubfieldView, mats: np.ndarray) -> np.ndarray:
-    """Ranks over F_Q of a (batch, rows, cols) stack of label matrices.
+def _batched_fp_rank(mats: np.ndarray, p: int) -> np.ndarray:
+    """Ranks over F_p of a (batch, rows, cols) stack of residue matrices.
 
     One Gaussian elimination runs on the whole stack.  In each column every
-    matrix takes its first unused row with a nonzero entry as pivot, scales
-    it to 1 and subtracts it from every row to clear the column, which is
-    then dropped.  A used row is never read again, so clearing it (the
-    pivot row included) is harmless, and so is the row argmax picks for a
-    matrix without a pivot: its unused rows are already zero there."""
-    mul_t, sub_t = sub.mul_table(), sub.sub_table()
-    inv = (mul_t == 1).argmax(axis=1).astype(np.uint8)
+    matrix takes a row with a nonzero entry as pivot, scales it to 1 and
+    subtracts it from every row to clear the column, which is then
+    dropped.  That zeroes the pivot row too, so no row is picked twice; a
+    matrix whose column is zero subtracts nothing.  In uint16 no
+    intermediate reaches p^2, as q <= MAX_LABEL_Q."""
+    mats = mats.astype(np.uint16, copy=False)
+    inv = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.uint16)
     batch = np.arange(mats.shape[0])
-    used = np.zeros(mats.shape[:2], dtype=bool)
     rank = np.zeros(mats.shape[0], dtype=np.int64)
     while mats.shape[2]:
         entries, rest = mats[:, :, 0], mats[:, :, 1:]
-        cand = (entries != 0) & ~used
-        has = cand.any(axis=1)
-        piv = cand.argmax(axis=1)
-        used[batch, piv] |= has
-        rank += has
-        pivot_row = mul_t[inv[entries[batch, piv]][:, None], rest[batch, piv]]
-        mats = sub_t[rest, mul_t[entries[:, :, None], pivot_row[:, None, :]]]
+        piv = entries.argmax(axis=1)
+        pivot = entries[batch, piv]
+        rank += pivot != 0
+        pivot_row = inv[pivot][:, None] * rest[batch, piv] % p
+        mats = (rest + (p - entries)[:, :, None] * pivot_row[:, None, :]) % p
     return rank
 
 

@@ -237,16 +237,22 @@ def coordinate_matches(ctx: FieldCtx, values: np.ndarray, target: int) -> np.nda
     return (linear_trace_rows(ctx) == wanted).sum(axis=1, dtype=np.int32)
 
 
+@lru_cache(maxsize=8)
+def trace_residues(ctx: FieldCtx) -> np.ndarray:
+    """Tr_{q/p} of the F_q element of every label, as int64 residues."""
+    residues = np.array([ctx.trace_q_to_p(a) for a in ctx.subfield(ctx.q).elements_by_label],
+                        dtype=np.int64)
+    residues.flags.writeable = False  # one cached table serves every caller
+    return residues
+
+
 def big_T(form: QuadForm) -> int:
     """The plain character sum over all of F_{q^s}: the exact integer
     sum of w_p^(Tr_{q/p}(Q(x)))."""
     ctx = form.ctx
     if not ctx.tables_available():
         raise FieldSizeError("character-sum brute force refused at this size")
-    sub = ctx.subfield(ctx.q)
-    residue_of_label = np.array(
-        [ctx.trace_q_to_p(sub.from_label(l)) for l in range(ctx.q)], dtype=np.int64)
-    counts = np.bincount(residue_of_label[form.value_labels()], minlength=ctx.p)
+    counts = np.bincount(trace_residues(ctx)[form.value_labels()], minlength=ctx.p)
     counts[0] += 1  # x = 0, where Q vanishes
     return integral_character_sum(counts.tolist(), ctx.p)
 

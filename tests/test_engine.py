@@ -197,7 +197,7 @@ def test_orbit_reduced_brute_equals_full_enumeration(p, e, m, family, modulus_ra
 
 
 _SWEEP_CASES = [(2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 2), (5, 1, 2), (3, 1, 3),
-                (2, 1, 4)]
+                (2, 1, 4), (3, 2, 2), (2, 3, 2)]
 
 
 @pytest.mark.parametrize("modulus_rank", [0, 1])
@@ -285,7 +285,7 @@ def test_per_digit_grams_equal_the_literal_bilinear_gram(p, e, m):
         assert gram.tolist() == literal_gram(form), d
 
 
-@pytest.mark.parametrize("p,e", [(3, 1), (2, 2)])
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (2, 3)])
 def test_batched_ranks_equal_form_rank_on_every_form(p, e):
     plan = _rank_plan(p, e, 2)
     space = FormSpace(plan.ctx)
@@ -306,39 +306,46 @@ def test_epsilon_check_catches_sweep_ranks_off_by_two(p, e, m, monkeypatch):
         rank_sweep(spec)
 
 
-# F_q with a field context of its own: q -> (p, e)
-_LABEL_FIELDS = {3: (3, 1), 4: (2, 2), 5: (5, 1), 9: (3, 2)}
+@pytest.mark.parametrize("p,e,m", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (3, 2, 2)])
+def test_sweep_refuses_f_p_ranks_off_the_multiples_of_2e(p, e, m, monkeypatch):
+    for name in ("_batched_gf2_rank", "_batched_fp_rank"):
+        elimination = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda *args, f=elimination: f(*args) + 1)
+    with pytest.raises(ConsistencyError, match="multiple of 2e"):
+        measure_rank_counts(build_code(make_field(p, e, 2 * m), "D"))
 
 
 @st.composite
-def _label_matrices(draw):
-    """(F_q view, stack), every matrix in the stack a product of rows x k
-    and k x cols label matrices, so its rank is at most k (k = 0 gives the
+def _residue_matrices(draw):
+    """(p, stack), every matrix in the stack a product of rows x k and
+    k x cols matrices mod p, so its rank is at most k (k = 0 gives the
     zero matrix)."""
-    q = draw(st.sampled_from(sorted(_LABEL_FIELDS)))
-    sub = make_field(*_LABEL_FIELDS[q], 2).subfield(q)
-    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    labels = st.integers(0, q - 1)
+    # 251, the largest p a sweep can meet, is the uint16 arithmetic's worst case
+    p = draw(st.sampled_from([2, 3, 5, 7, 251]))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    residues = st.integers(0, p - 1)
     stack = []
     for _ in range(draw(st.integers(1, 4))):
         k = draw(st.integers(0, min(rows, cols)))
-        left = np.array(draw(st.lists(labels, min_size=rows * k, max_size=rows * k)),
-                        dtype=np.uint8).reshape(rows, k)
-        right = np.array(draw(st.lists(labels, min_size=k * cols, max_size=k * cols)),
-                         dtype=np.uint8).reshape(k, cols)
-        mat = np.zeros((rows, cols), dtype=np.uint8)
-        for t in range(k):
-            mat = sub.add_labels(mat, sub.mul_table()[left[:, t, None], right[None, t, :]])
-        stack.append(mat)
-    return sub, np.stack(stack)
+        left = np.array(draw(st.lists(residues, min_size=rows * k, max_size=rows * k)),
+                        dtype=np.int64).reshape(rows, k)
+        right = np.array(draw(st.lists(residues, min_size=k * cols, max_size=k * cols)),
+                         dtype=np.int64).reshape(k, cols)
+        stack.append(left @ right % p)
+    return p, np.stack(stack)
 
 
 @settings(deadline=None, max_examples=80)
-@given(_label_matrices())
-def test_batched_label_rank_equals_label_matrix_rank(case):
-    sub, stack = case
+@given(_residue_matrices())
+def test_batched_prime_field_ranks_equal_label_matrix_rank(case):
+    p, stack = case
+    sub = make_field(p, 1, 2).subfield(p)  # F_p labels are the residues
     expected = [label_matrix_rank(sub, mat.tolist()) for mat in stack]
-    assert engine._batched_label_rank(sub, stack).tolist() == expected
+    assert engine._batched_fp_rank(stack, p).tolist() == expected
+    if p == 2:
+        cols = stack.shape[2]
+        words = (stack @ (1 << np.arange(cols))).astype(np.uint32)
+        assert engine._batched_gf2_rank(words, cols).tolist() == expected
 
 
 @settings(deadline=None, max_examples=30)
