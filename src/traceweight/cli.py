@@ -18,7 +18,7 @@ import sys
 
 from .codes import build_code  # noqa: F401 - a name perfbench/tracer.py wraps
 from .engine import TIER_BUDGETS, BudgetExceeded, default_workers, verify
-from .fields import make_field, split_prime_power
+from .fields import ModulusRankError, make_field, split_prime_power
 from .hermitian import (DEFAULT_WITNESS_BOUND, cayley_spectrum,
                         check_witness_budget, rank1_count, verify_isomorphism)
 from .spectra import WeightDistribution, predict
@@ -106,6 +106,8 @@ def _resolve_q(parser: argparse.ArgumentParser, args) -> tuple[int, int]:
         parser.error(f"{args.p} is not prime")
     if e != 1:
         parser.error(f"--p {args.p} is not prime")
+    if args.e is not None and args.e < 1:
+        parser.error("--e must be >= 1")
     return args.p, args.e if args.e is not None else 1
 
 
@@ -159,18 +161,9 @@ def cmd_verify(args, p: int, e: int, config: dict) -> int:
         if f"{tier}_budget" in config:
             budgets[tier] = config[f"{tier}_budget"]
     workers = args.workers or config.get("workers") or default_workers()
-    try:
-        report = verify(p**e, args.m, args.family, tier=args.tier,
-                        workers=workers, modulus_rank=args.modulus_rank,
-                        budgets=budgets, progress=_progress_printer())
-    except BudgetExceeded as exc:
-        doc = {
-            "q": p**e, "m": args.m, "family": args.family, "tier": args.tier,
-            "refused": True, "work_estimate": exc.estimate, "budget": exc.budget,
-            "message": str(exc),
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-        return 3
+    report = verify(p**e, args.m, args.family, tier=args.tier,
+                    workers=workers, modulus_rank=args.modulus_rank,
+                    budgets=budgets, progress=_progress_printer())
     if args.format == "csv":
         _emit(_distribution_csv(report.oracle), args.out)
     else:
@@ -189,18 +182,11 @@ def cmd_verify(args, p: int, e: int, config: dict) -> int:
 
 def cmd_witness(args, p: int, e: int, config: dict) -> int:
     budget = config.get("witness_budget", DEFAULT_WITNESS_BOUND)
-    try:
-        check_witness_budget(p**e, args.m, budget)
-        ctx = make_field(p, e, 2 * args.m)
-        spectrum = cayley_spectrum(ctx, budget)
-        r1 = rank1_count(ctx, budget)
-        iso = verify_isomorphism(ctx, budget)
-    except BudgetExceeded as exc:
-        doc = {"q": p**e, "m": args.m, "refused": True,
-               "work_estimate": exc.estimate, "budget": exc.budget,
-               "message": str(exc)}
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-        return 3
+    check_witness_budget(p**e, args.m, budget)
+    ctx = make_field(p, e, 2 * args.m)
+    spectrum = cayley_spectrum(ctx, budget)
+    r1 = rank1_count(ctx, budget)
+    iso = verify_isomorphism(ctx, budget)
     ordered = sorted(spectrum.items(), key=lambda kv: (-abs(kv[0]), -kv[0]))
     doc = {
         "q": p**e, "m": args.m,
@@ -239,8 +225,14 @@ def main(argv=None) -> int:
         if args.command == "witness":
             return cmd_witness(args, p, e, config)
     except BudgetExceeded as exc:
-        print(f"budget refused: {exc}", file=sys.stderr)
+        doc = {"q": p**e, "m": args.m}
+        doc.update((key, getattr(args, key)) for key in ("family", "tier") if key in args)
+        doc.update(refused=True, work_estimate=exc.estimate, budget=exc.budget,
+                   message=str(exc))
+        _emit(json.dumps(doc, indent=2) + "\n", args.out)
         return 3
+    except ModulusRankError as exc:
+        parser.error(str(exc))
     except Exception as exc:  # noqa: BLE001 - contract: internal errors exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1

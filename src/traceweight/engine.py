@@ -29,7 +29,7 @@ its forms.  H is held as the translations k allowed per (f, a), a coset
 of one subgroup d Z_n (or none), so no temporary grows with |G|.  The
 ranges must cover all q^(m^2) forms with their weights before anything
 is counted; they are then flattened into one index array with one weight
-per form, which _run_chunks cuts into contiguous slices.  Only which
+per form, which _enumerate cuts into contiguous slices.  Only which
 forms are counted changes, never how a form is counted, and every merge
 is a plain int64 sum of weight x histogram (brute) or weight x rank
 count (sweep), so results are bitwise identical for every worker count
@@ -51,24 +51,30 @@ ranks with QuadForm.rank, which eliminates each form's own Gram over F_q
 It also checks the sign convention against the plain character sum.
 Neither side evaluates Q through pow and trace at run time.
 
-Both oracles run their chunks in-process, whatever the worker count,
-when they enumerate fewer than _POOL_MIN_FORMS forms.
+Both oracles run through one function, _enumerate.  It admits or refuses
+the run, builds the oracle's plan (or reuses it: the epsilon check reads
+the sweep's), takes the orbit batch and sums the plan's counts over its
+slices.  With fewer than _POOL_MIN_FORMS forms the slices run
+in-process, whatever the worker count; else a pool runs them, and its
+workers receive the plan once, as they start (forked workers inherit it,
+spawned ones unpickle it).
 
 Work is accounted in elementary operations: coordinate matches for the
-brute oracle (forms x betas x n, or forms x n for family C; a counted
-form's matches times its weight, so the count covers all q^(m^2) forms)
-and s^3 per form for the sweep.  Both estimates depend on (q, m, family)
-alone, so verify picks its oracle, or refuses with the estimate
-attached, before building any field.  Brute D and E also need the
-linear-trace table within its size bound, the sweep needs the field's
-exp/log tables within theirs, and q above 256 is refused because F_q
-labels are bytes.
+brute oracle (forms x betas x n, or forms x n for family C, over all
+q^(m^2) forms, which the orbit weights cover exactly) and s^3 per form
+for the sweep.  One rule, _refusal, decides from (q, m, family) alone
+whether an oracle may run: its estimate within the budget, brute D and E
+within the linear-trace table's size bound, the sweep within the exp/log
+tables', and q at most 256, as F_q labels are bytes.  verify and both
+oracles apply it before building any field or plan; verify takes the
+first oracle it admits, or refuses with the smaller estimate attached.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import math
 import os
 import time
@@ -94,6 +100,8 @@ _POOL_MIN_FORMS = 1 << 18
 # A chunk holds at least this many forms: a rank call costs about 0.5 ms
 # before its first form, as much as about 200 GF(2) ranks at (2,5).
 _MIN_CHUNK_FORMS = 256
+# and at most this many, which bounds the Gram stack of one rank call
+_BATCH_CAP = 1 << 16
 
 
 def brute_work(q: int, m: int, family: str) -> int:
@@ -107,37 +115,33 @@ def rank_sweep_work(q: int, m: int) -> int:
     return q ** (m * m) * (2 * m) ** 3
 
 
-def _brute_table_fits(q: int, m: int, family: str) -> bool:
-    """D and E count against the linear-trace table, which is bounded."""
-    return family == "C" or q ** (2 * m) <= LINEAR_TRACE_BOUND
+def _refusal(kind: str, q: int, m: int, family: str,
+             budget: int) -> BudgetExceeded | None:
+    """Why the oracle kind ("brute" or "rank_sweep") may not run at
+    (q, m, family) under budget, or None when it may: q over the byte-label
+    cap, the work model over the budget, brute D and E over the
+    linear-trace table bound, or the sweep over the exp/log-table bound."""
+    brute = kind == "brute"
+    work = brute_work(q, m, family) if brute else rank_sweep_work(q, m)
 
-
-def _sweep_table_fits(q: int, m: int) -> bool:
-    """The sweep reads form values through the field's exp/log tables."""
-    return q ** (2 * m) <= DEFAULT_TABLE_BOUND
+    def refuse(error, needs):
+        name = "brute enumeration" if brute else "rank sweep"
+        return error(f"{name} needs {needs}", estimate=work, budget=budget)
+    if q > MAX_LABEL_Q:
+        return refuse(FieldSizeError, f"F_q labels that fit a byte; q = {q} exceeds {MAX_LABEL_Q}")
+    if work > budget:
+        return refuse(BudgetExceeded, f"~{work} elementary operations (budget {budget})")
+    if brute and family != "C" and q ** (2 * m) > LINEAR_TRACE_BOUND:
+        return refuse(FieldSizeError, f"the linear-trace table, refused above "
+                                      f"{LINEAR_TRACE_BOUND} field elements")
+    if not brute and q ** (2 * m) > DEFAULT_TABLE_BOUND:
+        return refuse(FieldSizeError, f"the exp/log tables, refused above "
+                                      f"{DEFAULT_TABLE_BOUND} field elements")
+    return None
 
 
 # ---------------------------------------------------------------------------
 # per-process plans
-
-
-class _Task:
-    """Picklable description of one enumeration job; workers rebuild the
-    context deterministically from it."""
-
-    def __init__(self, spec: CodeSpec):
-        self.p = spec.ctx.p
-        self.e = spec.ctx.e
-        self.s = spec.ctx.s
-        self.family = spec.family
-        self.modulus_rank = spec.ctx.modulus_rank
-
-    def key(self):
-        return (self.p, self.e, self.s, self.family, self.modulus_rank)
-
-    def rebuild(self) -> CodeSpec:
-        ctx = make_field(self.p, self.e, self.s, self.modulus_rank)
-        return build_code(ctx, self.family)
 
 
 class _CountPlan:
@@ -150,10 +154,9 @@ class _CountPlan:
         self.ctx = spec.ctx
         self.space = FormSpace(spec.ctx)
 
-    def count_batch(self, idx: np.ndarray,
-                    weights: np.ndarray) -> tuple[np.ndarray, int]:
-        """Weighted histogram of the forms at the indices idx, and the
-        matches performed times each form's weight."""
+    def counts(self, idx: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Weighted histogram of codeword weights over the forms at the
+        indices idx, summed in int64."""
         ctx, family = self.ctx, self.spec.family
         q, n = ctx.q, ctx.n
         hist = np.zeros(n + 1, dtype=np.int64)
@@ -171,8 +174,7 @@ class _CountPlan:
                 else:
                     cnt = remaining
                 hist += weight * np.bincount(n - cnt, minlength=n + 1)
-        per_form = n if family == "C" else ctx.size * n
-        return hist, int(weights.sum()) * per_form
+        return hist
 
 
 class _RankPlan:
@@ -235,7 +237,7 @@ class _RankPlan:
             raise ConsistencyError(f"sweep F_p rank not a multiple of 2e = {2 * e}")
         return fp_ranks // e
 
-    def rank_counts(self, idx: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def counts(self, idx: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Weighted multiplicity of rank 2j, j = 0..m, over the indices idx,
         summed in int64."""
         counts = np.zeros(self.ctx.m + 1, dtype=np.int64)
@@ -276,59 +278,6 @@ def _batched_fp_rank(mats: np.ndarray, p: int) -> np.ndarray:
         pivot_row = inv[pivot][:, None] * rest[batch, piv] % p
         mats = (rest + (p - entries)[:, :, None] * pivot_row[:, None, :]) % p
     return rank
-
-
-# ---------------------------------------------------------------------------
-# worker entry points (top level so they pickle)
-
-
-_PLAN_CACHE: dict = {}
-
-
-def _get_plan(task: _Task, kind: str, spec: CodeSpec | None = None):
-    key = (task.key(), kind)
-    if key not in _PLAN_CACHE:
-        spec = spec or task.rebuild()
-        _PLAN_CACHE[key] = _CountPlan(spec) if kind == "count" else _RankPlan(spec)
-    return _PLAN_CACHE[key]
-
-
-def _count_chunk(args):
-    task, idx, weights = args
-    return _get_plan(task, "count").count_batch(idx, weights)
-
-
-def _rank_chunk(args):
-    task, idx, weights = args
-    return _get_plan(task, "rank").rank_counts(idx, weights)
-
-
-def _run_chunks(fn, task: _Task, idx: np.ndarray, weights: np.ndarray,
-                workers: int, progress=None, batch_cap: int = 1 << 16):
-    """Cut the form indices and their weights into contiguous slices and run
-    fn over them: in a pool when workers > 1 and there are at least
-    _POOL_MIN_FORMS indices, else in-process.  Up to 100 slices (4 per
-    worker if more) of at least _MIN_CHUNK_FORMS forms, and none over
-    batch_cap.  Returns every slice's result, in order; progress counts
-    the forms done."""
-    total = len(idx)
-    n_chunks = max(min(-(-total // _MIN_CHUNK_FORMS), max(100, 4 * workers)),
-                   -(-total // batch_cap))
-    cuts = [total * i // n_chunks for i in range(n_chunks + 1)]
-    jobs = [(task, idx[a:b], weights[a:b]) for a, b in zip(cuts, cuts[1:])]
-    pool = None
-    if workers > 1 and total >= _POOL_MIN_FORMS:
-        import multiprocessing as mp
-        pool = mp.Pool(processes=workers)
-    results, done = [], 0
-    with pool or contextlib.nullcontext():
-        mapped = pool.imap(fn, jobs) if pool else map(fn, jobs)
-        for (_, part, _), res in zip(jobs, mapped):
-            results.append(res)
-            done += len(part)
-            if progress:
-                progress(done, total)
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -457,31 +406,65 @@ def _orbit_batch(space: FormSpace) -> tuple[np.ndarray, np.ndarray]:
 # the oracles
 
 
+@functools.lru_cache(maxsize=4)
+def _plan(kind: str, spec: CodeSpec):
+    """The plan an oracle counts with; cached, so the epsilon check reuses
+    the sweep's."""
+    return _CountPlan(spec) if kind == "brute" else _RankPlan(spec)
+
+
+_worker_plan = None  # set in each pool worker as it starts
+
+
+def _start_worker(plan):
+    global _worker_plan
+    _worker_plan = plan
+
+
+def _worker_counts(chunk):
+    return _worker_plan.counts(*chunk)
+
+
+def _enumerate(kind: str, spec: CodeSpec, budget: int, workers: int,
+               progress) -> np.ndarray:
+    """The sum of the oracle kind's plan.counts over every counted form,
+    each with its orbit weight, once _refusal admits the run.  The forms go
+    in up to 100 contiguous slices (4 per worker if more) of at least
+    _MIN_CHUNK_FORMS forms, none over _BATCH_CAP; progress counts the
+    forms done."""
+    refusal = _refusal(kind, spec.q, spec.m, spec.family, budget)
+    if refusal:
+        raise refusal
+    plan = _plan(kind, spec)
+    idx, weights = _orbit_batch(FormSpace(spec.ctx))
+    total = len(idx)
+    n_chunks = max(min(-(-total // _MIN_CHUNK_FORMS), max(100, 4 * workers)),
+                   -(-total // _BATCH_CAP))
+    cuts = [total * i // n_chunks for i in range(n_chunks + 1)]
+    chunks = [(idx[a:b], weights[a:b]) for a, b in zip(cuts, cuts[1:])]
+    pool = None
+    if workers > 1 and total >= _POOL_MIN_FORMS:
+        import multiprocessing as mp
+        pool = mp.Pool(processes=workers, initializer=_start_worker, initargs=(plan,))
+    counts, done = 0, 0
+    with pool or contextlib.nullcontext():
+        results = (pool.imap(_worker_counts, chunks) if pool
+                   else (plan.counts(*chunk) for chunk in chunks))
+        for (part, _), result in zip(chunks, results):
+            counts += result
+            done += len(part)
+            if progress:
+                progress(done, total)
+    return counts
+
+
 def brute_distribution(spec: CodeSpec, budget: int = DEFAULT_BUDGET,
                        workers: int = 1, progress=None) -> WeightDistribution:
     """Exact weight distribution by enumerating every parameter tuple."""
-    work = brute_work(spec.q, spec.m, spec.family)
-    if work > budget:
-        raise BudgetExceeded(
-            f"brute enumeration needs ~{work} elementary operations "
-            f"(budget {budget}); try rank_sweep", estimate=work, budget=budget)
-    if not _brute_table_fits(spec.q, spec.m, spec.family):
-        raise FieldSizeError(
-            f"brute {spec.family} needs the linear-trace table, refused above "
-            f"{LINEAR_TRACE_BOUND} field elements; try rank_sweep",
-            estimate=work, budget=budget)
-    task = _Task(spec)
-    # built here, the plan serves the in-process chunks and forked workers
-    plan = _get_plan(task, "count", spec)
-    idx, weights = _orbit_batch(plan.space)
-    hist = np.zeros(spec.n + 1, dtype=np.int64)
-    done_work = 0
-    for h, w in _run_chunks(_count_chunk, task, idx, weights, workers, progress):
-        hist += h
-        done_work += w
+    hist = _enumerate("brute", spec, budget, workers, progress)
     counts = {int(w): int(c) for w, c in enumerate(hist) if c}
-    dist = WeightDistribution(spec.q, spec.m, spec.family, spec.n, spec.k,
-                              counts, work_count=done_work)
+    dist = WeightDistribution(spec.q, spec.m, spec.family, spec.n, spec.k, counts,
+                              work_count=brute_work(spec.q, spec.m, spec.family))
     expected_total = spec.q**spec.k
     if dist.total() != expected_total:
         raise ConsistencyError(
@@ -492,24 +475,7 @@ def brute_distribution(spec: CodeSpec, budget: int = DEFAULT_BUDGET,
 def measure_rank_counts(spec: CodeSpec, budget: int = DEFAULT_BUDGET,
                         workers: int = 1, progress=None) -> list[int]:
     """Rank-2j multiplicities measured by radical elimination per form."""
-    work = rank_sweep_work(spec.q, spec.m)
-    if work > budget:
-        raise BudgetExceeded(
-            f"rank sweep needs ~{work} elementary operations (budget {budget})",
-            estimate=work, budget=budget)
-    if not spec.ctx.tables_available():
-        raise FieldSizeError(
-            f"rank sweep needs the exp/log tables, refused above "
-            f"{spec.ctx.table_bound} field elements", estimate=work, budget=budget)
-    task = _Task(spec)
-    # built here, the plan serves the in-process chunks, the ε check and
-    # forked workers alike
-    _get_plan(task, "rank", spec)
-    idx, weights = _orbit_batch(FormSpace(spec.ctx))
-    counts = np.zeros(spec.m + 1, dtype=np.int64)
-    for c in _run_chunks(_rank_chunk, task, idx, weights, workers, progress):
-        counts += c
-    return [int(c) for c in counts]
+    return _enumerate("rank_sweep", spec, budget, workers, progress).tolist()
 
 
 def _epsilon_cross_check(spec: CodeSpec):
@@ -517,7 +483,7 @@ def _epsilon_cross_check(spec: CodeSpec):
     character sum must agree with it in magnitude and in the sign
     (-1)^(rank/2) that the sweep relies on."""
     space = FormSpace(spec.ctx)
-    plan = _get_plan(_Task(spec), "rank", spec)
+    plan = _plan("rank_sweep", spec)
     total = space.num_forms
     sample = sorted({round(i * (total - 1) / (_EPSILON_SAMPLES - 1))
                      for i in range(_EPSILON_SAMPLES)}) if total > 1 else [0]
@@ -564,24 +530,15 @@ def verify(q: int, m: int, family: str, tier: str = "quick", workers: int = 1,
     from (q, m, family) before the field is built."""
     budget = (budgets or TIER_BUDGETS)[tier]
     p, e = split_prime_power(q)
-    brute, sweep = brute_work(q, m, family), rank_sweep_work(q, m)
-    if q > MAX_LABEL_Q:
-        raise FieldSizeError(
-            f"F_q labels are bytes; q = {q} exceeds {MAX_LABEL_Q}",
-            estimate=min(brute, sweep), budget=budget)
-    brute_fits = _brute_table_fits(q, m, family)
-    sweep_fits = _sweep_table_fits(q, m)
-    if brute <= budget and brute_fits:
-        kind, run = "brute", brute_distribution
-    elif sweep <= budget and sweep_fits:
-        kind, run = "rank_sweep", rank_sweep
-    else:
-        brute_over = "" if brute_fits else ", over the linear-trace table bound"
-        sweep_over = "" if sweep_fits else ", over the log-table bound"
-        raise BudgetExceeded(
-            f"no oracle fits tier {tier!r}: brute ~{brute}{brute_over}, "
-            f"rank sweep ~{sweep}{sweep_over} (budget {budget})",
-            estimate=min(brute, sweep), budget=budget)
+    refusals = {kind: _refusal(kind, q, m, family, budget)
+                for kind in ("brute", "rank_sweep")}
+    kind = next((k for k, refusal in refusals.items() if refusal is None), None)
+    if kind is None:
+        size_only = all(isinstance(r, FieldSizeError) for r in refusals.values())
+        raise (FieldSizeError if size_only else BudgetExceeded)(
+            f"no oracle fits tier {tier!r}: " + "; ".join(map(str, refusals.values())),
+            estimate=min(r.estimate for r in refusals.values()), budget=budget)
+    run = brute_distribution if kind == "brute" else rank_sweep
     ctx = make_field(p, e, 2 * m, modulus_rank)
     spec = build_code(ctx, family)
     predicted = predict(q, m, family)

@@ -15,8 +15,8 @@ labelling) so inner loops can work on small numpy arrays instead of
 packed values.
 
 Exp/log tables are built lazily and only for fields up to
-ctx.table_bound elements (default 2**26); operations that need them on
-a larger field raise FieldSizeError.  Without tables, multiplication
+DEFAULT_TABLE_BOUND = 2**26 elements; operations that need them on a
+larger field raise FieldSizeError.  Without tables, multiplication
 works on the packed ints themselves.  At p = 2 it is a carry-less
 shift-and-XOR product, reduced by XOR-ing in shifted copies of the
 modulus bits.  At odd p the operands' digits are spread into slots wide
@@ -55,6 +55,11 @@ class BudgetExceeded(RuntimeError):
 
 class FieldSizeError(BudgetExceeded):
     """Raised when an operation would exceed the configured size budget."""
+
+
+class ModulusRankError(ValueError):
+    """The requested primitive modulus rank is not below the number of
+    primitive polynomials of that degree."""
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +219,9 @@ def find_primitive_modulus(p: int, degree: int, rank: int = 0) -> tuple[int, ...
     time in index order (64 first, doubling up to the temporaries' cap):
     every candidate with f(0) != 0 gets x^(p^d - 1), and only those where
     it is 1 get the cofactor powers.  The arithmetic is exact in int64 for
-    degree * p^2 <= 2^63; above that FieldSizeError is raised."""
+    degree * p^2 <= 2^63; above that FieldSizeError is raised.  There are
+    phi(p^d - 1)/d primitive polynomials of degree d; a rank not below that
+    count raises ModulusRankError before the scan."""
     if rank < 0:
         raise ValueError(f"modulus rank {rank} is negative")
     if degree * p * p > 1 << 63:
@@ -224,7 +231,13 @@ def find_primitive_modulus(p: int, degree: int, rank: int = 0) -> tuple[int, ...
     # F_p[x]/(f) is then a field and f is irreducible as well as primitive
     size = p**degree
     order = size - 1
-    cofactors = [order // r for r in factorize(order)]
+    factors = factorize(order)
+    primitive = math.prod((r - 1) * r ** (k - 1) for r, k in factors.items()) // degree
+    if rank >= primitive:
+        raise ModulusRankError(
+            f"modulus rank {rank} is out of range: there are {primitive} primitive "
+            f"polynomials of degree {degree} over F_{p}")
+    cofactors = [order // r for r in factors]
     cap = max(1, _BLOCK_ELEMENTS // degree**2)
     found, start, block = 0, 0, 64
     while start < size:
@@ -245,7 +258,8 @@ def find_primitive_modulus(p: int, degree: int, rank: int = 0) -> tuple[int, ...
         found += len(keep)
         start += count
         block *= 2
-    raise ArithmeticError(f"no primitive polynomial of degree {degree} over F_{p}")
+    raise ArithmeticError(
+        f"found {found} primitive polynomials of degree {degree} over F_{p}, not {primitive}")
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +275,7 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, e: int, s: int, modulus: tuple[int, ...],
-                 table_bound: int = DEFAULT_TABLE_BOUND, modulus_rank: int = 0):
+                 modulus_rank: int = 0):
         self.p = p
         self.e = e
         self.s = s
@@ -273,7 +287,6 @@ class FieldCtx:
         self.n = self.size - 1
         self.modulus = modulus
         self.pi = p  # residue class of x (degree is always >= 2)
-        self.table_bound = table_bound
         self._ppow = [p**i for i in range(self.degree + 1)]
         # x^degree = -(low part of modulus), precomputed as digits
         self._top_reduction = [(-c) % p for c in modulus[:-1]]
@@ -446,7 +459,7 @@ class FieldCtx:
     # -- exp/log tables -----------------------------------------------------
 
     def tables_available(self) -> bool:
-        return self.size <= self.table_bound
+        return self.size <= DEFAULT_TABLE_BOUND
 
     def require_tables(self):
         if self._log is not None:
@@ -454,7 +467,7 @@ class FieldCtx:
         if not self.tables_available():
             raise FieldSizeError(
                 f"field of size {self.size} exceeds the log-table bound "
-                f"{self.table_bound}; discrete-log operations refused")
+                f"{DEFAULT_TABLE_BOUND}; discrete-log operations refused")
         p, D, n = self.p, self.degree, self.n
         # step = multiplication by x^filled as a matrix on coordinate rows:
         # row i holds the coordinates of x^(i + filled); it starts as the
@@ -753,8 +766,7 @@ def minimal_polynomial(ctx: FieldCtx, a: int) -> Poly:
 _CTX_CACHE: dict[tuple, FieldCtx] = {}
 
 
-def make_field(p: int, e: int, s: int, modulus_rank: int = 0,
-               table_bound: int = DEFAULT_TABLE_BOUND) -> FieldCtx:
+def make_field(p: int, e: int, s: int, modulus_rank: int = 0) -> FieldCtx:
     """Build the canonical context for F_{(p^e)^s} over F_p.
 
     Deterministic: the modulus is the (modulus_rank+1)-th lexicographically
@@ -769,10 +781,10 @@ def make_field(p: int, e: int, s: int, modulus_rank: int = 0,
         raise ValueError("s must be even and >= 2")
     if e * s > MAX_DEGREE:
         raise FieldSizeError(f"degree {e * s} exceeds the word budget {MAX_DEGREE}")
-    key = (p, e, s, modulus_rank, table_bound)
+    key = (p, e, s, modulus_rank)
     if key not in _CTX_CACHE:
         modulus = find_primitive_modulus(p, e * s, modulus_rank)
-        _CTX_CACHE[key] = FieldCtx(p, e, s, modulus, table_bound, modulus_rank)
+        _CTX_CACHE[key] = FieldCtx(p, e, s, modulus, modulus_rank)
     return _CTX_CACHE[key]
 
 

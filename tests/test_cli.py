@@ -32,10 +32,16 @@ def test_predict_json_round_trips(capsys):
     assert sum(int(c) for _, c in doc["distribution"]) == 256
 
 
-def test_invalid_q_is_usage_error():
+def test_invalid_q_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["predict", "--q", "6", "--m", "2", "--family", "C"])
     assert err.value.code == 2
+    for command in ("predict", "verify"):
+        for e in ("0", "-1"):
+            with pytest.raises(SystemExit) as err:
+                main([command, "--p", "2", "--e", e, "--m", "2", "--family", "D"])
+            assert err.value.code == 2
+            assert "--e must be >= 1" in capsys.readouterr().err
 
 
 def test_q_and_pe_forms_agree(capsys):
@@ -161,6 +167,21 @@ def test_negative_modulus_rank_and_workers_below_1_are_usage_errors(capsys, flag
         main(["verify", "--q", "2", "--m", "2", "--family", "D", flag, value])
     assert err.value.code == 2
     assert f"{flag} must be" in capsys.readouterr().err
+
+
+def test_modulus_rank_past_the_primitive_moduli_is_a_usage_error(capsys, monkeypatch):
+    from traceweight import fields
+
+    def no_field(*args, **kwargs):
+        raise AssertionError("field built before the modulus rank check")
+    monkeypatch.setattr(fields, "FieldCtx", no_field)
+    # phi(2^4 - 1)/4 = 2 primitive polynomials of degree 4 over F_2
+    for rank in ("2", "5"):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--q", "2", "--m", "2", "--family", "D", "--modulus-rank", rank])
+        assert err.value.code == 2
+        assert "there are 2 primitive polynomials of degree 4 over F_2" in \
+            capsys.readouterr().err
 
 
 def test_verify_refuses_q_above_256_exit_3(capsys):

@@ -90,16 +90,30 @@ def test_work_count_within_twice_of_estimate():
     assert brute_work(3, 2, "D") <= 2 * dist.work_count
 
 
-def test_budget_refusal_carries_estimate():
+def test_budget_refusal_carries_estimate(monkeypatch):
+    def no_plan(spec):
+        raise AssertionError("plan built before the refusal")
+    monkeypatch.setattr(engine, "_CountPlan", no_plan)
+    monkeypatch.setattr(engine, "_RankPlan", no_plan)
     spec = build_code(make_field(2, 1, 10), "D")
     with pytest.raises(BudgetExceeded) as err:
         brute_distribution(spec, budget=10**6)
-    assert err.value.estimate == brute_work(2, 5, "D")
-    assert err.value.budget == 10**6
-    with pytest.raises(BudgetExceeded):
+    assert (err.value.estimate, err.value.budget) == (brute_work(2, 5, "D"), 10**6)
+    with pytest.raises(BudgetExceeded) as err:
         measure_rank_counts(spec, budget=10**6)
-    with pytest.raises(FieldSizeError):  # the sweep needs the exp/log tables
-        measure_rank_counts(build_code(make_field(2, 1, 4, table_bound=8), "D"))
+    assert (err.value.estimate, err.value.budget) == (rank_sweep_work(2, 5), 10**6)
+    # F_{128^4} = F_{2^28} builds, but is over the exp/log-table bound
+    spec = build_code(make_field(2, 7, 4), "D")
+    with pytest.raises(FieldSizeError, match="exp/log") as err:
+        measure_rank_counts(spec)
+    assert err.value.estimate == rank_sweep_work(128, 2)
+    with pytest.raises(FieldSizeError, match="linear-trace"):
+        brute_distribution(spec, budget=2**100)
+    # F_257 labels do not fit a byte, whatever the budget
+    spec = build_code(make_field(257, 1, 2), "C")
+    for oracle in (brute_distribution, measure_rank_counts):
+        with pytest.raises(FieldSizeError, match="byte"):
+            oracle(spec, budget=2**100)
 
 
 def test_verify_quick_32():
@@ -133,8 +147,10 @@ def test_determinism_across_workers_and_moduli():
     assert brute_distribution(alt, workers=1).counts == reference
 
 
+@pytest.mark.parametrize("method", ["fork", "spawn"])
 @pytest.mark.parametrize("oracle", ["brute", "sweep"])
-def test_oracle_counts_equal_in_process_and_in_a_pool(monkeypatch, oracle):
+def test_oracle_counts_equal_in_process_and_in_a_pool(monkeypatch, oracle, method):
+    """Spawned workers get the plan pickled, forked ones inherit it."""
     import multiprocessing
     spec = build_code(make_field(2, 2, 4), "D")
     if oracle == "brute":
@@ -147,17 +163,18 @@ def test_oracle_counts_equal_in_process_and_in_a_pool(monkeypatch, oracle):
         expected = frequencies(4, 2)
     forms = 3  # one form per orbit of the symmetry group
     enumerated, pools = [], []
-    run_chunks, start_pool = engine._run_chunks, multiprocessing.Pool
+    orbit_batch, start_pool = engine._orbit_batch, multiprocessing.get_context(method).Pool
 
-    def spy(fn, task, idx, weights, workers, progress=None):
+    def spy(space):
+        idx, weights = orbit_batch(space)
         enumerated.append(len(idx))
-        return run_chunks(fn, task, idx, weights, workers, progress)
+        return idx, weights
 
     def pool_spy(processes=None, *args, **kwargs):
         pools.append(processes)
         return start_pool(processes, *args, **kwargs)
 
-    monkeypatch.setattr(engine, "_run_chunks", spy)
+    monkeypatch.setattr(engine, "_orbit_batch", spy)
     monkeypatch.setattr(multiprocessing, "Pool", pool_spy)
     reference = run()  # fewer forms than _POOL_MIN_FORMS: in-process
     assert pools == []
@@ -190,10 +207,10 @@ _ORBIT_CASES = [(p, e, m, family)
 def test_orbit_reduced_brute_equals_full_enumeration(p, e, m, family, modulus_rank):
     spec = build_code(make_field(p, e, 2 * m, modulus_rank), family)
     every = np.arange((p**e) ** (m * m), dtype=np.int64)
-    full, work = engine._CountPlan(spec).count_batch(every, np.ones_like(every))
+    full = engine._CountPlan(spec).counts(every, np.ones_like(every))
     dist = brute_distribution(spec)
     assert dist.counts == {w: int(c) for w, c in enumerate(full) if c}
-    assert dist.work_count == work == brute_work(p**e, m, family)
+    assert dist.work_count == brute_work(p**e, m, family)
 
 
 _SWEEP_CASES = [(2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 2), (5, 1, 2), (3, 1, 3),
@@ -205,7 +222,7 @@ _SWEEP_CASES = [(2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 2), (5, 1, 2), (3, 1, 3)
 def test_orbit_reduced_sweep_equals_full_sweep(p, e, m, modulus_rank):
     spec = build_code(make_field(p, e, 2 * m, modulus_rank), "D")
     every = np.arange((p**e) ** (m * m), dtype=np.int64)
-    full = engine._RankPlan(spec).rank_counts(every, np.ones_like(every))
+    full = engine._RankPlan(spec).counts(every, np.ones_like(every))
     assert measure_rank_counts(spec) == full.tolist() == frequencies(p**e, m)
 
 
@@ -233,7 +250,8 @@ def test_brute_refuses_ranges_that_miss_forms_before_counting(monkeypatch):
     def no_counting(*args, **kwargs):
         raise AssertionError("counted before the coverage check")
     monkeypatch.setattr(engine, "_form_orbits", no_zero_form)
-    monkeypatch.setattr(engine, "_run_chunks", no_counting)
+    monkeypatch.setattr(engine._CountPlan, "counts", no_counting)
+    monkeypatch.setattr(engine._RankPlan, "counts", no_counting)
     spec = build_code(make_field(3, 1, 4), "D")
     for oracle in (brute_distribution, measure_rank_counts):  # the sweep too
         with pytest.raises(ConsistencyError):
@@ -364,11 +382,7 @@ def test_rank_counts_add_up_over_any_split(data):
                                           max_size=len(idx))), dtype=np.int64)
     cuts = sorted(data.draw(st.lists(st.integers(0, len(idx)), max_size=6)))
     bounds = [0, *cuts, len(idx)]
-
-    def count_hist(i, w):
-        hist, work = count_plan.count_batch(i, w)
-        return np.append(hist, work)
-    for counts in (rank_plan.rank_counts, count_hist):
+    for counts in (rank_plan.counts, count_plan.counts):
         whole = counts(idx, weights)
         parts = sum(counts(idx[a:b], weights[a:b]) for a, b in zip(bounds, bounds[1:]))
         assert (parts == whole).all()

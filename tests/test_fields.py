@@ -10,7 +10,7 @@ from conftest import (element_order, frobenius_sum, lex_primitive_moduli,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traceweight.fields import (FieldSizeError, Poly, coset_size,
+from traceweight.fields import (FieldSizeError, ModulusRankError, Poly, coset_size,
                                 find_primitive_modulus, make_field,
                                 minimal_polynomial, split_prime_power)
 
@@ -35,7 +35,7 @@ def test_block_search_matches_independent_search_at_ranks_0_to_3(p, degree):
         if rank < len(expected):
             assert find_primitive_modulus(p, degree, rank) == expected[rank], rank
         else:  # the degree has fewer primitive polynomials, e.g. one at (2, 2)
-            with pytest.raises(ArithmeticError):
+            with pytest.raises(ModulusRankError, match=f"there are {len(expected)} "):
                 find_primitive_modulus(p, degree, rank)
 
 
@@ -257,7 +257,7 @@ def test_make_field_rejects_bad_input():
 
 
 def test_log_table_bound_refusal():
-    ctx = make_field(2, 1, 4, table_bound=8)
+    ctx = make_field(2, 7, 4)  # F_{2^28}, over the 2^26 table bound
     with pytest.raises(FieldSizeError):
         ctx.exp_table()
 
