@@ -202,6 +202,8 @@ def cmd_witness(args, p: int, e: int, config: dict) -> int:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # exact counts of any length
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

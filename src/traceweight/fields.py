@@ -788,15 +788,23 @@ def make_field(p: int, e: int, s: int, modulus_rank: int = 0) -> FieldCtx:
     return _CTX_CACHE[key]
 
 
+def _integer_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method on exact integers."""
+    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def split_prime_power(q: int) -> tuple[int, int]:
-    """q = p^e with p prime, or ValueError."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    p = next((d for d in range(2, q) if d * d <= q and q % d == 0), q)
-    v, e = q, 0
-    while v % p == 0:
-        v //= p
-        e += 1
-    if v != 1 or not is_prime(p):
-        raise ValueError(f"{q} is not a prime power")
-    return p, e
+    """q = p^e with p prime, or ValueError.  Tries each exponent e up to
+    log2 q through an exact integer e-th root, so no factor search runs."""
+    if q >= 2 and is_prime(q):
+        return q, 1
+    for e in range(2, q.bit_length() if q > 1 else 0):
+        p = _integer_root(q, e)
+        if p**e == q and is_prime(p):
+            return p, e
+    raise ValueError(f"{q} is not a prime power")

@@ -16,13 +16,19 @@ row-major (i, j) order with i < j; label order is the subfields' own.
 Characters of the additive group are indexed by the same enumeration
 through the pairing chi_A(H) = w_p^(Tr_{q/p}(trace(A H))); the matrix
 trace of a product of two Hermitian matrices always lies in F_q, and
-tracing from there keeps the pairing nondegenerate for even q too
-(checked explicitly by character_table_rows_distinct).
+tracing from there keeps the pairing nondegenerate for even q too.
+Every label is F_p-linear, so the base-p digits of an index are its
+matrix's F_p coordinates over the basis matrices at the indices p^i.  The
+pairing is F_p-bilinear and is evaluated through its F_p Gram matrix on
+that basis; every cayley_spectrum run checks that the Gram has full rank,
+which is the pairing's nondegeneracy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .codes import ConsistencyError
 from .fields import (MAX_LABEL_Q, BudgetExceeded, FieldCtx, FieldSizeError,
@@ -81,14 +87,15 @@ def matrix_rank(ctx: FieldCtx, h: Matrix) -> int:
     return label_matrix_rank(fq2, [[fq2.label_of(v) for v in row] for row in h])
 
 
-def rank1_matrices(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND) -> list[Matrix]:
-    return [h for h in enumerate_hermitian(ctx, budget) if matrix_rank(ctx, h) == 1]
+def rank1_indices(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND) -> list[int]:
+    return [i for i, h in enumerate(enumerate_hermitian(ctx, budget))
+            if matrix_rank(ctx, h) == 1]
 
 
 def rank1_count(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND) -> int:
     """Number of rank-1 Hermitian matrices; checked against the closed
     form (q^(2m)-1)/(q+1)."""
-    count = len(rank1_matrices(ctx, budget))
+    count = len(rank1_indices(ctx, budget))
     expected = (ctx.q ** (2 * ctx.m) - 1) // (ctx.q + 1)
     if count != expected:
         raise ConsistencyError(f"rank-1 count {count} != {expected}")
@@ -110,32 +117,45 @@ def _matrix_trace_residue(ctx: FieldCtx, a: Matrix, h: Matrix) -> int:
     return ctx.trace_q_to_p(acc)
 
 
+def _coordinates(ctx: FieldCtx, indices: np.ndarray) -> np.ndarray:
+    """F_p coordinates of the indexed matrices over the basis matrices at
+    the indices p^i: the base-p digits of each index, one row per index."""
+    return indices[:, None] // ctx.p ** np.arange(ctx.e * ctx.m * ctx.m) % ctx.p
+
+
+def _pairing_gram(ctx: FieldCtx) -> np.ndarray:
+    """The pairing's F_p Gram matrix: the literal residues of the pairs of
+    basis matrices, those at the indices p^i."""
+    basis = [hermitian_at(ctx, ctx.p**i) for i in range(ctx.e * ctx.m * ctx.m)]
+    return np.array([[_matrix_trace_residue(ctx, a, b) for b in basis] for a in basis],
+                    dtype=np.int64)
+
+
+# residue comparisons (duals x rank-1 set x p) per block of duals,
+# bounding the temporaries
+PAIRING_BLOCK = 2**20
+
+
 def cayley_spectrum(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND) -> dict[int, int]:
     """Exact eigenvalue -> multiplicity multiset of the rank-1 Cayley graph,
-    one character sum per dual Hermitian matrix."""
+    one character sum per dual Hermitian matrix.  The residues of a dual A
+    against the rank-1 set K are coords(A) @ G @ coords(K)^T mod p, with G
+    of full F_p rank (checked) so that the duals are all the characters."""
     check_witness_budget(ctx.q, ctx.m, budget)
-    kset = rank1_matrices(ctx, budget)
+    p, gram = ctx.p, _pairing_gram(ctx)
+    if label_matrix_rank(ctx.subfield(p), gram.tolist()) != len(gram):  # F_p labels are residues
+        raise ConsistencyError("the trace pairing is degenerate: its F_p Gram is singular")
+    kset = _coordinates(ctx, np.array(rank1_indices(ctx, budget)))
+    against_kset = gram @ kset.T % p
+    count, step = ctx.q ** (ctx.m * ctx.m), max(1, PAIRING_BLOCK // (len(kset) * p))
     spectrum: dict[int, int] = {}
-    for index in range(ctx.q ** (ctx.m * ctx.m)):
-        a = hermitian_at(ctx, index)
-        counts = [0] * ctx.p
-        for h in kset:
-            counts[_matrix_trace_residue(ctx, a, h)] += 1
-        eig = integral_character_sum(counts, ctx.p)
-        spectrum[eig] = spectrum.get(eig, 0) + 1
+    for lo in range(0, count, step):
+        residues = _coordinates(ctx, np.arange(lo, min(lo + step, count))) @ against_kset % p
+        tally = (residues[..., None] == np.arange(p)).sum(axis=1)
+        for counts in tally.tolist():
+            eig = integral_character_sum(counts, p)
+            spectrum[eig] = spectrum.get(eig, 0) + 1
     return spectrum
-
-
-def character_table_rows_distinct(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND) -> bool:
-    """Nondegeneracy of the chosen pairing: all character rows differ."""
-    check_witness_budget(ctx.q, ctx.m, budget)
-    count = ctx.q ** (ctx.m * ctx.m)
-    rows = set()
-    for index in range(count):
-        a = hermitian_at(ctx, index)
-        rows.add(tuple(_matrix_trace_residue(ctx, a, hermitian_at(ctx, j))
-                       for j in range(count)))
-    return len(rows) == count
 
 
 @dataclass
@@ -162,8 +182,6 @@ def _embedding_image(ctx: FieldCtx, alpha: list[int], powers: list[int],
         alpha_c = [ctx.pow(a, c) for a in alpha]
         acc = 0
         for j in range(m):
-            if all(v == 0 for v in h[j]):
-                continue
             for k in range(m):
                 if h[j][k]:
                     acc = ctx.add(acc, ctx.mul(ctx.mul(alpha_c[j], h[j][k]), alpha[k]))
@@ -189,36 +207,18 @@ def verify_isomorphism(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND) -> Is
     f = lambda h: _embedding_image(ctx, alpha, powers, h)
 
     count = q ** (m * m)
-    fq, fq2 = ctx.subfield(q), ctx.subfield(q * q)
-    # F_p-basis of the Hermitian group, mirroring the enumeration layout
-    basis_matrices: list[Matrix] = []
-    for i in range(m):
-        for be in fq.basis:
-            rows = [[0] * m for _ in range(m)]
-            rows[i][i] = be
-            basis_matrices.append(tuple(tuple(r) for r in rows))
-    for i in range(m):
-        for j in range(i + 1, m):
-            for be in fq2.basis:
-                rows = [[0] * m for _ in range(m)]
-                rows[i][j] = be
-                rows[j][i] = ctx.frobenius_q(be)
-                basis_matrices.append(tuple(tuple(r) for r in rows))
-    basis_images = [f(bm) for bm in basis_matrices]
+    images = [f(h) for h in enumerate_hermitian(ctx, budget)]
+    basis_images = [images[ctx.p**i] for i in range(ctx.e * m * m)]
 
     additive_ok = True
-    images = []
-    for index in range(count):
-        h = hermitian_at(ctx, index)
-        img = f(h)
-        images.append(img)
-        # additivity, completely: the index digits are the F_p coordinates
-        # of h, so f(h) must equal the same combination of the basis images
+    for index, coords in enumerate(_coordinates(ctx, np.arange(count)).tolist()):
+        # additivity, completely: f(h) must equal the same F_p combination
+        # of the basis images as h is of the basis
         acc = tuple([0] * len(powers))
-        for c, bimg in zip(_fp_coordinates(ctx, index), basis_images):
+        for c, bimg in zip(coords, basis_images):
             for _ in range(c):
                 acc = tuple(ctx.add(x, y) for x, y in zip(acc, bimg))
-        if acc != img:
+        if acc != images[index]:
             additive_ok = False
             notes.append(f"additivity fails at index {index}")
             break
@@ -233,13 +233,9 @@ def verify_isomorphism(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND) -> Is
         notes.append("image tuples collide")
 
     exponents = [c + 1 for c in powers]
-    connection = set()
-    x = 1
-    for _ in range(ctx.n):
-        connection.add(tuple(ctx.pow(x, u) for u in exponents))
-        x = ctx.mul(x, ctx.pi)
+    connection = {tuple(ctx.pow(ctx.pi, i * u) for u in exponents) for i in range(ctx.n)}
     expected_size = (q ** (2 * m) - 1) // (q + 1)
-    image_of_rank1 = {f(h) for h in rank1_matrices(ctx, budget)}
+    image_of_rank1 = {images[i] for i in rank1_indices(ctx, budget)}
     matches = image_of_rank1 == connection
     if not matches:
         notes.append(f"image of rank-1 set differs from connection set "
@@ -247,21 +243,3 @@ def verify_isomorphism(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND) -> Is
     return IsomorphismReport(additive_ok, injective_ok, matches,
                              len(connection), expected_size, notes)
 
-
-def _fp_coordinates(ctx: FieldCtx, index: int) -> list[int]:
-    """F_p digits of a matrix index, matching the basis-matrix order."""
-    q, m, p = ctx.q, ctx.m, ctx.p
-    coords: list[int] = []
-    for _ in range(m):
-        lbl = index % q
-        index //= q
-        for _ in range(ctx.e):
-            coords.append(lbl % p)
-            lbl //= p
-    for _ in range(m * (m - 1) // 2):
-        lbl = index % (q * q)
-        index //= q * q
-        for _ in range(2 * ctx.e):
-            coords.append(lbl % p)
-            lbl //= p
-    return coords

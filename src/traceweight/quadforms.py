@@ -258,9 +258,15 @@ def big_T(form: QuadForm) -> int:
 
 
 def count_solutions(form: QuadForm, beta: int, zeta: int) -> int:
-    """|{x : Q(x) + Tr(beta x) = zeta}| by direct counting; zeta in F_q."""
+    """|{x : Q(x) + Tr(beta x) = zeta}| by direct counting; beta a packed
+    element of F_{q^s}, zeta in F_q."""
     ctx = form.ctx
-    target = ctx.subfield(ctx.q).label_of(zeta)
+    sub = ctx.subfield(ctx.q)
+    if not 0 <= beta < ctx.size:
+        raise ValueError(f"beta = {beta} is not a packed element of F_{ctx.size}")
+    if not sub.contains(zeta):
+        raise ValueError("zeta is not in the embedded F_q")
+    target = sub.label_of(zeta)
     return int(coordinate_matches(ctx, form.value_labels(), target)[beta]) + (zeta == 0)
 
 

@@ -265,3 +265,28 @@ def test_sweep_over_the_threshold_prints_monotone_progress(capsys, monkeypatch):
     _, _, err = run(capsys, "verify", "--q", "2", "--m", "5", "--family", "D",
                     "--tier", "extended", "--workers", "1")
     assert _progress_percents(err) == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_predict_counts_beyond_the_int_string_digit_limit(capsys, fmt):
+    # D(2,120) has counts of over 4,300 decimal digits
+    code, out, _ = run(capsys, "predict", "--q", "2", "--m", "120",
+                       "--family", "D", "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        doc = json.loads(out)
+        k, counts = doc["k"], [int(c) for _, c in doc["distribution"]]
+    else:
+        k = json.loads(run(capsys, "predict", "--q", "2", "--m", "120",
+                           "--family", "D")[1])["k"]
+        counts = [int(line.split(",")[1]) for line in out.splitlines()[1:]]
+    assert max(len(str(c)) for c in counts) > 4300
+    assert sum(counts) == 2**k
+
+
+@pytest.mark.parametrize("command", ["verify", "witness"])
+def test_large_prime_q_is_refused_at_once(capsys, command):
+    argv = [command, "--q", str(2**31 - 1), "--m", "1"]
+    code, out, _ = run(capsys, *argv, *(["--family", "D"] if command == "verify" else []))
+    assert code == 3
+    assert json.loads(out)["refused"] is True

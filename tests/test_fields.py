@@ -305,6 +305,33 @@ def test_split_prime_power():
             split_prime_power(bad)
 
 
+def _trial_division_split(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
+    return (p, e) if q == 1 else None
+
+
+def test_split_prime_power_equals_trial_division_below_2_12():
+    for q in range(2, 1 << 12):
+        try:
+            got = split_prime_power(q)
+        except ValueError:
+            got = None
+        assert got == _trial_division_split(q), q
+
+
+def test_split_prime_power_of_large_primes_and_powers():
+    m31, m61 = 2**31 - 1, 2**61 - 1  # Mersenne primes
+    assert split_prime_power(m61) == (m61, 1)
+    assert split_prime_power(m31**2) == (m31, 2)
+    assert split_prime_power(3**40) == (3, 40)
+    with pytest.raises(ValueError):
+        split_prime_power(m31 * m61)
+
+
 def test_subfield_labels_are_additive():
     ctx = make_field(2, 2, 4)
     sub = ctx.subfield(4)

@@ -1,16 +1,17 @@
 """Hermitian-matrix witness: counts, spectrum, explicit embedding."""
 
+import numpy as np
 import pytest
 
+from traceweight import hermitian
+from traceweight.codes import ConsistencyError
 from traceweight.fields import BudgetExceeded, make_field
-from traceweight.hermitian import (cayley_spectrum,
-                                   character_table_rows_distinct,
-                                   enumerate_hermitian, hermitian_at,
-                                   matrix_rank, rank1_count,
+from traceweight.hermitian import (cayley_spectrum, enumerate_hermitian,
+                                   hermitian_at, matrix_rank, rank1_count,
                                    verify_isomorphism)
 from traceweight.spectra import eigenvalues, frequencies
 
-CASES = [(2, 1, 1), (2, 1, 2), (3, 1, 2), (2, 1, 3)]
+CASES = [(2, 1, 1), (2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 1), (2, 2, 2)]
 
 
 def expected_spectrum(q, m):
@@ -43,7 +44,7 @@ def test_hermitian_count_and_structure(p, e, m):
 
 
 @pytest.mark.parametrize("p,e,m,expected", [
-    (2, 1, 1, 1), (2, 1, 2, 5), (3, 1, 2, 20), (2, 1, 3, 21)])
+    (2, 1, 1, 1), (2, 1, 2, 5), (3, 1, 2, 20), (2, 1, 3, 21), (2, 2, 1, 3), (2, 2, 2, 51)])
 def test_rank1_counts(p, e, m, expected):
     ctx = make_field(p, e, 2 * m)
     assert rank1_count(ctx) == expected
@@ -69,8 +70,21 @@ def test_trivial_character_gives_kset_size():
     assert spectrum[20] >= 1  # |K| = 20 appears (the trivial character)
 
 
-def test_character_rows_distinct_at_22():
-    assert character_table_rows_distinct(make_field(2, 1, 4))
+@pytest.mark.parametrize("p,e,m", [(2, 1, 1), (2, 1, 2), (3, 1, 2), (2, 2, 1), (2, 2, 2)])
+def test_gram_residues_equal_the_literal_pairing(p, e, m):
+    ctx = make_field(p, e, 2 * m)
+    count = (p**e) ** (m * m)
+    coords = hermitian._coordinates(ctx, np.arange(count))
+    via_gram = coords @ hermitian._pairing_gram(ctx) @ coords.T % p
+    mats = list(enumerate_hermitian(ctx))
+    literal = [[hermitian._matrix_trace_residue(ctx, a, h) for h in mats] for a in mats]
+    assert via_gram.tolist() == literal
+
+
+def test_degenerate_pairing_is_refused(monkeypatch):
+    monkeypatch.setattr(hermitian, "_matrix_trace_residue", lambda ctx, a, h: 0)
+    with pytest.raises(ConsistencyError):
+        cayley_spectrum(make_field(2, 1, 4))
 
 
 @pytest.mark.parametrize("p,e,m", CASES)

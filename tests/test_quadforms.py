@@ -264,3 +264,14 @@ def test_coordinate_tables_match_literal_definitions(p, e, m, stride):
                            for row in traces]
             assert coordinate_matches(ctx, form.value_labels(),
                                       sub.label_of(target)).tolist() == double_loop
+
+
+def test_count_solutions_validates_beta_and_zeta():
+    ctx = make_field(2, 1, 4)
+    form = FormSpace(ctx).form_at(5)
+    assert count_solutions(form, ctx.size - 1, 0) >= 0
+    for beta in (-1, ctx.size):
+        with pytest.raises(ValueError):
+            count_solutions(form, beta, 0)
+    with pytest.raises(ValueError):
+        count_solutions(form, 0, ctx.pi)  # not in F_q
