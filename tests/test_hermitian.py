@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from traceweight import hermitian
+from traceweight import cli, hermitian
 from traceweight.codes import ConsistencyError
 from traceweight.fields import BudgetExceeded, make_field
 from traceweight.hermitian import (cayley_spectrum, enumerate_hermitian,
@@ -100,7 +100,45 @@ def test_zero_matrix_maps_to_zero():
     ctx = make_field(2, 1, 4)
     from traceweight.hermitian import _embedding_image
     zero = hermitian_at(ctx, 0)
-    assert _embedding_image(ctx, [1, ctx.pi], [2], zero) == (0,)
+    assert _embedding_image(ctx, [1, ctx.pi], [[1, ctx.pow(ctx.pi, 2)]], zero) == (0,)
+
+
+@pytest.fixture
+def fresh_rank1_cache():
+    hermitian.rank1_indices.cache_clear()
+    yield
+    hermitian.rank1_indices.cache_clear()
+
+
+def test_witness_ranks_each_matrix_once(monkeypatch, capsys, fresh_rank1_cache):
+    calls = []
+    real = hermitian.matrix_rank
+    monkeypatch.setattr(hermitian, "matrix_rank", lambda ctx, h: calls.append(h) or real(ctx, h))
+    assert cli.main(["witness", "--q", "2", "--m", "2"]) == 0
+    assert len(calls) == 2 ** (2 * 2)
+
+
+def test_broken_additivity_is_reported(monkeypatch, fresh_rank1_cache):
+    ctx = make_field(2, 1, 4)
+    real, bad = hermitian._embedding_image, hermitian_at(ctx, 3)  # 3 = 1 + 2, not a basis index
+
+    def image(ctx, alpha, alpha_rows, h):
+        img = real(ctx, alpha, alpha_rows, h)
+        return (ctx.add(img[0], 1),) + img[1:] if h == bad else img
+    monkeypatch.setattr(hermitian, "_embedding_image", image)
+    report = verify_isomorphism(ctx)
+    assert not report.additive_ok
+    assert "additivity fails at index 3" in report.notes
+    assert not report.ok
+
+
+def test_constant_embedding_is_reported(monkeypatch, fresh_rank1_cache):
+    monkeypatch.setattr(hermitian, "_embedding_image",
+                        lambda ctx, alpha, alpha_rows, h: (0,) * len(alpha_rows))
+    report = verify_isomorphism(make_field(2, 1, 4))
+    assert not report.injective_ok
+    assert not report.image_matches_connection_set
+    assert not report.ok
 
 
 def test_matrix_rank_basics():
