@@ -64,8 +64,8 @@ brute oracle (forms x betas x n, or forms x n for family C, over all
 q^(m^2) forms, which the orbit weights cover exactly) and s^3 per form
 for the sweep.  One rule, _refusal, decides from (q, m, family) alone
 whether an oracle may run: its estimate within the budget, brute D and E
-within the linear-trace table's size bound, the sweep within the exp/log
-tables', and q at most 256, as F_q labels are bytes.  verify and both
+within the linear-trace table's size bound, both oracles within the
+exp/log tables', and q at most 256, as F_q labels are bytes.  verify and both
 oracles apply it before building any field or plan; verify takes the
 first oracle it admits, or refuses with the smaller estimate attached.
 """
@@ -120,7 +120,7 @@ def _refusal(kind: str, q: int, m: int, family: str,
     """Why the oracle kind ("brute" or "rank_sweep") may not run at
     (q, m, family) under budget, or None when it may: q over the byte-label
     cap, the work model over the budget, brute D and E over the
-    linear-trace table bound, or the sweep over the exp/log-table bound."""
+    linear-trace table bound, or either oracle over the exp/log-table bound."""
     brute = kind == "brute"
     work = brute_work(q, m, family) if brute else rank_sweep_work(q, m)
 
@@ -134,7 +134,7 @@ def _refusal(kind: str, q: int, m: int, family: str,
     if brute and family != "C" and q ** (2 * m) > LINEAR_TRACE_BOUND:
         return refuse(FieldSizeError, f"the linear-trace table, refused above "
                                       f"{LINEAR_TRACE_BOUND} field elements")
-    if not brute and q ** (2 * m) > DEFAULT_TABLE_BOUND:
+    if q ** (2 * m) > DEFAULT_TABLE_BOUND:  # both plans read the exp/log tables
         return refuse(FieldSizeError, f"the exp/log tables, refused above "
                                       f"{DEFAULT_TABLE_BOUND} field elements")
     return None

@@ -581,7 +581,6 @@ class SubfieldView:
         self.ext_deg = k
         self.gen = ctx.pow(ctx.pi, ctx.n // (order - 1))
         basis = [ctx.pow(self.gen, i) for i in range(k)]
-        self.basis = basis
         elems = [0] * order
         p = ctx.p
         for lbl in range(order):
@@ -596,6 +595,7 @@ class SubfieldView:
         self._label_of = {v: i for i, v in enumerate(elems)}
         if len(self._label_of) != order:
             raise AssertionError("subfield labelling not injective")
+        self._inv_labels: dict[int, int] = {}
 
     def contains(self, a: int) -> bool:
         return a in self._label_of
@@ -627,7 +627,10 @@ class SubfieldView:
         return self._op_table("sub", self.ctx.sub)
 
     def inv_label(self, lbl: int) -> int:
-        return self.label_of(self.ctx.inv(self.from_label(lbl)))
+        """The inverse's label, computed once per label."""
+        if lbl not in self._inv_labels:
+            self._inv_labels[lbl] = self.label_of(self.ctx.inv(self.from_label(lbl)))
+        return self._inv_labels[lbl]
 
     def add_labels(self, a, b):
         """Label addition, vectorized: digitwise base-p on label ints.  The

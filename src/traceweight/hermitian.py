@@ -13,20 +13,18 @@ closed-form side.
 Enumeration order is fixed: a matrix index's digits select first the m
 diagonal labels (base q), then the upper-triangle labels (base q^2) in
 row-major (i, j) order with i < j; label order is the subfields' own.
-Characters of the additive group are indexed by the same enumeration
-through the pairing chi_A(H) = w_p^(Tr_{q/p}(trace(A H))); the matrix
-trace of a product of two Hermitian matrices always lies in F_q, and
-tracing from there keeps the pairing nondegenerate for even q too.
 Every label is F_p-linear, so the base-p digits of an index are its
-matrix's F_p coordinates over the basis matrices at the indices p^i.  The
-pairing is F_p-bilinear and is evaluated through its F_p Gram matrix on
-that basis; every cayley_spectrum run checks that the Gram has full rank,
-which is the pairing's nondegeneracy.
+matrix's F_p coordinates over the basis matrices at the indices p^i, and
+indices are the additive group F_p^N, N = e*m^2.  The characters are
+those of F_p^N, y -> w_p^(y.x), indexed by the same digits: a Cayley
+graph's spectrum is the multiset of its connection set's character sums,
+however the characters are named.
 
-The rank-1 set is ranked once per field and shared by the three checks.
-The embedding is checked as one F_p-linear map, each image's base-p digits
-against its coordinates times the basis images' digits; for odd m, the
-leading coordinate's membership in F_{q^m} (an F_p-subspace) on the basis.
+Each matrix is built and ranked once per field; that one enumeration is
+also the witness's one budget check.  The embedding is checked as one
+F_p-linear map, each image's base-p digits against its coordinates times
+the basis images' digits; for odd m, the leading coordinate's membership
+in F_{q^m} (an F_p-subspace) on the basis.
 """
 
 from __future__ import annotations
@@ -48,10 +46,10 @@ Matrix = tuple[tuple[int, ...], ...]
 
 def check_witness_budget(q: int, m: int, budget: int):
     """Refuse when the witness work exceeds the budget: the spectrum pairs
-    each of the q^(m^2) Hermitian matrices of order m with each of the
-    (q^(2m)-1)/(q+1) rank-1 ones.  q above MAX_LABEL_Q is refused first,
-    since the F_{q^2} label tables would not fit.  Needs (q, m) alone, so
-    callers check before building a field."""
+    each of the q^(m^2) characters, one per Hermitian matrix of order m,
+    with each of the (q^(2m)-1)/(q+1) rank-1 matrices.  q above MAX_LABEL_Q
+    is refused first, since the F_{q^2} label tables would not fit.  Needs
+    (q, m) alone, so callers check before building a field."""
     matrices, rank1 = q ** (m * m), (q ** (2 * m) - 1) // (q + 1)
     if q > MAX_LABEL_Q:
         raise FieldSizeError(
@@ -94,9 +92,16 @@ def matrix_rank(ctx: FieldCtx, h: Matrix) -> int:
 
 
 @functools.lru_cache(maxsize=8)
+def _matrices(ctx: FieldCtx, budget: int) -> tuple[Matrix, ...]:
+    """All Hermitian matrices, cached so the witness builds each once and
+    checks its budget once."""
+    return tuple(enumerate_hermitian(ctx, budget))
+
+
+@functools.lru_cache(maxsize=8)
 def rank1_indices(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND) -> tuple[int, ...]:
     """Indices of the rank-1 matrices, cached so the witness ranks once."""
-    return tuple(i for i, h in enumerate(enumerate_hermitian(ctx, budget))
+    return tuple(i for i, h in enumerate(_matrices(ctx, budget))
                  if matrix_rank(ctx, h) == 1)
 
 
@@ -110,55 +115,27 @@ def rank1_count(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND) -> int:
     return count
 
 
-def _matrix_trace_residue(ctx: FieldCtx, a: Matrix, h: Matrix) -> int:
-    """Absolute-trace residue of the matrix trace of A*H.
-
-    For Hermitian A and H the matrix trace lands in F_q, so the pairing
-    traces from F_q down to F_p.  (Tracing from F_{q^2} instead would
-    factor through y + y^q = 2y on F_q and die for even q.)
-    """
-    m = ctx.m
-    acc = 0
-    for i in range(m):
-        for k in range(m):
-            acc = ctx.add(acc, ctx.mul(a[i][k], h[k][i]))
-    return ctx.trace_q_to_p(acc)
-
-
 def _coordinates(ctx: FieldCtx, indices: np.ndarray) -> np.ndarray:
     """F_p coordinates of the indexed matrices over the basis matrices at
     the indices p^i: the base-p digits of each index, one row per index."""
     return indices[:, None] // ctx.p ** np.arange(ctx.e * ctx.m * ctx.m) % ctx.p
 
 
-def _pairing_gram(ctx: FieldCtx) -> np.ndarray:
-    """The pairing's F_p Gram matrix: the literal residues of the pairs of
-    basis matrices, those at the indices p^i."""
-    basis = [hermitian_at(ctx, ctx.p**i) for i in range(ctx.e * ctx.m * ctx.m)]
-    return np.array([[_matrix_trace_residue(ctx, a, b) for b in basis] for a in basis],
-                    dtype=np.int64)
-
-
-# residue comparisons (duals x rank-1 set x p) per block of duals,
-# bounding the temporaries
-PAIRING_BLOCK = 2**20
+# residue comparisons (characters x rank-1 set x p) per block of
+# characters, bounding the temporaries
+CHARACTER_BLOCK = 2**20
 
 
 def cayley_spectrum(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND) -> dict[int, int]:
     """Exact eigenvalue -> multiplicity multiset of the rank-1 Cayley graph,
-    one character sum per dual Hermitian matrix.  The residues of a dual A
-    against the rank-1 set K are coords(A) @ G @ coords(K)^T mod p, with G
-    of full F_p rank (checked) so that the duals are all the characters."""
-    check_witness_budget(ctx.q, ctx.m, budget)
-    p, gram = ctx.p, _pairing_gram(ctx)
-    if label_matrix_rank(ctx.subfield(p), gram.tolist()) != len(gram):  # F_p labels are residues
-        raise ConsistencyError("the trace pairing is degenerate: its F_p Gram is singular")
-    kset = _coordinates(ctx, np.array(rank1_indices(ctx, budget)))
-    against_kset = gram @ kset.T % p
-    count, step = ctx.q ** (ctx.m * ctx.m), max(1, PAIRING_BLOCK // (len(kset) * p))
+    one character sum per y in F_p^N: sum over the rank-1 set K of
+    w_p^(y.x), the residues y.x being coords(y) @ coords(K)^T mod p."""
+    p = ctx.p
+    kset = _coordinates(ctx, np.array(rank1_indices(ctx, budget))).T
+    count, step = ctx.q ** (ctx.m * ctx.m), max(1, CHARACTER_BLOCK // (kset.shape[1] * p))
     spectrum: dict[int, int] = {}
     for lo in range(0, count, step):
-        residues = _coordinates(ctx, np.arange(lo, min(lo + step, count))) @ against_kset % p
+        residues = _coordinates(ctx, np.arange(lo, min(lo + step, count))) @ kset % p
         tally = (residues[..., None] == np.arange(p)).sum(axis=1)
         for counts in tally.tolist():
             eig = integral_character_sum(counts, p)
@@ -206,7 +183,6 @@ def verify_isomorphism(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND) -> Is
         {(x^(q^m+1),) x^(q+1), x^(q^3+1), ...},
     (c) that set has (q^(2m)-1)/(q+1) elements.
     """
-    check_witness_budget(ctx.q, ctx.m, budget)
     p, q, m, t = ctx.p, ctx.q, ctx.m, ctx.m // 2
     notes: list[str] = []
     alpha = [ctx.pow(ctx.pi, i) for i in range(m)]  # basis of F_{q^s} over F_{q^2}
@@ -214,8 +190,7 @@ def verify_isomorphism(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND) -> Is
     alpha_rows = [[ctx.pow(a, c) for a in alpha] for c in powers]
 
     count = q ** (m * m)
-    images = [_embedding_image(ctx, alpha, alpha_rows, h)
-              for h in enumerate_hermitian(ctx, budget)]
+    images = [_embedding_image(ctx, alpha, alpha_rows, h) for h in _matrices(ctx, budget)]
     digits = np.array([[d for x in img for d in ctx.digits(x)] for img in images])
     basis = [p**i for i in range(ctx.e * m * m)]
     # additivity, completely: digits = F_p coordinates @ the basis images' digits

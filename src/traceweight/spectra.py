@@ -103,9 +103,7 @@ def minimum_distance(q: int, m: int, family: str) -> int:
             # the stated closed form is the j = 2 row, which only exists for
             # m >= 2; at m = 1 the single row sits at full weight
             return q * q - 1
-        d = Fraction((q ** (2 * m) - q ** (2 * m - 1)) * (q * q - 1), q * q)
-        assert d.denominator == 1
-        return d.numerator
+        return q ** (2 * m - 3) * (q - 1) * (q * q - 1)
     if family == "D":
         return q ** (2 * m - 2) * (q * q - q - 1)
     if family == "E":

@@ -220,6 +220,26 @@ def test_refusals_exit_3_before_any_field_is_built(tmp_path, capsys, monkeypatch
     assert (doc["work_estimate"], doc["budget"]) == (257 * 256, 2**20)
 
 
+def test_brute_over_the_table_bound_is_refused_before_any_field_is_built(
+        tmp_path, capsys, monkeypatch):
+    from traceweight import cli, engine
+
+    def no_setup(*args, **kwargs):
+        raise AssertionError("field built before the budget check")
+    monkeypatch.setattr(cli, "make_field", no_setup)
+    monkeypatch.setattr(engine, "make_field", no_setup)
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"extended_budget={2**80}\n")
+    # brute C(128,2) fits the budget, but F_{128^4} is over the exp/log-table
+    # bound that its count plan needs too
+    code, out, _ = run(capsys, "verify", "--q", "128", "--m", "2", "--family", "C",
+                       "--tier", "extended", "--config", str(cfg))
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["refused"] is True
+    assert (doc["work_estimate"], doc["budget"]) == (engine.rank_sweep_work(128, 2), 2**80)
+
+
 @pytest.mark.parametrize("q,m,work", [(2, 4, 2**16 * 85), (3, 3, 3**9 * 182)])
 def test_witness_refuses_its_real_work_before_any_field_is_built(capsys, monkeypatch,
                                                                  q, m, work):

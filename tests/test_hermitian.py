@@ -1,17 +1,15 @@
 """Hermitian-matrix witness: counts, spectrum, explicit embedding."""
 
-import numpy as np
 import pytest
 
-from traceweight import cli, hermitian
-from traceweight.codes import ConsistencyError
-from traceweight.fields import BudgetExceeded, make_field
+from traceweight import cli, fields, hermitian
+from traceweight.fields import BudgetExceeded, FieldCtx, make_field
 from traceweight.hermitian import (cayley_spectrum, enumerate_hermitian,
                                    hermitian_at, matrix_rank, rank1_count,
                                    verify_isomorphism)
 from traceweight.spectra import eigenvalues, frequencies
 
-CASES = [(2, 1, 1), (2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 1), (2, 2, 2)]
+CASES = [(2, 1, 1), (2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 1), (2, 2, 2), (3, 2, 1)]
 
 
 def expected_spectrum(q, m):
@@ -70,23 +68,6 @@ def test_trivial_character_gives_kset_size():
     assert spectrum[20] >= 1  # |K| = 20 appears (the trivial character)
 
 
-@pytest.mark.parametrize("p,e,m", [(2, 1, 1), (2, 1, 2), (3, 1, 2), (2, 2, 1), (2, 2, 2)])
-def test_gram_residues_equal_the_literal_pairing(p, e, m):
-    ctx = make_field(p, e, 2 * m)
-    count = (p**e) ** (m * m)
-    coords = hermitian._coordinates(ctx, np.arange(count))
-    via_gram = coords @ hermitian._pairing_gram(ctx) @ coords.T % p
-    mats = list(enumerate_hermitian(ctx))
-    literal = [[hermitian._matrix_trace_residue(ctx, a, h) for h in mats] for a in mats]
-    assert via_gram.tolist() == literal
-
-
-def test_degenerate_pairing_is_refused(monkeypatch):
-    monkeypatch.setattr(hermitian, "_matrix_trace_residue", lambda ctx, a, h: 0)
-    with pytest.raises(ConsistencyError):
-        cayley_spectrum(make_field(2, 1, 4))
-
-
 @pytest.mark.parametrize("p,e,m", CASES)
 def test_isomorphism_checks(p, e, m):
     ctx = make_field(p, e, 2 * m)
@@ -105,17 +86,33 @@ def test_zero_matrix_maps_to_zero():
 
 @pytest.fixture
 def fresh_rank1_cache():
+    hermitian._matrices.cache_clear()
     hermitian.rank1_indices.cache_clear()
     yield
+    hermitian._matrices.cache_clear()
     hermitian.rank1_indices.cache_clear()
 
 
 def test_witness_ranks_each_matrix_once(monkeypatch, capsys, fresh_rank1_cache):
-    calls = []
-    real = hermitian.matrix_rank
-    monkeypatch.setattr(hermitian, "matrix_rank", lambda ctx, h: calls.append(h) or real(ctx, h))
+    built, ranked = [], []
+    real_at, real_rank = hermitian.hermitian_at, hermitian.matrix_rank
+    monkeypatch.setattr(hermitian, "hermitian_at",
+                        lambda ctx, i: built.append(i) or real_at(ctx, i))
+    monkeypatch.setattr(hermitian, "matrix_rank",
+                        lambda ctx, h: ranked.append(h) or real_rank(ctx, h))
     assert cli.main(["witness", "--q", "2", "--m", "2"]) == 0
-    assert len(calls) == 2 ** (2 * 2)
+    assert built == list(range(2 ** (2 * 2)))
+    assert len(ranked) == 2 ** (2 * 2)
+
+
+@pytest.mark.parametrize("q,m", [(2, 3), (4, 2), (7, 2)])
+def test_witness_inverts_each_label_once(monkeypatch, capsys, fresh_rank1_cache, q, m):
+    inverted = []
+    real = FieldCtx.inv
+    monkeypatch.setattr(fields, "_CTX_CACHE", {})  # a new field, its subfields uncached
+    monkeypatch.setattr(FieldCtx, "inv", lambda ctx, a: inverted.append(a) or real(ctx, a))
+    assert cli.main(["witness", "--q", str(q), "--m", str(m)]) == 0
+    assert inverted and len(set(inverted)) == len(inverted)
 
 
 def test_broken_additivity_is_reported(monkeypatch, fresh_rank1_cache):
