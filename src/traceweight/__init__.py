@@ -8,8 +8,7 @@ from .engine import (TIER_BUDGETS, VerifyReport, brute_distribution,
                      brute_work, measure_rank_counts, rank_sweep,
                      rank_sweep_work, verify)
 from .fields import (BudgetExceeded, FieldCtx, FieldSizeError, Poly,
-                     coset_size, make_field, minimal_polynomial,
-                     split_prime_power)
+                     make_field, minimal_polynomial, split_prime_power)
 from .hermitian import (cayley_spectrum, enumerate_hermitian, rank1_count,
                         verify_isomorphism)
 from .quadforms import (FormSpace, QuadForm, all_forms, big_T,
@@ -22,7 +21,7 @@ __all__ = [
     "FieldSizeError", "FormSpace", "Poly", "QuadForm", "TIER_BUDGETS",
     "VerifyReport", "WeightDistribution", "all_forms", "annihilated_by",
     "big_T", "brute_distribution", "brute_work", "build_code", "build_gamma",
-    "cayley_spectrum", "codeword", "coset_size", "count_solutions",
+    "cayley_spectrum", "codeword", "count_solutions",
     "eigenvalues", "enumerate_hermitian", "frequencies", "gaussian_binomial",
     "make_field", "measure_rank_counts", "minimal_polynomial", "predict",
     "r_histogram", "rank1_count", "rank_sweep", "rank_sweep_work",

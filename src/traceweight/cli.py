@@ -5,9 +5,10 @@ runs go to standard error, one per form-space percentile, so output
 stays pipeline-safe.  Codeword counts are serialized as decimal strings
 in JSON, never floats and never truncated to machine words.
 
-Exit status contract: 0 success (and, for verify, oracle equal to the
-prediction), 1 internal error or mismatch, 2 usage error, 3 budget
-refusal.
+Exit status contract: 0 success (for verify, oracle equal to the
+prediction; for witness, spectrum equal to the closed form and the
+embedding checks passed), 1 internal error or mismatch, 2 usage error,
+3 budget refusal.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .engine import TIER_BUDGETS, BudgetExceeded, default_workers, verify
 from .fields import ModulusRankError, make_field, split_prime_power
 from .hermitian import (DEFAULT_WITNESS_BOUND, cayley_spectrum,
                         check_witness_budget, rank1_count, verify_isomorphism)
-from .spectra import WeightDistribution, predict
+from .spectra import WeightDistribution, eigenvalues, frequencies, predict
 
 
 def _distribution_doc(dist: WeightDistribution) -> dict:
@@ -187,18 +188,25 @@ def cmd_witness(args, p: int, e: int, config: dict) -> int:
     spectrum = cayley_spectrum(ctx, budget)
     r1 = rank1_count(ctx, budget)
     iso = verify_isomorphism(ctx, budget)
+    # the closed-form eigenvalues are distinct, so zip gives the multiset
+    predicted = dict(zip(eigenvalues(p**e, args.m), frequencies(p**e, args.m)))
+    equal = spectrum == predicted
+    first_diff = None if equal else next(
+        eig for eig in sorted(spectrum.keys() | predicted.keys())
+        if spectrum.get(eig) != predicted.get(eig))
     ordered = sorted(spectrum.items(), key=lambda kv: (-abs(kv[0]), -kv[0]))
     doc = {
         "q": p**e, "m": args.m,
         "hermitian_count": (p**e) ** (args.m**2),
         "rank1_count": r1,
         "spectrum": [[eig, mult] for eig, mult in ordered],
+        "equal": equal, "first_diff": first_diff,
         "isomorphism_ok": iso.ok,
     }
     if iso.notes:
         doc["isomorphism_notes"] = iso.notes
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    return 0
+    return 0 if equal and iso.ok else 1
 
 
 def main(argv=None) -> int:

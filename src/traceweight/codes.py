@@ -127,10 +127,12 @@ def build_code(ctx: FieldCtx, family: str) -> CodeSpec:
             "(x - 1) already divides the family-D parity check")
     factors = []
     minimal_polys = {}
+    roots = {}  # pi^(-u), a root of h_u and so of h
     for u in gamma:
         if family == "C" and u == 1:
             continue
-        h_u = minimal_polynomial(ctx, ctx.pow(ctx.pi, (-u) % n))
+        roots[u] = ctx.pow(ctx.pi, (-u) % n)
+        h_u = minimal_polynomial(ctx, roots[u])
         minimal_polys[u] = h_u
         factors.append(h_u)
     for u, h_u in minimal_polys.items():
@@ -146,8 +148,8 @@ def build_code(ctx: FieldCtx, family: str) -> CodeSpec:
     if h.degree != k:
         raise ConsistencyError(
             f"parity-check degree {h.degree} != closed-form dimension {k}")
-    for u in minimal_polys:
-        if h(ctx.pow(ctx.pi, (-u) % n)) != 0:
+    for u, root in roots.items():
+        if h(root) != 0:
             raise ConsistencyError(f"parity check does not vanish at pi^(-{u})")
     return CodeSpec(family, ctx, n, k, tuple(gamma), h)
 

@@ -3,7 +3,9 @@
 A field context describes F_{q^s} with q = p^e and s = 2m, built as
 F_p[x]/(modulus) where the modulus is the lexicographically smallest
 primitive polynomial of degree e*s over F_p (coefficients compared
-low-to-high as base-p digits).  Elements are plain Python ints: the
+low-to-high as base-p digits).  The search for it skips the binomials
+x^d + c, which are never primitive, so the modulus is the same as that
+of a scan from the first candidate.  Elements are plain Python ints: the
 polynomial a_0 + a_1 x + a_2 x^2 + ... packs to the integer
 a_0 + a_1 p + a_2 p^2 + ...  The residue class of x is a multiplicative
 generator by construction, exposed as ctx.pi.
@@ -23,6 +25,9 @@ modulus bits.  At odd p the operands' digits are spread into slots wide
 enough never to carry, one integer product gives every coefficient of
 the polynomial product (Kronecker substitution), and the high slots
 fold back through x^(D+t) mod the modulus, precomputed per context.
+The Frobenius a -> a^q is F_p-linear, so without tables it is a sum of
+the images (x^i)^q, computed once per context, weighted by the digits
+of a: an XOR of rows at p = 2, a sum of slot-spread rows at odd p.
 
 Everything on a context is a pure function of its inputs; contexts are
 immutable after construction apart from idempotent lazy caches, so they
@@ -129,23 +134,6 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
-def coset_size(u: int, n: int, q: int) -> int:
-    """Smallest l >= 1 with q^l * u = u (mod n): the q-cyclotomic coset size
-    of u modulo n, which is the degree of the minimal polynomial of an
-    element of discrete log -u (or u) in the order-n group."""
-    if n <= 0:
-        raise ValueError("modulus must be positive")
-    u %= n
-    v = u * q % n
-    size = 1
-    while v != u:
-        v = v * q % n
-        size += 1
-        if size > n:
-            raise ArithmeticError("coset iteration failed to close")
-    return size
-
-
 # ---------------------------------------------------------------------------
 # F_p[x] modulo a block of candidate moduli (used only to find the modulus)
 #
@@ -215,11 +203,15 @@ def find_primitive_modulus(p: int, degree: int, rank: int = 0) -> tuple[int, ...
     significant.  Deterministic; rank 0 is the canonical modulus.
 
     f is primitive iff x^(p^d - 1) = 1 and x^((p^d - 1)/r) != 1 mod f for
-    every prime r dividing p^d - 1.  Candidates are tested a block at a
-    time in index order (64 first, doubling up to the temporaries' cap):
-    every candidate with f(0) != 0 gets x^(p^d - 1), and only those where
-    it is 1 get the cofactor powers.  The arithmetic is exact in int64 for
-    degree * p^2 <= 2^63; above that FieldSizeError is raised.  There are
+    every prime r dividing p^d - 1.  The packed indices below p are the
+    binomials x^d + c, and none of them is primitive for d >= 2: x^d = -c
+    gives x^(d(p-1)) = 1 with d(p-1) < p^d - 1.  So the scan starts at
+    index p (at 0 for d = 1), which leaves the answer unchanged.
+    Candidates are tested a block at a time in index order (64 first,
+    doubling up to the temporaries' cap): every candidate with f(0) != 0
+    gets x^(p^d - 1), and only those where it is 1 get the cofactor
+    powers.  The arithmetic is exact in int64 for degree * p^2 <= 2^63;
+    above that FieldSizeError is raised.  There are
     phi(p^d - 1)/d primitive polynomials of degree d; a rank not below that
     count raises ModulusRankError before the scan."""
     if rank < 0:
@@ -239,7 +231,7 @@ def find_primitive_modulus(p: int, degree: int, rank: int = 0) -> tuple[int, ...
             f"polynomials of degree {degree} over F_{p}")
     cofactors = [order // r for r in factors]
     cap = max(1, _BLOCK_ELEMENTS // degree**2)
-    found, start, block = 0, 0, 64
+    found, start, block = 0, p if degree >= 2 else 0, 64
     while start < size:
         count = min(block, cap, size - start)
         coeffs = _block_coefficients(start, count, p, degree)
@@ -307,6 +299,7 @@ class FieldCtx:
                      for low, top in zip([0] + r[:-1], self._top_reduction)]
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
+        self._frob_rows: list[int] | None = None
         self._subfields: dict[int, SubfieldView] = {}
         self._trace_tables: dict[tuple[int, int], np.ndarray] = {}
 
@@ -379,10 +372,7 @@ class FieldCtx:
             if c := (high & slot) % p:
                 low += c * fold
             high >>= w
-        v = 0
-        for shift in range(w * (D - 1), -1, -w):
-            v = v * p + (low >> shift & slot) % p
-        return v
+        return self._from_slots(low)
 
     def _spread(self, a: int) -> int:
         """The base-p digits of a, one per slot of _slot_bits bits."""
@@ -393,6 +383,14 @@ class FieldCtx:
             out |= d << shift
             shift += w
         return out
+
+    def _from_slots(self, slots: int) -> int:
+        """The packed element whose digit i is slot i of slots, read mod p."""
+        p, w = self.p, self._slot_bits
+        mask, v = (1 << w) - 1, 0
+        for shift in range(w * (self.degree - 1), -1, -w):
+            v = v * p + (slots >> shift & mask) % p
+        return v
 
     def pow(self, a: int, k: int) -> int:
         if a == 0:
@@ -418,8 +416,39 @@ class FieldCtx:
         return self.pow(a, self.n - 1)
 
     def frobenius_q(self, a: int) -> int:
-        """The relative Frobenius a -> a^q whose fixed set is the embedded F_q."""
-        return self.pow(a, self.q)
+        """The relative Frobenius a -> a^q whose fixed set is the embedded F_q.
+
+        Without tables it is applied as the F_p-linear map it is: a^q is
+        the sum of a_i (x^i)^q over the digits a_i of a."""
+        if self._log is not None:
+            return self.pow(a, self.q)
+        rows = self._frobenius_rows()
+        if self.p == 2:
+            out = 0
+            while a:
+                low = a & -a
+                out ^= rows[low.bit_length() - 1]
+                a ^= low
+            return out
+        # digit-weighted sums of spread rows: a slot sums at most D products
+        # below p^2, which the slot width holds without carrying
+        p, acc, i = self.p, 0, 0
+        while a:
+            a, d = divmod(a, p)
+            if d:
+                acc += d * rows[i]
+            i += 1
+        return self._from_slots(acc)
+
+    def _frobenius_rows(self) -> list[int]:
+        """(x^i)^q for i < D, built once as powers of x^q; spread into
+        slots at odd p."""
+        if self._frob_rows is None:
+            xq, rows = self.pow(self.pi, self.q), [1]
+            while len(rows) < self.degree:
+                rows.append(self.mul(rows[-1], xq))
+            self._frob_rows = rows if self.p == 2 else [self._spread(r) for r in rows]
+        return self._frob_rows
 
     # -- traces -------------------------------------------------------------
 
@@ -729,9 +758,6 @@ class Poly:
         while rem and rem[-1] == 0:
             rem.pop()
         return Poly(ctx, tuple(quot)), Poly(ctx, tuple(rem))
-
-    def divides(self, other: Poly) -> bool:
-        return other.divmod(self)[1].is_zero()
 
     def __call__(self, point: int) -> int:
         ctx, acc = self.ctx, 0

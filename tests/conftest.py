@@ -52,6 +52,28 @@ def element_order(ctx, a):
     return order
 
 
+def coset_size(u, n, q):
+    """Smallest l >= 1 with q^l * u = u (mod n): the q-cyclotomic coset size
+    of u modulo n, which is the degree of the minimal polynomial of an
+    element of discrete log -u (or u) in the order-n group."""
+    if n <= 0:
+        raise ValueError("modulus must be positive")
+    u %= n
+    v = u * q % n
+    size = 1
+    while v != u:
+        v = v * q % n
+        size += 1
+        if size > n:
+            raise ArithmeticError("coset iteration failed to close")
+    return size
+
+
+def poly_divides(f, g):
+    """Whether the polynomial f divides g: the remainder of g by f is zero."""
+    return g.divmod(f)[1].is_zero()
+
+
 def x_power_minus_one(ctx, n):
     """The polynomial x^n - 1 over the field of ctx."""
     return Poly(ctx, (ctx.neg(1),) + (0,) * (n - 1) + (1,))

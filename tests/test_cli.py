@@ -95,11 +95,36 @@ def test_witness_reports(capsys):
     doc = json.loads(out)
     assert doc == {"q": 2, "m": 2, "hermitian_count": 16, "rank1_count": 5,
                    "spectrum": [[5, 1], [-3, 5], [1, 10]],
+                   "equal": True, "first_diff": None,
                    "isomorphism_ok": True}
     code, out, _ = run(capsys, "witness", "--q", "2", "--m", "1")
+    assert code == 0
     doc = json.loads(out)
     assert doc["spectrum"] == [[1, 1], [-1, 1]]
     assert (doc["hermitian_count"], doc["rank1_count"]) == (2, 1)
+
+
+def test_witness_exits_1_on_a_wrong_spectrum(capsys, monkeypatch):
+    from traceweight import cli
+    monkeypatch.setattr(cli, "cayley_spectrum", lambda ctx, budget: {999: 1})
+    code, out, _ = run(capsys, "witness", "--q", "2", "--m", "2")
+    assert code == 1
+    doc = json.loads(out)
+    assert (doc["equal"], doc["first_diff"]) == (False, -3)
+    assert doc["spectrum"] == [[999, 1]] and doc["isomorphism_ok"] is True
+
+
+def test_witness_exits_1_on_a_failed_embedding(capsys, monkeypatch):
+    from traceweight import cli, hermitian
+
+    def failed(ctx, budget):
+        return hermitian.IsomorphismReport(False, True, True, 5, 5, ["forced"])
+    monkeypatch.setattr(cli, "verify_isomorphism", failed)
+    code, out, _ = run(capsys, "witness", "--q", "2", "--m", "2")
+    assert code == 1
+    doc = json.loads(out)
+    assert (doc["equal"], doc["first_diff"]) == (True, None)
+    assert doc["isomorphism_ok"] is False and doc["isomorphism_notes"] == ["forced"]
 
 
 def test_witness_rank1_at_32(capsys):

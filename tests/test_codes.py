@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from conftest import literal_value, x_power_minus_one
+from conftest import literal_value, poly_divides, x_power_minus_one
 
 from traceweight.codes import (FAMILIES, annihilated_by, build_code,
                                build_gamma, codeword, weight, zero_params)
@@ -43,7 +43,7 @@ def test_parity_check_divides_xn_minus_one(p, e, m):
     ctx = make_field(p, e, 2 * m)
     xn1 = x_power_minus_one(ctx, ctx.n)
     for family in FAMILIES:
-        assert build_code(ctx, family).parity_check.divides(xn1)
+        assert poly_divides(build_code(ctx, family).parity_check, xn1)
 
 
 def test_family_e_undefined_at_q2_m1():

@@ -4,13 +4,13 @@ import random
 
 import numpy as np
 import pytest
-from conftest import (element_order, frobenius_sum, lex_primitive_moduli,
-                      lex_primitive_modulus, naive_add, naive_mul,
+from conftest import (coset_size, element_order, frobenius_sum, lex_primitive_moduli,
+                      lex_primitive_modulus, naive_add, naive_mul, poly_divides,
                       prime_powers_up_to, step_order_of_x)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traceweight.fields import (FieldSizeError, ModulusRankError, Poly, coset_size,
+from traceweight.fields import (FieldCtx, FieldSizeError, ModulusRankError, Poly,
                                 find_primitive_modulus, make_field,
                                 minimal_polynomial, split_prime_power)
 
@@ -50,6 +50,28 @@ def test_block_search_matches_independent_search_at_ranks_0_to_3(p, degree):
 def test_block_search_pins_high_degree_moduli(p, degree, terms):
     assert find_primitive_modulus(p, degree) == \
         tuple(terms.get(i, 0) for i in range(degree + 1))
+
+
+def test_no_binomial_is_primitive():
+    # the search starts past the binomials x^d + c on this lemma
+    for p in (2, 3, 5, 7, 11, 13):
+        for d in range(2, 6):
+            if p**d <= 1 << 14:
+                for c in range(p):
+                    coeffs = [c] + [0] * (d - 1) + [1]
+                    assert step_order_of_x(p, coeffs) < p**d - 1, (p, d, c)
+
+
+# the outputs of the search that scanned the binomials too; p^degree is
+# beyond what the independent search steps through in a test
+@pytest.mark.parametrize("p,degree,expected", [
+    (1021, 2, [(10, 1, 1), (30, 1, 1), (35, 1, 1), (40, 1, 1)]),
+    (509, 2, [(2, 1, 1), (7, 1, 1), (8, 1, 1), (19, 1, 1)]),
+    (2, 20, [tuple(int(i in terms) for i in range(21)) for terms in
+             ({0, 3, 20}, {0, 1, 4, 6, 20}, {0, 2, 5, 6, 20}, {0, 3, 5, 6, 20})]),
+])
+def test_block_search_pins_ranks_0_to_3(p, degree, expected):
+    assert [find_primitive_modulus(p, degree, rank) for rank in range(4)] == expected
 
 
 def test_block_search_refuses_sums_beyond_int64():
@@ -136,6 +158,30 @@ def test_table_free_mul_on_random_pairs(field, data):
     assert ctx._mul_poly(a, b) == naive_mul(ctx, a, b)
 
 
+def _square_and_multiply(ctx, a, k):
+    """a^k by left-to-right square and multiply of the table-free product."""
+    out = 1
+    for bit in bin(k)[2:]:
+        out = ctx._mul_poly(out, out)
+        if bit == "1":
+            out = ctx._mul_poly(out, a)
+    return out
+
+
+# p = 2 and odd p, e = 1 and e = 2, and the widest Kronecker slots
+@pytest.mark.parametrize("p,e,s", [(2, 1, 4), (3, 1, 4), (2, 2, 4), (3, 2, 4),
+                                   (2, 1, 12), (5, 1, 6), (1021, 1, 2)])
+def test_frobenius_equals_the_literal_power_with_and_without_tables(p, e, s):
+    # a context of its own, so no other test's tables are present at first
+    ctx = FieldCtx(p, e, s, find_primitive_modulus(p, e * s))
+    rng = random.Random(f"frobenius {p},{e},{s}")
+    sample = [0, 1, ctx.pi, ctx.size - 1] + [rng.randrange(ctx.size) for _ in range(40)]
+    expected = [_square_and_multiply(ctx, a, ctx.q) for a in sample]
+    assert [ctx.frobenius_q(a) for a in sample] == expected
+    ctx.require_tables()
+    assert [ctx.frobenius_q(a) for a in sample] == expected
+
+
 def test_trace_examples_f16():
     ctx = make_field(2, 1, 4)
     assert ctx.trace(0, "q") == 0
@@ -219,7 +265,7 @@ def test_minimal_polynomial_divides_field_polynomial():
     ctx = make_field(3, 1, 4)
     xq_minus_x = Poly.make(ctx, [0, ctx.neg(1)] + [0] * 79 + [1])  # x^81 - x
     for a in [1, ctx.pi, ctx.pow(ctx.pi, 7), ctx.pow(ctx.pi, 40)]:
-        assert minimal_polynomial(ctx, a).divides(xq_minus_x)
+        assert poly_divides(minimal_polynomial(ctx, a), xq_minus_x)
 
 
 def test_gamma_minimal_polynomials_distinct():
