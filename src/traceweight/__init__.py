@@ -1,30 +1,35 @@
 """Cyclic codes from trace representations over F_q, with their exact
 weight distributions predicted in closed form and verified by exhaustive
-enumeration at desk scale."""
+enumeration at desk scale.
 
-from .codes import (Codeword, CodeSpec, ConsistencyError, annihilated_by,
-                    build_code, build_gamma, codeword, weight, zero_params)
-from .engine import (TIER_BUDGETS, VerifyReport, brute_distribution,
-                     brute_work, measure_rank_counts, rank_sweep,
-                     rank_sweep_work, verify)
-from .fields import (BudgetExceeded, FieldCtx, FieldSizeError, Poly,
-                     make_field, minimal_polynomial, split_prime_power)
-from .hermitian import (cayley_spectrum, enumerate_hermitian, rank1_count,
-                        verify_isomorphism)
-from .quadforms import (FormSpace, QuadForm, all_forms, big_T,
-                        count_solutions, r_histogram, s_histogram)
-from .spectra import (WeightDistribution, eigenvalues, frequencies,
-                      gaussian_binomial, predict)
+The public names load on first access (PEP 562), each from its home
+module, so importing the package, or running its command line, loads
+numpy only when a name or command needs it."""
 
-__all__ = [
-    "BudgetExceeded", "CodeSpec", "Codeword", "ConsistencyError", "FieldCtx",
-    "FieldSizeError", "FormSpace", "Poly", "QuadForm", "TIER_BUDGETS",
-    "VerifyReport", "WeightDistribution", "all_forms", "annihilated_by",
-    "big_T", "brute_distribution", "brute_work", "build_code", "build_gamma",
-    "cayley_spectrum", "codeword", "count_solutions",
-    "eigenvalues", "enumerate_hermitian", "frequencies", "gaussian_binomial",
-    "make_field", "measure_rank_counts", "minimal_polynomial", "predict",
-    "r_histogram", "rank1_count", "rank_sweep", "rank_sweep_work",
-    "s_histogram", "split_prime_power", "verify", "verify_isomorphism",
-    "weight", "zero_params",
-]
+_HOMES = {
+    "admission": ("BudgetExceeded", "FieldSizeError", "TIER_BUDGETS", "brute_work",
+                  "rank_sweep_work", "split_prime_power"),
+    "codes": ("CodeSpec", "ConsistencyError", "build_code", "build_gamma"),
+    "engine": ("VerifyReport", "brute_distribution", "measure_rank_counts",
+               "rank_sweep", "verify"),
+    "fields": ("FieldCtx", "Poly", "make_field", "minimal_polynomial"),
+    "hermitian": ("cayley_spectrum", "enumerate_hermitian", "rank1_count",
+                  "verify_isomorphism"),
+    "quadforms": ("FormSpace", "QuadForm", "all_forms", "big_T", "r_histogram",
+                  "s_histogram"),
+    "spectra": ("WeightDistribution", "eigenvalues", "frequencies",
+                "gaussian_binomial", "predict"),
+}
+_MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

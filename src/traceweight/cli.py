@@ -9,6 +9,12 @@ Exit status contract: 0 success (for verify, oracle equal to the
 prediction; for witness, spectrum equal to the closed form and the
 embedding checks passed), 1 internal error or mismatch, 2 usage error,
 3 budget refusal.
+
+Every refusal and usage error is decided before numpy or any field is
+loaded, but for a --modulus-rank past the primitive moduli, which the
+modulus search finds: at import this module loads only the standard
+library and admission, and a command loads the numpy-side modules
+(_load) only once its request is admitted.
 """
 
 from __future__ import annotations
@@ -17,15 +23,42 @@ import argparse
 import json
 import sys
 
-from .codes import build_code  # noqa: F401 - a name perfbench/tracer.py wraps
-from .engine import TIER_BUDGETS, BudgetExceeded, default_workers, verify
-from .fields import ModulusRankError, make_field, split_prime_power
-from .hermitian import (DEFAULT_WITNESS_BOUND, cayley_spectrum,
-                        check_witness_budget, rank1_count, verify_isomorphism)
-from .spectra import WeightDistribution, eigenvalues, frequencies, predict
+from .admission import (DEFAULT_WITNESS_BOUND, TIER_BUDGETS, BudgetExceeded,
+                        ModulusRankError, check_witness_budget, choose_oracle,
+                        default_workers, split_prime_power)
+
+# The numpy-side names the commands call (and build_code, which benchmark
+# tracing wraps here too), and their modules.  _load binds them as module
+# globals, and the commands call them through those globals, so a name
+# replaced from outside (a test's stub, a tracing wrapper) before or
+# after the load is the one called.
+_LAZY = {
+    "build_code": "codes", "verify": "engine", "make_field": "fields",
+    "cayley_spectrum": "hermitian", "rank1_count": "hermitian",
+    "verify_isomorphism": "hermitian", "eigenvalues": "spectra",
+    "frequencies": "spectra", "predict": "spectra",
+}
 
 
-def _distribution_doc(dist: WeightDistribution) -> dict:
+def _load():
+    """Import the numpy-side modules, in the order the package has always
+    imported them, and bind each name of _LAZY not bound already."""
+    from . import codes, engine, fields, hermitian, quadforms, spectra  # noqa: F401
+    namespace = globals()
+    for name, module in _LAZY.items():
+        if name not in namespace:
+            namespace[name] = getattr(sys.modules[f"{__package__}.{module}"], name)
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        _load()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _distribution_doc(dist) -> dict:
+    """The JSON document of a spectra.WeightDistribution."""
     return {
         "q": dist.q,
         "m": dist.m,
@@ -37,7 +70,7 @@ def _distribution_doc(dist: WeightDistribution) -> dict:
     }
 
 
-def _distribution_csv(dist: WeightDistribution) -> str:
+def _distribution_csv(dist) -> str:
     lines = ["weight,count"] + [f"{w},{c}" for w, c in dist.pairs()]
     return "\n".join(lines) + "\n"
 
@@ -138,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--tier", choices=tuple(TIER_BUDGETS), default="quick")
     p_ver.add_argument("--format", choices=("json", "csv"), default="json")
     p_ver.add_argument("--workers", type=int, help="worker processes "
-                       "(default: machine parallelism)")
+                       "(default: the CPUs this process may run on)")
     p_ver.add_argument("--modulus-rank", type=int, default=0,
                        help="use the k-th smallest primitive modulus instead")
 
@@ -148,6 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_predict(args, p: int, e: int) -> int:
+    _load()
     dist = predict(p**e, args.m, args.family)
     if args.format == "csv":
         _emit(_distribution_csv(dist), args.out)
@@ -162,6 +196,8 @@ def cmd_verify(args, p: int, e: int, config: dict) -> int:
         if f"{tier}_budget" in config:
             budgets[tier] = config[f"{tier}_budget"]
     workers = args.workers or config.get("workers") or default_workers()
+    choose_oracle(p**e, args.m, args.family, args.tier, budgets[args.tier])
+    _load()
     report = verify(p**e, args.m, args.family, tier=args.tier,
                     workers=workers, modulus_rank=args.modulus_rank,
                     budgets=budgets, progress=_progress_printer())
@@ -184,6 +220,7 @@ def cmd_verify(args, p: int, e: int, config: dict) -> int:
 def cmd_witness(args, p: int, e: int, config: dict) -> int:
     budget = config.get("witness_budget", DEFAULT_WITNESS_BOUND)
     check_witness_budget(p**e, args.m, budget)
+    _load()
     ctx = make_field(p, e, 2 * args.m)
     spectrum = cayley_spectrum(ctx, budget)
     r1 = rank1_count(ctx, budget)

@@ -5,12 +5,13 @@ polynomials of pi^(-u) over F_q for u in the exponent set Gamma; family
 E appends the factor (x - 1); family C drops the u = 1 factor.  Their
 dimensions are m^2 + 2m, m^2 + 2m + 1 and m^2.
 
-Codewords are generated from the trace representation: coordinate i is
-a sum of relative traces of parameters times pi^(u*i), plus (family E)
-a constant.  The parameter tuple layout is canonical and fixed per
-family: (beta, [delta0,] lambda_1..lambda_t [, b]) where beta is absent
-for C, delta0 is present only for odd m (and must lie in the embedded
-F_{q^m}), and the constant b (in F_q) is present only for E.
+Codewords have a trace representation: coordinate i is a sum of
+relative traces of parameters times pi^(u*i), plus (family E) a
+constant.  The parameters are (beta, [delta0,] lambda_1..lambda_t [, b])
+where beta is absent for C, delta0 is present only for odd m (and must
+lie in the embedded F_{q^m}), and the constant b (in F_q) is present
+only for E.  The oracles never build a codeword; the tests' literal
+generator evaluates this representation coordinate by coordinate.
 
 Coordinate order is i = 0..n-1 under the canonical pi.  Weight
 distributions are invariant under that choice; raw coordinate values
@@ -70,32 +71,6 @@ class CodeSpec:
     def m(self) -> int:
         return self.ctx.m
 
-    @property
-    def t(self) -> int:
-        return self.m // 2
-
-    @property
-    def has_beta(self) -> bool:
-        return self.family in ("D", "E")
-
-    @property
-    def has_delta0(self) -> bool:
-        return self.m % 2 == 1
-
-    @property
-    def has_b(self) -> bool:
-        return self.family == "E"
-
-    @property
-    def parameter_slots(self) -> tuple[str, ...]:
-        slots: tuple[str, ...] = ("beta",) if self.has_beta else ()
-        if self.has_delta0:
-            slots += ("delta0",)
-        slots += tuple(f"lambda{j}" for j in range(1, self.t + 1))
-        if self.has_b:
-            slots += ("b",)
-        return slots
-
     def __repr__(self):
         return (f"CodeSpec({self.family}_({self.q},{self.m}), "
                 f"[{self.n},{self.k}])")
@@ -152,86 +127,3 @@ def build_code(ctx: FieldCtx, family: str) -> CodeSpec:
         if h(root) != 0:
             raise ConsistencyError(f"parity check does not vanish at pi^(-{u})")
     return CodeSpec(family, ctx, n, k, tuple(gamma), h)
-
-
-@dataclass(frozen=True)
-class Codeword:
-    spec: CodeSpec
-    params: tuple[int, ...]
-    values: tuple[int, ...]
-
-
-def check_params(spec: CodeSpec, params) -> tuple[int, ...]:
-    params = tuple(params)
-    if len(params) != len(spec.parameter_slots):
-        raise ValueError(
-            f"{spec.family} expects parameters {spec.parameter_slots}, "
-            f"got {len(params)} values")
-    ctx = spec.ctx
-    for name, value in zip(spec.parameter_slots, params):
-        if not 0 <= value < ctx.size:
-            raise ValueError(f"{name} out of field range")
-        if name == "delta0" and ctx.pow(value, ctx.q**ctx.m) != value:
-            raise ValueError("delta0 is not in the embedded F_{q^m}")
-        if name == "b" and ctx.frobenius_q(value) != value:
-            raise ValueError("b is not in the embedded F_q")
-    return params
-
-
-def codeword(spec: CodeSpec, params) -> Codeword:
-    """Evaluate the trace representation over the coordinate range.
-
-    Coordinate i is Tr(beta pi^i) + Tr_{q^m/q}(delta0 pi^((q^m+1)i)) +
-    sum_j Tr(lambda_j pi^((q^(2j-1)+1)i)), plus b for family E.
-    """
-    params = check_params(spec, params)
-    ctx = spec.ctx
-    n = spec.n
-    slots = spec.parameter_slots
-    values = dict(zip(slots, params))
-    b = values.get("b", 0)
-    exps = form_exponents(ctx.q, ctx.m)
-    terms = []  # (coefficient, step multiplier, trace selector)
-    if spec.has_beta and values["beta"]:
-        terms.append((values["beta"], ctx.pi, "q"))
-    names = (("delta0",) if spec.has_delta0 else ()) + tuple(
-        f"lambda{j}" for j in range(1, spec.t + 1))
-    for name, u in zip(names, exps):
-        if values[name]:
-            selector = "qm" if name == "delta0" else "q"
-            terms.append((values[name], ctx.pow(ctx.pi, u), selector))
-    out = []
-    points = [1] * len(terms)
-    for _ in range(n):
-        acc = b
-        for idx, (coeff, step, selector) in enumerate(terms):
-            acc = ctx.add(acc, ctx.trace(ctx.mul(coeff, points[idx]), selector))
-            points[idx] = ctx.mul(points[idx], step)
-        out.append(acc)
-    return Codeword(spec, params, tuple(out))
-
-
-def weight(word: Codeword) -> int:
-    """Number of nonzero coordinates."""
-    return sum(1 for v in word.values if v)
-
-
-def zero_params(spec: CodeSpec) -> tuple[int, ...]:
-    return (0,) * len(spec.parameter_slots)
-
-
-def annihilated_by(check: Poly, seq) -> bool:
-    """Whether the cyclic sequence satisfies the recurrence induced by the
-    check polynomial: sum_j h_j c_(w-j mod n) = 0 for every w, which is
-    c(x) h(x) = 0 mod (x^n - 1)."""
-    ctx = check.ctx
-    seq = list(seq)
-    n = len(seq)
-    for w in range(n):
-        acc = 0
-        for j, h_j in enumerate(check.coeffs):
-            if h_j:
-                acc = ctx.add(acc, ctx.mul(h_j, seq[(w - j) % n]))
-        if acc != 0:
-            return False
-    return True

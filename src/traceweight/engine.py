@@ -59,15 +59,9 @@ in-process, whatever the worker count; else a pool runs them, and its
 workers receive the plan once, as they start (forked workers inherit it,
 spawned ones unpickle it).
 
-Work is accounted in elementary operations: coordinate matches for the
-brute oracle (forms x betas x n, or forms x n for family C, over all
-q^(m^2) forms, which the orbit weights cover exactly) and s^3 per form
-for the sweep.  One rule, _refusal, decides from (q, m, family) alone
-whether an oracle may run: its estimate within the budget, brute D and E
-within the linear-trace table's size bound, both oracles within the
-exp/log tables', and q at most 256, as F_q labels are bytes.  verify and both
-oracles apply it before building any field or plan; verify takes the
-first oracle it admits, or refuses with the smaller estimate attached.
+Work is accounted, and every run admitted or refused, by the admission
+module, from (q, m, family) alone: its one rule, _refusal, and
+choose_oracle, which verify calls, run before any field or plan is built.
 """
 
 from __future__ import annotations
@@ -76,20 +70,19 @@ import contextlib
 import dataclasses
 import functools
 import math
-import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from .admission import (TIER_BUDGETS, _refusal, brute_work,  # noqa: F401 - re-exported
+                        choose_oracle, default_workers, rank_sweep_work,
+                        split_prime_power)
 from .codes import CodeSpec, ConsistencyError, build_code
-from .fields import (DEFAULT_TABLE_BOUND, MAX_LABEL_Q, BudgetExceeded,
-                     FieldSizeError, make_field, split_prime_power)
-from .quadforms import (LINEAR_TRACE_BOUND, FormSpace, coordinate_matches,
-                        gram_labels, trace_residues)
+from .fields import make_field
+from .quadforms import FormSpace, coordinate_matches, gram_labels, trace_residues
 from .spectra import WeightDistribution, assemble_distribution, predict
 
-TIER_BUDGETS = {"quick": 2**24, "standard": 2**32, "extended": 2**38}
 DEFAULT_BUDGET = 2**36
 _EPSILON_SAMPLES = 12
 # Enumerations of fewer forms run in-process whatever the worker count: a
@@ -102,42 +95,6 @@ _POOL_MIN_FORMS = 1 << 18
 _MIN_CHUNK_FORMS = 256
 # and at most this many, which bounds the Gram stack of one rank call
 _BATCH_CAP = 1 << 16
-
-
-def brute_work(q: int, m: int, family: str) -> int:
-    forms, size = q ** (m * m), q ** (2 * m)
-    if family == "C":
-        return forms * (size - 1)
-    return forms * size * (size - 1)
-
-
-def rank_sweep_work(q: int, m: int) -> int:
-    return q ** (m * m) * (2 * m) ** 3
-
-
-def _refusal(kind: str, q: int, m: int, family: str,
-             budget: int) -> BudgetExceeded | None:
-    """Why the oracle kind ("brute" or "rank_sweep") may not run at
-    (q, m, family) under budget, or None when it may: q over the byte-label
-    cap, the work model over the budget, brute D and E over the
-    linear-trace table bound, or either oracle over the exp/log-table bound."""
-    brute = kind == "brute"
-    work = brute_work(q, m, family) if brute else rank_sweep_work(q, m)
-
-    def refuse(error, needs):
-        name = "brute enumeration" if brute else "rank sweep"
-        return error(f"{name} needs {needs}", estimate=work, budget=budget)
-    if q > MAX_LABEL_Q:
-        return refuse(FieldSizeError, f"F_q labels that fit a byte; q = {q} exceeds {MAX_LABEL_Q}")
-    if work > budget:
-        return refuse(BudgetExceeded, f"~{work} elementary operations (budget {budget})")
-    if brute and family != "C" and q ** (2 * m) > LINEAR_TRACE_BOUND:
-        return refuse(FieldSizeError, f"the linear-trace table, refused above "
-                                      f"{LINEAR_TRACE_BOUND} field elements")
-    if q ** (2 * m) > DEFAULT_TABLE_BOUND:  # both plans read the exp/log tables
-        return refuse(FieldSizeError, f"the exp/log tables, refused above "
-                                      f"{DEFAULT_TABLE_BOUND} field elements")
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -530,14 +487,7 @@ def verify(q: int, m: int, family: str, tier: str = "quick", workers: int = 1,
     from (q, m, family) before the field is built."""
     budget = (budgets or TIER_BUDGETS)[tier]
     p, e = split_prime_power(q)
-    refusals = {kind: _refusal(kind, q, m, family, budget)
-                for kind in ("brute", "rank_sweep")}
-    kind = next((k for k, refusal in refusals.items() if refusal is None), None)
-    if kind is None:
-        size_only = all(isinstance(r, FieldSizeError) for r in refusals.values())
-        raise (FieldSizeError if size_only else BudgetExceeded)(
-            f"no oracle fits tier {tier!r}: " + "; ".join(map(str, refusals.values())),
-            estimate=min(r.estimate for r in refusals.values()), budget=budget)
+    kind = choose_oracle(q, m, family, tier, budget)
     run = brute_distribution if kind == "brute" else rank_sweep
     ctx = make_field(p, e, 2 * m, modulus_rank)
     spec = build_code(ctx, family)
@@ -554,6 +504,3 @@ def verify(q: int, m: int, family: str, tier: str = "quick", workers: int = 1,
     return VerifyReport(q, m, family, tier, kind, equal, first_diff, predicted,
                         oracle, oracle.work_count or 0, runtime, workers)
 
-
-def default_workers() -> int:
-    return os.cpu_count() or 1

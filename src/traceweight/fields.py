@@ -41,58 +41,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TABLE_BOUND = 2**26
+from .admission import (DEFAULT_TABLE_BOUND, MAX_LABEL_Q,  # noqa: F401 - re-exported
+                        BudgetExceeded, FieldSizeError, ModulusRankError, is_prime,
+                        split_prime_power)
+
 MAX_DEGREE = 64
-# F_q labels are uint8, and an F_{q^2} label table holds at most 2^16 elements
-MAX_LABEL_Q = 256
-
-
-class BudgetExceeded(RuntimeError):
-    """An operation would exceed its work or size budget.  Carries the
-    a-priori estimate so callers can report how far over budget it was."""
-
-    def __init__(self, message: str, estimate: int | None = None,
-                 budget: int | None = None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.budget = budget
-
-
-class FieldSizeError(BudgetExceeded):
-    """Raised when an operation would exceed the configured size budget."""
-
-
-class ModulusRankError(ValueError):
-    """The requested primitive modulus rank is not below the number of
-    primitive polynomials of that degree."""
 
 
 # ---------------------------------------------------------------------------
 # integer helpers
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond any field size used here."""
-    if n < 2:
-        return False
-    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % sp == 0:
-            return n == sp
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _pollard_rho(n: int) -> int:
@@ -815,25 +772,3 @@ def make_field(p: int, e: int, s: int, modulus_rank: int = 0) -> FieldCtx:
         modulus = find_primitive_modulus(p, e * s, modulus_rank)
         _CTX_CACHE[key] = FieldCtx(p, e, s, modulus, modulus_rank)
     return _CTX_CACHE[key]
-
-
-def _integer_root(n: int, k: int) -> int:
-    """floor(n^(1/k)) for n >= 1, by Newton's method on exact integers."""
-    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
-def split_prime_power(q: int) -> tuple[int, int]:
-    """q = p^e with p prime, or ValueError.  Tries each exponent e up to
-    log2 q through an exact integer e-th root, so no factor search runs."""
-    if q >= 2 and is_prime(q):
-        return q, 1
-    for e in range(2, q.bit_length() if q > 1 else 0):
-        p = _integer_root(q, e)
-        if p**e == q and is_prime(p):
-            return p, e
-    raise ValueError(f"{q} is not a prime power")

@@ -21,10 +21,12 @@ graph's spectrum is the multiset of its connection set's character sums,
 however the characters are named.
 
 Each matrix is built and ranked once per field; that one enumeration is
-also the witness's one budget check.  The embedding is checked as one
-F_p-linear map, each image's base-p digits against its coordinates times
-the basis images' digits; for odd m, the leading coordinate's membership
-in F_{q^m} (an F_p-subspace) on the basis.
+also where the witness's budget is checked, by
+admission.check_witness_budget, which needs (q, m) alone.  The
+embedding is checked as one F_p-linear map, each image's base-p digits
+against its coordinates times the basis images' digits; for odd m, the
+leading coordinate's membership in F_{q^m} (an F_p-subspace) on the
+basis.
 """
 
 from __future__ import annotations
@@ -34,32 +36,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .admission import DEFAULT_WITNESS_BOUND, check_witness_budget
 from .codes import ConsistencyError
-from .fields import (MAX_LABEL_Q, BudgetExceeded, FieldCtx, FieldSizeError,
-                     label_matrix_rank)
+from .fields import FieldCtx, label_matrix_rank
 from .quadforms import integral_character_sum
 
-DEFAULT_WITNESS_BOUND = 2**20
-
 Matrix = tuple[tuple[int, ...], ...]
-
-
-def check_witness_budget(q: int, m: int, budget: int):
-    """Refuse when the witness work exceeds the budget: the spectrum pairs
-    each of the q^(m^2) characters, one per Hermitian matrix of order m,
-    with each of the (q^(2m)-1)/(q+1) rank-1 matrices.  q above MAX_LABEL_Q
-    is refused first, since the F_{q^2} label tables would not fit.  Needs
-    (q, m) alone, so callers check before building a field."""
-    matrices, rank1 = q ** (m * m), (q ** (2 * m) - 1) // (q + 1)
-    if q > MAX_LABEL_Q:
-        raise FieldSizeError(
-            f"F_{{q^2}} label tables are capped at {MAX_LABEL_Q**2} elements; "
-            f"q = {q} exceeds {MAX_LABEL_Q}", estimate=matrices * rank1, budget=budget)
-    if matrices * rank1 > budget:
-        raise BudgetExceeded(
-            f"{matrices} Hermitian matrices x {rank1} rank-1 matrices exceed "
-            f"the witness budget {budget}",
-            estimate=matrices * rank1, budget=budget)
 
 
 def hermitian_at(ctx: FieldCtx, index: int) -> Matrix:

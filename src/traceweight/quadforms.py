@@ -40,10 +40,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .admission import LINEAR_TRACE_BOUND
 from .codes import ConsistencyError, form_exponents
 from .fields import FieldCtx, FieldSizeError, label_matrix_rank
-
-LINEAR_TRACE_BOUND = 4096  # linear_trace_rows holds size * n bytes
 
 
 def integral_character_sum(residue_counts, p: int) -> int:
@@ -255,19 +254,6 @@ def big_T(form: QuadForm) -> int:
     counts = np.bincount(trace_residues(ctx)[form.value_labels()], minlength=ctx.p)
     counts[0] += 1  # x = 0, where Q vanishes
     return integral_character_sum(counts.tolist(), ctx.p)
-
-
-def count_solutions(form: QuadForm, beta: int, zeta: int) -> int:
-    """|{x : Q(x) + Tr(beta x) = zeta}| by direct counting; beta a packed
-    element of F_{q^s}, zeta in F_q."""
-    ctx = form.ctx
-    sub = ctx.subfield(ctx.q)
-    if not 0 <= beta < ctx.size:
-        raise ValueError(f"beta = {beta} is not a packed element of F_{ctx.size}")
-    if not sub.contains(zeta):
-        raise ValueError("zeta is not in the embedded F_q")
-    target = sub.label_of(zeta)
-    return int(coordinate_matches(ctx, form.value_labels(), target)[beta]) + (zeta == 0)
 
 
 def _beta_histogram(form: QuadForm, target: int) -> dict[int, int]:

@@ -8,9 +8,12 @@ paths are checked against something that cannot share their bugs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
+from traceweight.codes import form_exponents
 from traceweight.fields import Poly, factorize
+from traceweight.quadforms import coordinate_matches
 
 
 def naive_mul(ctx, a, b):
@@ -77,6 +80,122 @@ def poly_divides(f, g):
 def x_power_minus_one(ctx, n):
     """The polynomial x^n - 1 over the field of ctx."""
     return Poly(ctx, (ctx.neg(1),) + (0,) * (n - 1) + (1,))
+
+
+# ---------------------------------------------------------------------------
+# literal codewords: the trace representation evaluated coordinate by
+# coordinate, and the parity check applied as a recurrence
+
+
+@dataclass(frozen=True)
+class Codeword:
+    spec: object
+    params: tuple
+    values: tuple
+
+
+def parameter_slots(spec):
+    """A code's parameter names in canonical order,
+    (beta, [delta0,] lambda_1..lambda_t [, b]): beta for D and E, delta0
+    for odd m, b for E."""
+    slots = ("beta",) if spec.family in ("D", "E") else ()
+    if spec.m % 2:
+        slots += ("delta0",)
+    slots += tuple(f"lambda{j}" for j in range(1, spec.m // 2 + 1))
+    if spec.family == "E":
+        slots += ("b",)
+    return slots
+
+
+def zero_params(spec):
+    return (0,) * len(parameter_slots(spec))
+
+
+def check_params(spec, params):
+    params = tuple(params)
+    slots = parameter_slots(spec)
+    if len(params) != len(slots):
+        raise ValueError(
+            f"{spec.family} expects parameters {slots}, got {len(params)} values")
+    ctx = spec.ctx
+    for name, value in zip(slots, params):
+        if not 0 <= value < ctx.size:
+            raise ValueError(f"{name} out of field range")
+        if name == "delta0" and ctx.pow(value, ctx.q**ctx.m) != value:
+            raise ValueError("delta0 is not in the embedded F_{q^m}")
+        if name == "b" and ctx.frobenius_q(value) != value:
+            raise ValueError("b is not in the embedded F_q")
+    return params
+
+
+def codeword(spec, params):
+    """Evaluate the trace representation over the coordinate range.
+
+    Coordinate i is Tr(beta pi^i) + Tr_{q^m/q}(delta0 pi^((q^m+1)i)) +
+    sum_j Tr(lambda_j pi^((q^(2j-1)+1)i)), plus b for family E.
+    """
+    params = check_params(spec, params)
+    ctx = spec.ctx
+    values = dict(zip(parameter_slots(spec), params))
+    b = values.get("b", 0)
+    exps = form_exponents(ctx.q, ctx.m)
+    terms = []  # (coefficient, step multiplier, trace selector)
+    if values.get("beta"):
+        terms.append((values["beta"], ctx.pi, "q"))
+    names = (("delta0",) if spec.m % 2 else ()) + tuple(
+        f"lambda{j}" for j in range(1, spec.m // 2 + 1))
+    for name, u in zip(names, exps):
+        if values[name]:
+            selector = "qm" if name == "delta0" else "q"
+            terms.append((values[name], ctx.pow(ctx.pi, u), selector))
+    out = []
+    points = [1] * len(terms)
+    for _ in range(spec.n):
+        acc = b
+        for idx, (coeff, step, selector) in enumerate(terms):
+            acc = ctx.add(acc, ctx.trace(ctx.mul(coeff, points[idx]), selector))
+            points[idx] = ctx.mul(points[idx], step)
+        out.append(acc)
+    return Codeword(spec, params, tuple(out))
+
+
+def weight(word):
+    """Number of nonzero coordinates."""
+    return sum(1 for v in word.values if v)
+
+
+def annihilated_by(check, seq):
+    """Whether the cyclic sequence satisfies the recurrence induced by the
+    check polynomial: sum_j h_j c_(w-j mod n) = 0 for every w, which is
+    c(x) h(x) = 0 mod (x^n - 1)."""
+    ctx = check.ctx
+    seq = list(seq)
+    n = len(seq)
+    for w in range(n):
+        acc = 0
+        for j, h_j in enumerate(check.coeffs):
+            if h_j:
+                acc = ctx.add(acc, ctx.mul(h_j, seq[(w - j) % n]))
+        if acc != 0:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# quadratic forms
+
+
+def count_solutions(form, beta, zeta):
+    """|{x : Q(x) + Tr(beta x) = zeta}| by direct counting; beta a packed
+    element of F_{q^s}, zeta in F_q."""
+    ctx = form.ctx
+    sub = ctx.subfield(ctx.q)
+    if not 0 <= beta < ctx.size:
+        raise ValueError(f"beta = {beta} is not a packed element of F_{ctx.size}")
+    if not sub.contains(zeta):
+        raise ValueError("zeta is not in the embedded F_q")
+    target = sub.label_of(zeta)
+    return int(coordinate_matches(ctx, form.value_labels(), target)[beta]) + (zeta == 0)
 
 
 def literal_value(form, x):

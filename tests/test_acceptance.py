@@ -9,9 +9,10 @@ import time
 from contextlib import contextmanager
 
 import pytest
-from conftest import offset_sum_rows, shift_sum_rows, prime_powers_up_to
+from conftest import (annihilated_by, codeword, offset_sum_rows, parameter_slots,
+                      prime_powers_up_to, shift_sum_rows)
 
-from traceweight.codes import annihilated_by, build_code, codeword
+from traceweight.codes import build_code
 from traceweight.engine import measure_rank_counts, verify
 from traceweight.fields import make_field, split_prime_power
 from traceweight.hermitian import (cayley_spectrum, enumerate_hermitian,
@@ -153,7 +154,7 @@ def test_criterion_5_structural_suite():
                 lam_slots = tuple(
                     rng.choice(delta0_space) if name == "delta0"
                     else rng.randrange(ctx.size)
-                    for name in c_spec.parameter_slots)
+                    for name in parameter_slots(c_spec))
                 word = codeword(c_spec, lam_slots)
                 assert annihilated_by(d_spec.parity_check, word.values)
                 assert annihilated_by(e_spec.parity_check, word.values)

@@ -3,10 +3,10 @@
 import random
 
 import pytest
-from conftest import literal_value, poly_divides, x_power_minus_one
+from conftest import (annihilated_by, codeword, literal_value, parameter_slots,
+                      poly_divides, weight, x_power_minus_one, zero_params)
 
-from traceweight.codes import (FAMILIES, annihilated_by, build_code,
-                               build_gamma, codeword, weight, zero_params)
+from traceweight.codes import FAMILIES, build_code, build_gamma
 from traceweight.fields import make_field
 from traceweight.quadforms import QuadForm
 
@@ -80,8 +80,8 @@ def test_codeword_linearity():
     ctx = spec.ctx
     rng = random.Random(7)
     for _ in range(5):
-        p1 = tuple(rng.randrange(ctx.size) for _ in spec.parameter_slots)
-        p2 = tuple(rng.randrange(ctx.size) for _ in spec.parameter_slots)
+        p1 = tuple(rng.randrange(ctx.size) for _ in parameter_slots(spec))
+        p2 = tuple(rng.randrange(ctx.size) for _ in parameter_slots(spec))
         combined = tuple(ctx.add(a, b) for a, b in zip(p1, p2))
         w1, w2, w12 = (codeword(spec, t) for t in (p1, p2, combined))
         assert tuple(ctx.add(a, b) for a, b in zip(w1.values, w2.values)) == w12.values
@@ -95,7 +95,7 @@ def test_codewords_satisfy_parity_check(p, e, m):
         spec = build_code(ctx, family)
         for _ in range(4):
             params = []
-            for name in spec.parameter_slots:
+            for name in parameter_slots(spec):
                 if name == "b":
                     params.append(ctx.subfield(ctx.q).from_label(rng.randrange(ctx.q)))
                 elif name == "delta0":
@@ -161,5 +161,5 @@ def test_d32_sampled_weights_in_predicted_support():
     rng = random.Random(11)
     support = {0, 45, 48, 54, 57, 72}
     for _ in range(40):
-        params = tuple(rng.randrange(81) for _ in spec.parameter_slots)
+        params = tuple(rng.randrange(81) for _ in parameter_slots(spec))
         assert weight(codeword(spec, params)) in support

@@ -4,12 +4,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import literal_gram
+from conftest import codeword, literal_gram, parameter_slots, weight
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traceweight import engine
-from traceweight.codes import ConsistencyError, build_code, codeword, weight
+from traceweight.codes import ConsistencyError, build_code
 from traceweight.engine import (TIER_BUDGETS, brute_distribution, brute_work,
                                 measure_rank_counts, rank_sweep,
                                 rank_sweep_work, verify)
@@ -23,7 +23,7 @@ def direct_codeword_distribution(spec):
     """The honest oracle: every parameter tuple through codeword()."""
     ctx = spec.ctx
     slot_spaces = []
-    for name in spec.parameter_slots:
+    for name in parameter_slots(spec):
         if name == "b":
             slot_spaces.append(list(ctx.subfield(ctx.q).elements_by_label))
         elif name == "delta0":

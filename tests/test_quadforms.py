@@ -3,14 +3,15 @@
 from collections import Counter
 
 import pytest
-from conftest import (literal_bilinear, literal_gram, literal_value, naive_mul,
-                      offset_sum_rows, shift_sum_rows, solution_count_multiset)
+from conftest import (count_solutions, literal_bilinear, literal_gram, literal_value,
+                      naive_mul, offset_sum_rows, shift_sum_rows,
+                      solution_count_multiset)
 
 from traceweight.codes import ConsistencyError
 from traceweight.fields import label_matrix_rank, make_field
 from traceweight.quadforms import (FormSpace, QuadForm, all_forms, big_T,
                                    coordinate_matches, coordinate_values,
-                                   count_solutions, integral_character_sum,
+                                   integral_character_sum,
                                    linear_trace_rows, r_histogram, s_histogram)
 from traceweight.spectra import frequencies
 
