@@ -11,8 +11,10 @@ brute oracle (forms x betas x n, or forms x n for family C, over all
 q^(m^2) forms, which the orbit weights cover exactly) and s^3 per form
 for the rank sweep.  One rule, _refusal, decides whether an oracle may
 run: its estimate within the budget, brute D and E within the
-linear-trace table's size bound, both oracles within the exp/log
-tables', and q at most MAX_LABEL_Q, as F_q labels are bytes.
+linear-trace table's size bound, q at most MAX_LABEL_Q, as F_q labels
+are bytes, and the field within the one field-size rule, which the
+witness and every field constructor apply too: field_size_refusal, at
+most DEFAULT_TABLE_BOUND = 2^26 elements, which the exp/log tables fit.
 choose_oracle takes the first oracle the rule admits, brute before the
 sweep, or refuses with the smaller estimate attached; engine.verify, the
 command line and both oracles all ask this module.  The Hermitian
@@ -21,6 +23,7 @@ witness has its own work model, check_witness_budget.
 
 from __future__ import annotations
 
+import math
 import os
 
 TIER_BUDGETS = {"quick": 2**24, "standard": 2**32, "extended": 2**38}
@@ -89,6 +92,31 @@ def _integer_root(n: int, k: int) -> int:
         x = y
 
 
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization as {prime: exponent}, by trial division: at most
+    2^13 steps for the p^d - 1 < 2^26 of every admitted field."""
+    factors, f = {}, 2
+    while f * f <= n:
+        while n % f == 0:
+            factors[f] = factors.get(f, 0) + 1
+            n //= f
+        f += 1
+    if n > 1:  # a prime above every factor found
+        factors[n] = 1
+    return factors
+
+
+def check_modulus_rank(p: int, degree: int, rank: int):
+    """ModulusRankError unless rank is below phi(p^degree - 1)/degree, the
+    number of primitive polynomials of the degree over F_p."""
+    factors = factorize(p**degree - 1)
+    count = math.prod((r - 1) * r ** (k - 1) for r, k in factors.items()) // degree
+    if rank >= count:
+        raise ModulusRankError(
+            f"modulus rank {rank} is out of range: there are {count} primitive "
+            f"polynomials of degree {degree} over F_{p}")
+
+
 def split_prime_power(q: int) -> tuple[int, int]:
     """q = p^e with p prime, or ValueError.  Tries each exponent e up to
     log2 q through an exact integer e-th root, so no factor search runs."""
@@ -102,7 +130,18 @@ def split_prime_power(q: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# work models and the admission rule
+# the field-size rule, the work models and the admission rule
+
+
+def field_size_refusal(size: int, what: str, estimate: int | None = None,
+                       budget: int | None = None) -> FieldSizeError | None:
+    """The one field-size rule: the FieldSizeError refusing what needs more than
+    DEFAULT_TABLE_BOUND field elements, the exp/log tables' bound, else None."""
+    if size <= DEFAULT_TABLE_BOUND:
+        return None
+    return FieldSizeError(f"{what} needs the exp/log tables, refused above "
+                          f"{DEFAULT_TABLE_BOUND} field elements",
+                          estimate=estimate, budget=budget)
 
 
 def brute_work(q: int, m: int, family: str) -> int:
@@ -123,10 +162,10 @@ def _refusal(kind: str, q: int, m: int, family: str,
     cap, the work model over the budget, brute D and E over the
     linear-trace table bound, or either oracle over the exp/log-table bound."""
     brute = kind == "brute"
+    name = "brute enumeration" if brute else "rank sweep"
     work = brute_work(q, m, family) if brute else rank_sweep_work(q, m)
 
     def refuse(error, needs):
-        name = "brute enumeration" if brute else "rank sweep"
         return error(f"{name} needs {needs}", estimate=work, budget=budget)
     if q > MAX_LABEL_Q:
         return refuse(FieldSizeError, f"F_q labels that fit a byte; q = {q} exceeds {MAX_LABEL_Q}")
@@ -135,10 +174,7 @@ def _refusal(kind: str, q: int, m: int, family: str,
     if brute and family != "C" and q ** (2 * m) > LINEAR_TRACE_BOUND:
         return refuse(FieldSizeError, f"the linear-trace table, refused above "
                                       f"{LINEAR_TRACE_BOUND} field elements")
-    if q ** (2 * m) > DEFAULT_TABLE_BOUND:  # both plans read the exp/log tables
-        return refuse(FieldSizeError, f"the exp/log tables, refused above "
-                                      f"{DEFAULT_TABLE_BOUND} field elements")
-    return None
+    return field_size_refusal(q ** (2 * m), name, work, budget)
 
 
 def choose_oracle(q: int, m: int, family: str, tier: str, budget: int) -> str:
@@ -161,18 +197,20 @@ def check_witness_budget(q: int, m: int, budget: int):
     """Refuse when the witness work exceeds the budget: the spectrum pairs
     each of the q^(m^2) characters, one per Hermitian matrix of order m,
     with each of the (q^(2m)-1)/(q+1) rank-1 matrices.  q above MAX_LABEL_Q
-    is refused first, since the F_{q^2} label tables would not fit.  Needs
-    (q, m) alone, so callers check before building a field."""
+    is refused first, as the F_{q^2} label tables would not fit, a field
+    over the size bound last.  Needs (q, m) alone, so callers check first."""
     matrices, rank1 = q ** (m * m), (q ** (2 * m) - 1) // (q + 1)
+    work = matrices * rank1
     if q > MAX_LABEL_Q:
         raise FieldSizeError(
             f"F_{{q^2}} label tables are capped at {MAX_LABEL_Q**2} elements; "
-            f"q = {q} exceeds {MAX_LABEL_Q}", estimate=matrices * rank1, budget=budget)
-    if matrices * rank1 > budget:
+            f"q = {q} exceeds {MAX_LABEL_Q}", estimate=work, budget=budget)
+    if work > budget:
         raise BudgetExceeded(
             f"{matrices} Hermitian matrices x {rank1} rank-1 matrices exceed "
-            f"the witness budget {budget}",
-            estimate=matrices * rank1, budget=budget)
+            f"the witness budget {budget}", estimate=work, budget=budget)
+    if refusal := field_size_refusal(q ** (2 * m), "the witness", work, budget):
+        raise refusal
 
 
 def default_workers() -> int:

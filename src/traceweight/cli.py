@@ -11,10 +11,9 @@ embedding checks passed), 1 internal error or mismatch, 2 usage error,
 3 budget refusal.
 
 Every refusal and usage error is decided before numpy or any field is
-loaded, but for a --modulus-rank past the primitive moduli, which the
-modulus search finds: at import this module loads only the standard
-library and admission, and a command loads the numpy-side modules
-(_load) only once its request is admitted.
+loaded: at import this module loads only the standard library and
+admission, and a command loads the numpy-side modules (_load) only once
+its request is admitted.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ import json
 import sys
 
 from .admission import (DEFAULT_WITNESS_BOUND, TIER_BUDGETS, BudgetExceeded,
-                        ModulusRankError, check_witness_budget, choose_oracle,
-                        default_workers, split_prime_power)
+                        ModulusRankError, check_modulus_rank, check_witness_budget,
+                        choose_oracle, default_workers, split_prime_power)
 
 # The numpy-side names the commands call (and build_code, which benchmark
 # tracing wraps here too), and their modules.  _load binds them as module
@@ -197,6 +196,7 @@ def cmd_verify(args, p: int, e: int, config: dict) -> int:
             budgets[tier] = config[f"{tier}_budget"]
     workers = args.workers or config.get("workers") or default_workers()
     choose_oracle(p**e, args.m, args.family, args.tier, budgets[args.tier])
+    check_modulus_rank(p, 2 * e * args.m, args.modulus_rank)
     _load()
     report = verify(p**e, args.m, args.family, tier=args.tier,
                     workers=workers, modulus_rank=args.modulus_rank,

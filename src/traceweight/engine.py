@@ -76,8 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admission import (TIER_BUDGETS, _refusal, brute_work,  # noqa: F401 - re-exported
-                        choose_oracle, default_workers, rank_sweep_work,
-                        split_prime_power)
+                        choose_oracle, rank_sweep_work, split_prime_power)
 from .codes import CodeSpec, ConsistencyError, build_code
 from .fields import make_field
 from .quadforms import FormSpace, coordinate_matches, gram_labels, trace_residues

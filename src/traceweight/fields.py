@@ -16,12 +16,11 @@ SubfieldView attaches dense label tables (labels 0..Q-1, F_p-linear
 labelling) so inner loops can work on small numpy arrays instead of
 packed values.
 
-Exp/log tables are built lazily and only for fields up to
-DEFAULT_TABLE_BOUND = 2**26 elements; operations that need them on a
-larger field raise FieldSizeError.  Without tables, multiplication
-works on the packed ints themselves.  At p = 2 it is a carry-less
+Every field has at most 2^26 elements, admission's one field-size
+rule, so its exp/log tables fit; they are built lazily.  Until then a
+product is taken on the packed ints: at p = 2 a carry-less
 shift-and-XOR product, reduced by XOR-ing in shifted copies of the
-modulus bits.  At odd p the operands' digits are spread into slots wide
+modulus bits; at odd p the operands' digits are spread into slots wide
 enough never to carry, one integer product gives every coefficient of
 the polynomial product (Kronecker substitution), and the high slots
 fold back through x^(D+t) mod the modulus, precomputed per context.
@@ -41,54 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admission import (DEFAULT_TABLE_BOUND, MAX_LABEL_Q,  # noqa: F401 - re-exported
-                        BudgetExceeded, FieldSizeError, ModulusRankError, is_prime,
-                        split_prime_power)
-
-MAX_DEGREE = 64
-
-
-# ---------------------------------------------------------------------------
-# integer helpers
-
-
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 64):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"rho failed on {n}")
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization as {prime: exponent}.  Fields here are desk scale,
-    so trial division does nearly all the work; rho covers stray big factors."""
-    factors: dict[int, int] = {}
-    for sp in range(2, 1 << 16):
-        if sp * sp > n:
-            break
-        while n % sp == 0:
-            factors[sp] = factors.get(sp, 0) + 1
-            n //= sp
-    stack = [n] if n > 1 else []
-    while stack:
-        v = stack.pop()
-        if v == 1:
-            continue
-        if is_prime(v):
-            factors[v] = factors.get(v, 0) + 1
-            continue
-        d = _pollard_rho(v)
-        stack += [d, v // d]
-    return factors
+from .admission import (MAX_LABEL_Q, FieldSizeError, check_modulus_rank, factorize,
+                        field_size_refusal, is_prime,
+                        split_prime_power)  # noqa: F401 - split_prime_power re-exported
 
 
 # ---------------------------------------------------------------------------
@@ -98,26 +52,16 @@ def factorize(n: int) -> dict[int, int]:
 # mod each f is a (d, B) int64 array with the constant coefficients in row
 # 0, and the reduction rows, a (d-1, d, B) array, hold x^(d+t) mod f in row
 # t.  Coefficients are reduced to 0..p-1 after every step, so every sum
-# taken below stays under d * p^2; int64 holds that while d * p^2 <= 2^63.
+# taken below stays under d * p^2 <= 2^52, as p^d <= 2^26 for every field.
 
 _BLOCK_ELEMENTS = 1 << 14  # cap on B * d^2: the block temporaries stay < 1 MB
 
 
 def _block_coefficients(start: int, count: int, p: int, d: int) -> np.ndarray:
     """Non-leading coefficients of the candidates with packed indices start
-    .. start+count-1, one per column, constant term in row 0.  The digits of
-    start come from the Python int and those of the offsets are added with
-    carries, so indices beyond int64 (p^d > 2^63) decode exactly."""
-    coeffs = np.empty((d, count), dtype=np.int64)
-    offsets = np.arange(count, dtype=np.int64)
-    carry = 0
-    for i in range(d):
-        digit = start % p + offsets % p + carry
-        coeffs[i] = digit % p
-        carry = digit // p
-        start //= p
-        offsets //= p
-    return coeffs
+    .. start+count-1, one per column, constant term in row 0: the base-p
+    digits of the indices."""
+    return np.arange(start, start + count) // p ** np.arange(d)[:, None] % p
 
 
 def _times_x(acc: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
@@ -167,26 +111,20 @@ def find_primitive_modulus(p: int, degree: int, rank: int = 0) -> tuple[int, ...
     Candidates are tested a block at a time in index order (64 first,
     doubling up to the temporaries' cap): every candidate with f(0) != 0
     gets x^(p^d - 1), and only those where it is 1 get the cofactor
-    powers.  The arithmetic is exact in int64 for degree * p^2 <= 2^63;
-    above that FieldSizeError is raised.  There are
-    phi(p^d - 1)/d primitive polynomials of degree d; a rank not below that
-    count raises ModulusRankError before the scan."""
+    powers.  A field over the size bound (p^d > 2^26) raises
+    FieldSizeError before any factorization, so the arithmetic is exact in
+    int64.  There are phi(p^d - 1)/d primitive polynomials of degree d; a
+    rank not below that count raises ModulusRankError before the scan."""
     if rank < 0:
         raise ValueError(f"modulus rank {rank} is negative")
-    if degree * p * p > 1 << 63:
-        raise FieldSizeError(
-            f"degree {degree} over F_{p}: sums up to degree * p^2 overflow int64")
+    if refusal := field_size_refusal(p**degree, f"F_{p}^{degree}"):
+        raise refusal
+    check_modulus_rank(p, degree, rank)
     # x of order p^degree - 1 makes every nonzero residue a power of x, so
     # F_p[x]/(f) is then a field and f is irreducible as well as primitive
     size = p**degree
     order = size - 1
-    factors = factorize(order)
-    primitive = math.prod((r - 1) * r ** (k - 1) for r, k in factors.items()) // degree
-    if rank >= primitive:
-        raise ModulusRankError(
-            f"modulus rank {rank} is out of range: there are {primitive} primitive "
-            f"polynomials of degree {degree} over F_{p}")
-    cofactors = [order // r for r in factors]
+    cofactors = [order // r for r in factorize(order)]
     cap = max(1, _BLOCK_ELEMENTS // degree**2)
     found, start, block = 0, p if degree >= 2 else 0, 64
     while start < size:
@@ -208,7 +146,7 @@ def find_primitive_modulus(p: int, degree: int, rank: int = 0) -> tuple[int, ...
         start += count
         block *= 2
     raise ArithmeticError(
-        f"found {found} primitive polynomials of degree {degree} over F_{p}, not {primitive}")
+        f"found {found} primitive polynomials of degree {degree} over F_{p}, too few")
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +163,8 @@ class FieldCtx:
 
     def __init__(self, p: int, e: int, s: int, modulus: tuple[int, ...],
                  modulus_rank: int = 0):
+        if refusal := field_size_refusal(p ** (e * s), f"F_{p}^{e * s}"):
+            raise refusal
         self.p = p
         self.e = e
         self.s = s
@@ -409,26 +349,6 @@ class FieldCtx:
 
     # -- traces -------------------------------------------------------------
 
-    def trace(self, a: int, lower: str = "q") -> int:
-        """Relative trace of a into a subfield.
-
-        lower="q":  Tr from F_{q^s} to F_q, the sum of a^(q^i), 0 <= i < s.
-        lower="p":  absolute trace into F_p.
-        lower="qm": Tr from F_{q^m} to F_q (odd m only; a must lie in the
-                    embedded F_{q^m}).
-        """
-        if lower == "q":
-            return self._trace_chain(a, self.q, self.s)
-        if lower == "p":
-            return self._trace_chain(a, self.p, self.degree)
-        if lower == "qm":
-            if self.m % 2 == 0:
-                raise ValueError("F_{q^m} trace requires odd m")
-            if self.pow(a, self.q**self.m) != a:
-                raise ValueError("element not in the embedded F_{q^m}")
-            return self._trace_chain(a, self.q, self.m)
-        raise ValueError(f"unknown trace selector {lower!r}")
-
     def _trace_chain(self, a: int, base: int, steps: int) -> int:
         acc, z = a, a
         for _ in range(steps - 1):
@@ -444,16 +364,9 @@ class FieldCtx:
 
     # -- exp/log tables -----------------------------------------------------
 
-    def tables_available(self) -> bool:
-        return self.size <= DEFAULT_TABLE_BOUND
-
     def require_tables(self):
         if self._log is not None:
             return
-        if not self.tables_available():
-            raise FieldSizeError(
-                f"field of size {self.size} exceeds the log-table bound "
-                f"{DEFAULT_TABLE_BOUND}; discrete-log operations refused")
         p, D, n = self.p, self.degree, self.n
         # step = multiplication by x^filled as a matrix on coordinate rows:
         # row i holds the coordinates of x^(i + filled); it starts as the
@@ -695,27 +608,6 @@ class Poly:
                         out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
         return Poly.make(ctx, out)
 
-    def divmod(self, other: Poly) -> tuple[Poly, Poly]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        ctx = self.ctx
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(ctx, ()), self
-        quot = [0] * (dq + 1)
-        linv = ctx.inv(other.coeffs[-1])
-        for shift in range(dq, -1, -1):
-            top = rem[shift + other.degree]
-            if top:
-                c = ctx.mul(top, linv)
-                quot[shift] = c
-                for i, b in enumerate(other.coeffs):
-                    rem[shift + i] = ctx.sub(rem[shift + i], ctx.mul(c, b))
-        while rem and rem[-1] == 0:
-            rem.pop()
-        return Poly(ctx, tuple(quot)), Poly(ctx, tuple(rem))
-
     def __call__(self, point: int) -> int:
         ctx, acc = self.ctx, 0
         for c in reversed(self.coeffs):
@@ -757,7 +649,8 @@ def make_field(p: int, e: int, s: int, modulus_rank: int = 0) -> FieldCtx:
 
     Deterministic: the modulus is the (modulus_rank+1)-th lexicographically
     smallest primitive polynomial of degree e*s over F_p and pi is the
-    residue class of x.  Requires p prime, e >= 1, s >= 2 even.
+    residue class of x.  Requires p prime, e >= 1, s >= 2 even, and at
+    most 2^26 elements, which the modulus search checks.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -765,8 +658,6 @@ def make_field(p: int, e: int, s: int, modulus_rank: int = 0) -> FieldCtx:
         raise ValueError("extension degree e must be >= 1")
     if s < 2 or s % 2:
         raise ValueError("s must be even and >= 2")
-    if e * s > MAX_DEGREE:
-        raise FieldSizeError(f"degree {e * s} exceeds the word budget {MAX_DEGREE}")
     key = (p, e, s, modulus_rank)
     if key not in _CTX_CACHE:
         modulus = find_primitive_modulus(p, e * s, modulus_rank)

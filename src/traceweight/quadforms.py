@@ -40,9 +40,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .admission import LINEAR_TRACE_BOUND
+from .admission import LINEAR_TRACE_BOUND, FieldSizeError
 from .codes import ConsistencyError, form_exponents
-from .fields import FieldCtx, FieldSizeError, label_matrix_rank
+from .fields import FieldCtx, label_matrix_rank
 
 
 def integral_character_sum(residue_counts, p: int) -> int:
@@ -249,8 +249,6 @@ def big_T(form: QuadForm) -> int:
     """The plain character sum over all of F_{q^s}: the exact integer
     sum of w_p^(Tr_{q/p}(Q(x)))."""
     ctx = form.ctx
-    if not ctx.tables_available():
-        raise FieldSizeError("character-sum brute force refused at this size")
     counts = np.bincount(trace_residues(ctx)[form.value_labels()], minlength=ctx.p)
     counts[0] += 1  # x = 0, where Q vanishes
     return integral_character_sum(counts.tolist(), ctx.p)

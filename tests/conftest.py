@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from traceweight.admission import factorize
 from traceweight.codes import form_exponents
-from traceweight.fields import Poly, factorize
+from traceweight.fields import Poly
 from traceweight.quadforms import coordinate_matches
 
 
@@ -72,9 +73,59 @@ def coset_size(u, n, q):
     return size
 
 
+def poly_divmod(f, g):
+    """Quotient and remainder of the polynomial f by g, by long division."""
+    if g.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    ctx = f.ctx
+    rem = list(f.coeffs)
+    dq = len(rem) - len(g.coeffs)
+    if dq < 0:
+        return Poly(ctx, ()), f
+    quot = [0] * (dq + 1)
+    linv = ctx.inv(g.coeffs[-1])
+    for shift in range(dq, -1, -1):
+        top = rem[shift + g.degree]
+        if top:
+            c = ctx.mul(top, linv)
+            quot[shift] = c
+            for i, b in enumerate(g.coeffs):
+                rem[shift + i] = ctx.sub(rem[shift + i], ctx.mul(c, b))
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return Poly(ctx, tuple(quot)), Poly(ctx, tuple(rem))
+
+
 def poly_divides(f, g):
     """Whether the polynomial f divides g: the remainder of g by f is zero."""
-    return g.divmod(f)[1].is_zero()
+    return poly_divmod(g, f)[1].is_zero()
+
+
+def trace(ctx, a, lower="q"):
+    """Relative trace of a into a subfield, the sum of its conjugates.
+
+    lower="q":  Tr from F_{q^s} to F_q, the sum of a^(q^i), 0 <= i < s.
+    lower="p":  absolute trace into F_p.
+    lower="qm": Tr from F_{q^m} to F_q (odd m only; a must lie in the
+                embedded F_{q^m}).
+    """
+    if lower == "q":
+        base, steps = ctx.q, ctx.s
+    elif lower == "p":
+        base, steps = ctx.p, ctx.degree
+    elif lower == "qm":
+        if ctx.m % 2 == 0:
+            raise ValueError("F_{q^m} trace requires odd m")
+        if ctx.pow(a, ctx.q**ctx.m) != a:
+            raise ValueError("element not in the embedded F_{q^m}")
+        base, steps = ctx.q, ctx.m
+    else:
+        raise ValueError(f"unknown trace selector {lower!r}")
+    acc, z = a, a
+    for _ in range(steps - 1):
+        z = ctx.pow(z, base)
+        acc = ctx.add(acc, z)
+    return acc
 
 
 def x_power_minus_one(ctx, n):
@@ -153,7 +204,7 @@ def codeword(spec, params):
     for _ in range(spec.n):
         acc = b
         for idx, (coeff, step, selector) in enumerate(terms):
-            acc = ctx.add(acc, ctx.trace(ctx.mul(coeff, points[idx]), selector))
+            acc = ctx.add(acc, trace(ctx, ctx.mul(coeff, points[idx]), selector))
             points[idx] = ctx.mul(points[idx], step)
         out.append(acc)
     return Codeword(spec, params, tuple(out))
@@ -203,7 +254,7 @@ def literal_value(form, x):
     ctx, acc = form.ctx, 0
     for c, u, sel in zip(form.coeffs, form.exponents, form.selectors):
         if c:
-            acc = ctx.add(acc, ctx.trace(ctx.mul(c, ctx.pow(x, u)), sel))
+            acc = ctx.add(acc, trace(ctx, ctx.mul(c, ctx.pow(x, u)), sel))
     return acc
 
 

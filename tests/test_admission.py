@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -46,10 +47,36 @@ def fresh_python(*args):
     (["verify", "--family", "C", "--q", "257", "--m", "1"], 3),
     (["witness", "--q", "2", "--m", "4"], 3),
     (["verify", "--family", "D", "--q", "6", "--m", "2"], 2),
+    # phi(2^4 - 1)/4 = 2 primitive moduli of degree 4 over F_2
+    (["verify", "--family", "D", "--q", "2", "--m", "2", "--modulus-rank", "2"], 2),
 ])
 def test_refusals_and_usage_errors_never_import_numpy(argv, code):
     result = json.loads(fresh_python("-c", CLI_PROBE, *argv).splitlines()[-1])
     assert result == {"code": code, "heavy": []}
+
+
+def test_witness_over_the_field_size_bound_is_refused_at_once(tmp_path, capsys,
+                                                              monkeypatch):
+    # the budget admits the work of F_{251^26}, ~10^465; the field-size
+    # bound refuses the field
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"witness_budget={10**700}\n")
+    argv = ["witness", "--q", "251", "--m", "13", "--config", str(cfg)]
+    *report, probe = fresh_python("-c", CLI_PROBE, *argv).splitlines()
+    assert json.loads(probe) == {"code": 3, "heavy": []}
+    doc = json.loads("\n".join(report))
+    assert doc["refused"] is True and "exp/log" in doc["message"]
+
+    from traceweight import admission, cli, fields
+
+    def no_factorize(n):
+        raise AssertionError("factorized before the field-size check")
+    monkeypatch.setattr(admission, "factorize", no_factorize)
+    monkeypatch.setattr(fields, "factorize", no_factorize)
+    start = time.monotonic()
+    assert cli.main(argv) == 3
+    assert time.monotonic() - start < 1.0
+    assert json.loads(capsys.readouterr().out) == doc
 
 
 def test_admission_imports_only_the_standard_library():

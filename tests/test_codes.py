@@ -4,7 +4,7 @@ import random
 
 import pytest
 from conftest import (annihilated_by, codeword, literal_value, parameter_slots,
-                      poly_divides, weight, x_power_minus_one, zero_params)
+                      poly_divides, trace, weight, x_power_minus_one, zero_params)
 
 from traceweight.codes import FAMILIES, build_code, build_gamma
 from traceweight.fields import make_field
@@ -139,7 +139,7 @@ def test_weight_identity_against_form_zero_count():
         zeros = sum(
             1 for i in range(ctx.n)
             if ctx.add(literal_value(form, ctx.pow(ctx.pi, i)),
-                       ctx.trace(ctx.mul(beta, ctx.pow(ctx.pi, i)), "q")) == 0)
+                       trace(ctx, ctx.mul(beta, ctx.pow(ctx.pi, i)), "q")) == 0)
         assert spec.n - w == zeros
 
 

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traceweight import engine
+from traceweight.admission import BudgetExceeded, FieldSizeError
 from traceweight.codes import ConsistencyError, build_code
 from traceweight.engine import (TIER_BUDGETS, brute_distribution, brute_work,
                                 measure_rank_counts, rank_sweep,
                                 rank_sweep_work, verify)
-from traceweight.fields import (BudgetExceeded, FieldSizeError,
-                                label_matrix_rank, make_field)
+from traceweight.fields import label_matrix_rank, make_field
 from traceweight.quadforms import FormSpace
 from traceweight.spectra import frequencies, predict
 
@@ -102,13 +102,12 @@ def test_budget_refusal_carries_estimate(monkeypatch):
     with pytest.raises(BudgetExceeded) as err:
         measure_rank_counts(spec, budget=10**6)
     assert (err.value.estimate, err.value.budget) == (rank_sweep_work(2, 5), 10**6)
-    # F_{128^4} = F_{2^28} builds, but is over the exp/log-table bound
-    spec = build_code(make_field(2, 7, 4), "D")
-    with pytest.raises(FieldSizeError, match="exp/log") as err:
-        measure_rank_counts(spec)
-    assert err.value.estimate == rank_sweep_work(128, 2)
+    # F_{128^4} = F_{2^28} is over the field-size bound: no field to count on
+    with pytest.raises(FieldSizeError, match="exp/log"):
+        make_field(2, 7, 4)
+    # F_{67^2} builds, but is over the linear-trace table bound
     with pytest.raises(FieldSizeError, match="linear-trace"):
-        brute_distribution(spec, budget=2**100)
+        brute_distribution(build_code(make_field(67, 1, 2), "D"), budget=2**100)
     # F_257 labels do not fit a byte, whatever the budget
     spec = build_code(make_field(257, 1, 2), "C")
     for oracle in (brute_distribution, measure_rank_counts):

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from conftest import (coset_size, element_order, frobenius_sum, lex_primitive_moduli,
                       lex_primitive_modulus, naive_add, naive_mul, poly_divides,
-                      prime_powers_up_to, step_order_of_x)
+                      poly_divmod, prime_powers_up_to, step_order_of_x, trace)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traceweight.fields import (FieldCtx, FieldSizeError, ModulusRankError, Poly,
-                                find_primitive_modulus, make_field,
+from traceweight import admission, fields
+from traceweight.admission import (FieldSizeError, ModulusRankError, check_witness_budget,
+                                   choose_oracle)
+from traceweight.fields import (FieldCtx, Poly, find_primitive_modulus, make_field,
                                 minimal_polynomial, split_prime_power)
 
 
@@ -39,17 +41,15 @@ def test_block_search_matches_independent_search_at_ranks_0_to_3(p, degree):
                 find_primitive_modulus(p, degree, rank)
 
 
-# the list-polynomial search's outputs; p^degree >= 2^63 in each case, where
-# powers of p or packed indices would overflow int64
-@pytest.mark.parametrize("p,degree,terms", [
-    (2, 64, {0: 1, 1: 1, 3: 1, 4: 1, 64: 1}),
-    (2, 63, {0: 1, 1: 1, 63: 1}),
-    (3, 40, {0: 2, 1: 1, 40: 1}),
-    (5, 28, {0: 3, 1: 2, 3: 1, 28: 1}),
-])
-def test_block_search_pins_high_degree_moduli(p, degree, terms):
-    assert find_primitive_modulus(p, degree) == \
-        tuple(terms.get(i, 0) for i in range(degree + 1))
+# p^degree >= 2^63 in each case, far over the 2^26 field-size bound
+@pytest.mark.parametrize("p,degree", [(2, 64), (2, 63), (3, 40), (5, 28)])
+def test_high_degree_fields_are_refused_before_factorizing(p, degree, monkeypatch):
+    def no_factorize(n):
+        raise AssertionError("factorized before the field-size check")
+    monkeypatch.setattr(admission, "factorize", no_factorize)
+    monkeypatch.setattr(fields, "factorize", no_factorize)
+    with pytest.raises(FieldSizeError):
+        find_primitive_modulus(p, degree)
 
 
 def test_no_binomial_is_primitive():
@@ -75,7 +75,8 @@ def test_block_search_pins_ranks_0_to_3(p, degree, expected):
 
 
 def test_block_search_refuses_sums_beyond_int64():
-    p = 2**31 - 1  # prime, 2 * p^2 < 2^63 < 3 * p^2
+    # prime, 2 * p^2 < 2^63 < 3 * p^2; p^3 is far over the field-size bound
+    p = 2**31 - 1
     with pytest.raises(FieldSizeError):
         find_primitive_modulus(p, 3)
 
@@ -131,10 +132,10 @@ def test_mul_against_schoolbook():
                 assert ctx.add(a, b) == naive_add(ctx, a, b)
 
 
-# p = 2 at degrees 4, 20 and 64; the pinned (3,40) and (5,28) moduli;
-# q = 4 and q = 9; and p = 1021 at degree 2, whose Kronecker slots are the
-# widest
-KERNEL_FIELDS = [(2, 1, 4), (2, 1, 20), (2, 1, 64), (3, 1, 40), (5, 1, 28),
+# p = 2 at degrees 4, 20 and 26; the largest fields within the size bound
+# at p = 3 and p = 5; q = 4 and q = 9; and p = 1021 at degree 2, whose
+# Kronecker slots are the widest
+KERNEL_FIELDS = [(2, 1, 4), (2, 1, 20), (2, 1, 26), (3, 1, 16), (5, 1, 10),
                  (2, 2, 4), (3, 2, 4), (1021, 1, 2)]
 
 
@@ -184,50 +185,50 @@ def test_frobenius_equals_the_literal_power_with_and_without_tables(p, e, s):
 
 def test_trace_examples_f16():
     ctx = make_field(2, 1, 4)
-    assert ctx.trace(0, "q") == 0
+    assert trace(ctx, 0, "q") == 0
     pi3 = ctx.pow(ctx.pi, 3)
     assert frobenius_sum(ctx, ctx.pi, 2, 4) == 0
     assert frobenius_sum(ctx, pi3, 2, 4) == 1
-    assert ctx.trace(ctx.pi, "q") == 0
-    assert ctx.trace(pi3, "q") == 1
+    assert trace(ctx, ctx.pi, "q") == 0
+    assert trace(ctx, pi3, "q") == 1
 
 
 def test_trace_additive_and_frobenius_stable():
     ctx = make_field(2, 1, 4)
     for a in range(16):
         for b in range(16):
-            assert ctx.trace(ctx.add(a, b), "q") == ctx.add(ctx.trace(a, "q"),
-                                                            ctx.trace(b, "q"))
-        assert ctx.trace(ctx.frobenius_q(a), "q") == ctx.trace(a, "q")
+            assert trace(ctx, ctx.add(a, b), "q") == ctx.add(trace(ctx, a, "q"),
+                                                             trace(ctx, b, "q"))
+        assert trace(ctx, ctx.frobenius_q(a), "q") == trace(ctx, a, "q")
     ctx81 = make_field(3, 1, 4)
     for a in range(0, 81, 5):
-        assert ctx81.trace(ctx81.frobenius_q(a), "q") == ctx81.trace(a, "q")
+        assert trace(ctx81, ctx81.frobenius_q(a), "q") == trace(ctx81, a, "q")
 
 
 def test_trace_transitivity_through_f4():
     ctx = make_field(2, 2, 4)  # tower F_2 < F_4 < F_256
     for a in range(0, ctx.size, 7):
-        via_q = ctx.trace_q_to_p(ctx.trace(a, "q"))
-        assert ctx.trace(a, "p") == via_q
+        via_q = ctx.trace_q_to_p(trace(ctx, a, "q"))
+        assert trace(ctx, a, "p") == via_q
 
 
 def test_trace_lands_in_subfield():
     ctx = make_field(2, 2, 6)
     sub = ctx.subfield(4)
     for a in range(0, ctx.size, 97):
-        assert sub.contains(ctx.trace(a, "q"))
+        assert sub.contains(trace(ctx, a, "q"))
 
 
 def test_qm_trace_odd_m_only():
     even = make_field(2, 1, 4)
     with pytest.raises(ValueError):
-        even.trace(1, "qm")
+        trace(even, 1, "qm")
     odd = make_field(2, 1, 6)
     qm = odd.q**odd.m
     member = odd.pow(odd.pi, (odd.n) // (qm - 1))
-    assert odd.trace(member, "qm") in set(odd.subfield(2).elements_by_label)
+    assert trace(odd, member, "qm") in set(odd.subfield(2).elements_by_label)
     with pytest.raises(ValueError):
-        odd.trace(odd.pi, "qm")  # pi generates the whole field, not F_8
+        trace(odd, odd.pi, "qm")  # pi generates the whole field, not F_8
 
 
 def test_minimal_polynomial_of_zero_is_x():
@@ -299,13 +300,34 @@ def test_make_field_rejects_bad_input():
     with pytest.raises(ValueError):
         make_field(2, 1, 3)  # s odd
     with pytest.raises(FieldSizeError):
-        make_field(2, 1, 70)  # word budget
+        make_field(2, 1, 70)  # over the field-size bound
+
+
+def test_field_size_bound_is_one_rule_for_fields_verify_and_witness():
+    budget = 10**700  # admits the work; only the size rules can refuse
+    for (p, e, s), fits in [((2, 1, 26), True), ((2, 13, 2), True), ((2, 1, 28), False)]:
+        q, m = p**e, s // 2
+        if fits:
+            assert make_field(p, e, s).size == 2**26
+        else:
+            with pytest.raises(FieldSizeError, match="exp/log"):
+                make_field(p, e, s)
+        # F_8192 labels are over a byte, which refuses (2,13,2) but not for its size
+        refusals = []
+        for check in (lambda: choose_oracle(q, m, "D", "extended", budget),
+                      lambda: check_witness_budget(q, m, budget)):
+            try:
+                check()
+            except FieldSizeError as exc:
+                refusals.append("exp/log" in str(exc))
+            else:
+                refusals.append(False)
+        assert refusals == [not fits] * 2, (p, e, s)
 
 
 def test_log_table_bound_refusal():
-    ctx = make_field(2, 7, 4)  # F_{2^28}, over the 2^26 table bound
     with pytest.raises(FieldSizeError):
-        ctx.exp_table()
+        make_field(2, 7, 4)  # F_{2^28}, over the 2^26 table bound
 
 
 # p = 2 and p = 3, e = 1 and e > 1, m even and odd
@@ -322,7 +344,7 @@ def test_exp_log_and_trace_tables_match_literal_definitions(p, e, s):
     sample = range(0, ctx.size, max(1, ctx.size // 97))
     table = ctx.trace_label_table(ctx.size, ctx.q)
     assert [int(table[a]) for a in sample] == \
-        [sub_q.label_of(ctx.trace(a, "q")) for a in sample]
+        [sub_q.label_of(trace(ctx, a, "q")) for a in sample]
     to_p = ctx.trace_label_table(ctx.q, ctx.p)
     assert [int(to_p[a]) for a in sub_q.elements_by_label] == \
         [ctx.trace_q_to_p(a) for a in sub_q.elements_by_label]
@@ -333,7 +355,7 @@ def test_exp_log_and_trace_tables_match_literal_definitions(p, e, s):
         members = [0] + [ctx.pow(zeta, i) for i in range(0, qm - 1, max(1, qm // 50))]
         table = ctx.trace_label_table(qm, ctx.q)
         assert [int(table[a]) for a in members] == \
-            [sub_q.label_of(ctx.trace(a, "qm")) for a in members]
+            [sub_q.label_of(trace(ctx, a, "qm")) for a in members]
         assert np.count_nonzero(table != 0xFF) == qm
 
 
@@ -391,7 +413,7 @@ def test_poly_divmod_roundtrip():
     ctx = make_field(3, 1, 4)
     a = Poly.make(ctx, [2, 0, 1, 1, 0, 2, 1])
     b = Poly.make(ctx, [1, 2, 1])
-    quot, rem = a.divmod(b)
+    quot, rem = poly_divmod(a, b)
     assert rem.degree < b.degree
     assert _poly_add(ctx, quot * b, rem) == a
 

@@ -3,7 +3,8 @@
 import pytest
 
 from traceweight import cli, fields, hermitian
-from traceweight.fields import BudgetExceeded, FieldCtx, make_field
+from traceweight.admission import BudgetExceeded
+from traceweight.fields import FieldCtx, make_field
 from traceweight.hermitian import (cayley_spectrum, enumerate_hermitian,
                                    hermitian_at, matrix_rank, rank1_count,
                                    verify_isomorphism)

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from conftest import (count_solutions, literal_bilinear, literal_gram, literal_value,
                       naive_mul, offset_sum_rows, shift_sum_rows,
-                      solution_count_multiset)
+                      solution_count_multiset, trace)
 
 from traceweight.codes import ConsistencyError
 from traceweight.fields import label_matrix_rank, make_field
@@ -43,7 +43,7 @@ def test_forms_vanish_at_zero():
 def test_eval_example_22():
     ctx = make_field(2, 1, 4)
     form = QuadForm(ctx, (1,))
-    expected = ctx.trace(naive_mul(ctx, ctx.pi, naive_mul(ctx, ctx.pi, ctx.pi)), "q")
+    expected = trace(ctx, naive_mul(ctx, ctx.pi, naive_mul(ctx, ctx.pi, ctx.pi)), "q")
     assert expected == 1
     assert literal_value(form, ctx.pi) == 1
 
@@ -250,12 +250,12 @@ def test_coordinate_tables_match_literal_definitions(p, e, m, stride):
         assert form.value_labels().tolist() == [sub.label_of(v) for v in literal]
         for c, u, sel in zip(form.coeffs, form.exponents, form.selectors):
             if c:
-                term = [sub.label_of(ctx.trace(ctx.mul(c, ctx.pow(x, u)), sel))
+                term = [sub.label_of(trace(ctx, ctx.mul(c, ctx.pow(x, u)), sel))
                         for x in coords]
                 assert coordinate_values(ctx, c, u, uppers[sel]).tolist() == term
     if ctx.size > 81:
         return
-    traces = [[ctx.trace(ctx.mul(b, x)) for x in coords] for b in range(ctx.size)]
+    traces = [[trace(ctx, ctx.mul(b, x)) for x in coords] for b in range(ctx.size)]
     assert linear_trace_rows(ctx).tolist() == \
         [[sub.label_of(t) for t in row] for row in traces]
     for form in forms[::7]:
