@@ -3,7 +3,10 @@
 Family D has parity-check polynomial h(x), the product of the minimal
 polynomials of pi^(-u) over F_q for u in the exponent set Gamma; family
 E appends the factor (x - 1); family C drops the u = 1 factor.  Their
-dimensions are m^2 + 2m, m^2 + 2m + 1 and m^2.
+dimensions are m^2 + 2m, m^2 + 2m + 1 and m^2.  The roots take no pow:
+pi^(-1) is read off the modulus, and every other u in Gamma is q^j + 1,
+so pi^(-u) is pi^(-1) times its j-th Frobenius conjugate, an F_p-linear
+map applied j times.
 
 Codewords have a trace representation: coordinate i is a sum of
 relative traces of parameters times pi^(u*i), plus (family E) a
@@ -86,6 +89,22 @@ def expected_dimension(family: str, m: int) -> int:
     raise ValueError(f"unknown family {family!r}")
 
 
+def gamma_roots(ctx: FieldCtx) -> dict[int, int]:
+    """pi^(-u) for every u in Gamma, in increasing u, without pow.  pi^(-1)
+    is read off the modulus f: x (f_1 + f_2 x + ... + x^(D-1)) = -f_0.
+    Every other u is q^j + 1, so pi^(-u) = pi^(-1) (pi^(-1))^(q^j), where
+    the second factor is j applications of the F_p-linear Frobenius."""
+    p, q, f = ctx.p, ctx.q, ctx.modulus
+    scale = -pow(f[0], -1, p)
+    inv_pi = sum(scale * c % p * p**i for i, c in enumerate(f[1:]))
+    roots, conjugate, j = {1: inv_pi}, inv_pi, 0
+    for u in sorted(build_gamma(q, ctx.m))[1:]:
+        while q**j + 1 < u:
+            conjugate, j = ctx.frobenius_q(conjugate), j + 1
+        roots[u] = ctx.mul(inv_pi, conjugate)
+    return roots
+
+
 def build_code(ctx: FieldCtx, family: str) -> CodeSpec:
     """Assemble the parity-check polynomial for one family over ctx and
     validate the dimension against the closed form."""
@@ -100,23 +119,19 @@ def build_code(ctx: FieldCtx, family: str) -> CodeSpec:
         raise ValueError(
             f"family E is undefined at (q, m) = ({q}, {m}): "
             "(x - 1) already divides the family-D parity check")
-    factors = []
     minimal_polys = {}
-    roots = {}  # pi^(-u), a root of h_u and so of h
-    for u in gamma:
-        if family == "C" and u == 1:
-            continue
-        roots[u] = ctx.pow(ctx.pi, (-u) % n)
-        h_u = minimal_polynomial(ctx, roots[u])
-        minimal_polys[u] = h_u
-        factors.append(h_u)
+    roots = gamma_roots(ctx)  # pi^(-u), a root of h_u and so of h
+    if family == "C":
+        del roots[1]
+    for u, root in roots.items():
+        minimal_polys[u] = minimal_polynomial(ctx, root)
     for u, h_u in minimal_polys.items():
         for v, h_v in minimal_polys.items():
             if u < v and h_u == h_v:
                 raise ConsistencyError(f"h_{u} and h_{v} coincide")
     h = Poly(ctx, (1,))
-    for f in factors:
-        h = h * f
+    for h_u in minimal_polys.values():
+        h = h * h_u
     if family == "E":
         h = h * Poly(ctx, (ctx.neg(1), 1))
     k = expected_dimension(family, m)

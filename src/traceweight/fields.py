@@ -5,7 +5,12 @@ F_p[x]/(modulus) where the modulus is the lexicographically smallest
 primitive polynomial of degree e*s over F_p (coefficients compared
 low-to-high as base-p digits).  The search for it skips the binomials
 x^d + c, which are never primitive, so the modulus is the same as that
-of a scan from the first candidate.  Elements are plain Python ints: the
+of a scan from the first candidate.  It tests primitivity by Lidl and
+Niederreiter's Thm 3.18: (-1)^d f(0) generates F_p^*, a filter read off
+a table over F_p before any power, and r = (p^d - 1)/(p - 1) is the
+least t with x^t in F_p, checked by one pass for x^r over a block of
+candidates and one stacked pass, a column per (survivor, r/l) for the
+primes l | r, for the cofactors.  Elements are plain Python ints: the
 polynomial a_0 + a_1 x + a_2 x^2 + ... packs to the integer
 a_0 + a_1 p + a_2 p^2 + ...  The residue class of x is a multiplicative
 generator by construction, exposed as ctx.pi.
@@ -54,7 +59,10 @@ from .admission import (MAX_LABEL_Q, FieldSizeError, check_modulus_rank, factori
 # t.  Coefficients are reduced to 0..p-1 after every step, so every sum
 # taken below stays under d * p^2 <= 2^52, as p^d <= 2^26 for every field.
 
-_BLOCK_ELEMENTS = 1 << 14  # cap on B * d^2: the block temporaries stay < 1 MB
+# The cap on B * d^2 for the B columns of one power pass, a block's
+# candidates in the x^r pass and survivors x cofactors in the stacked pass:
+# the temporaries stay < 1 MB.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 def _block_coefficients(start: int, count: int, p: int, d: int) -> np.ndarray:
@@ -62,6 +70,22 @@ def _block_coefficients(start: int, count: int, p: int, d: int) -> np.ndarray:
     .. start+count-1, one per column, constant term in row 0: the base-p
     digits of the indices."""
     return np.arange(start, start + count) // p ** np.arange(d)[:, None] % p
+
+
+def _generator_table(p: int) -> np.ndarray:
+    """Which residues generate F_p^*: the nonzero ones that are no l-th power
+    for any prime l dividing p - 1 (at p = 2 every nonzero one)."""
+    table = np.ones(p, dtype=bool)
+    table[0] = False
+    for ell in factorize(p - 1):
+        power, base, k = np.ones(p - 1, dtype=np.int64), np.arange(1, p), ell
+        while k:
+            if k & 1:
+                power = power * base % p
+            base = base * base % p
+            k >>= 1
+        table[power] = False
+    return table
 
 
 def _times_x(acc: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
@@ -84,17 +108,26 @@ def _square(acc: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
     return (prod[:d] + (prod[d:, None] * rows[:d - 1]).sum(axis=0)) % p
 
 
-def _x_power_is_one(rows: np.ndarray, k: int, p: int) -> np.ndarray:
-    """Which candidates have x^k = 1 mod f, by left-to-right square and
-    multiply."""
+def _x_power_in_fp(rows: np.ndarray, exponents: list[int], p: int) -> np.ndarray:
+    """Which columns have x^k in F_p mod f, where the columns form
+    len(exponents) equal groups and group j takes k = exponents[j]: one
+    left-to-right square and multiply over the longest exponent, in which a
+    shorter one's leading zero bits square 1 to 1 and x multiplies in only
+    the groups whose bit is set."""
     d, B = rows.shape[1:]
     acc = np.zeros((d, B), dtype=np.int64)
     acc[0] = 1
-    for bit in bin(k)[2:]:
-        acc = _square(acc, rows, p)
-        if bit == "1":
+    top = max(exponents).bit_length()
+    for bit in reversed(range(top)):
+        if bit < top - 1:  # acc is still 1 at the top bit
+            acc = _square(acc, rows, p)
+        odd = [k >> bit & 1 for k in exponents]
+        if all(odd):
             acc = _times_x(acc, rows, p)
-    return (acc[0] == 1) & ~acc[1:].any(axis=0)
+        elif any(odd):
+            acc = np.where(np.repeat(odd, B // len(exponents)) == 1,
+                           _times_x(acc, rows, p), acc)
+    return ~acc[1:].any(axis=0)
 
 
 def find_primitive_modulus(p: int, degree: int, rank: int = 0) -> tuple[int, ...]:
@@ -103,43 +136,57 @@ def find_primitive_modulus(p: int, degree: int, rank: int = 0) -> tuple[int, ...
     the non-leading coefficients as base-p digits, constant term least
     significant.  Deterministic; rank 0 is the canonical modulus.
 
-    f is primitive iff x^(p^d - 1) = 1 and x^((p^d - 1)/r) != 1 mod f for
-    every prime r dividing p^d - 1.  The packed indices below p are the
-    binomials x^d + c, and none of them is primitive for d >= 2: x^d = -c
+    With r = (p^d - 1)/(p - 1), f is primitive iff (-1)^d f(0) generates
+    F_p^* and r is the least t with x^t in F_p mod f (Lidl and
+    Niederreiter, Finite Fields, Thm 3.18).  The packed indices below p
+    are the binomials x^d + c, and none of them is primitive: x^d = -c
     gives x^(d(p-1)) = 1 with d(p-1) < p^d - 1.  So the scan starts at
-    index p (at 0 for d = 1), which leaves the answer unchanged.
-    Candidates are tested a block at a time in index order (64 first,
-    doubling up to the temporaries' cap): every candidate with f(0) != 0
-    gets x^(p^d - 1), and only those where it is 1 get the cofactor
-    powers.  A field over the size bound (p^d > 2^26) raises
-    FieldSizeError before any factorization, so the arithmetic is exact in
-    int64.  There are phi(p^d - 1)/d primitive polynomials of degree d; a
-    rank not below that count raises ModulusRankError before the scan."""
+    index p, which leaves the answer unchanged.  Candidates are tested a
+    block at a time in index order (64 first, doubling up to the
+    temporaries' cap).  A table of the generators of F_p^* drops every
+    candidate whose (-1)^d f(0) is not one before any power; the rest get
+    x^r, and only those where it lies in F_p go on to the cofactors: one
+    stacked pass, a column per (candidate, r/l) for the primes l | r,
+    rejects every candidate with some x^(r/l) in F_p.  A field over the
+    size bound (p^d > 2^26) raises FieldSizeError before any
+    factorization, so the arithmetic is exact in int64.  There are
+    phi(p^d - 1)/d primitive polynomials of degree d; a rank not below
+    that count raises ModulusRankError before the scan."""
+    if degree < 2:
+        raise ValueError(f"modulus degree {degree} is below 2")
     if rank < 0:
         raise ValueError(f"modulus rank {rank} is negative")
     if refusal := field_size_refusal(p**degree, f"F_{p}^{degree}"):
         raise refusal
     check_modulus_rank(p, degree, rank)
-    # x of order p^degree - 1 makes every nonzero residue a power of x, so
-    # F_p[x]/(f) is then a field and f is irreducible as well as primitive
+    # no x^t in F_p for 0 < t < r puts 1, x, .., x^(r-1) on r distinct lines
+    # through 0, all the lines of F_p^d: every nonzero residue is then c x^t,
+    # a unit, so F_p[x]/(f) is a field, x^r is the norm (-1)^d f(0) of x, and
+    # x has order r (p - 1) when that norm generates F_p^*
     size = p**degree
-    order = size - 1
-    cofactors = [order // r for r in factorize(order)]
-    cap = max(1, _BLOCK_ELEMENTS // degree**2)
-    found, start, block = 0, p if degree >= 2 else 0, 64
+    r = (size - 1) // (p - 1)
+    cofactors = [r // ell for ell in factorize(r)]
+    generates = _generator_table(p)
+    cap = _BLOCK_ELEMENTS // degree**2
+    each = cap // len(cofactors)  # survivors per stacked pass
+    found, start, block = 0, p, 64
     while start < size:
         count = min(block, cap, size - start)
         coeffs = _block_coefficients(start, count, p, degree)
-        keep = np.flatnonzero(coeffs[0])  # f(0) = 0 makes x a zero divisor
-        rows = np.empty((max(degree - 1, 1), degree, len(keep)), dtype=np.int64)
+        keep = np.flatnonzero(generates[(-1) ** degree * coeffs[0] % p])
+        rows = np.empty((degree - 1, degree, len(keep)), dtype=np.int64)
         rows[0] = -coeffs[:, keep] % p
         for t in range(1, degree - 1):
             rows[t] = _times_x(rows[t - 1], rows, p)
-        passed = _x_power_is_one(rows, order, p)
+        passed = _x_power_in_fp(rows, [r], p)
         keep, rows = keep[passed], rows[:, :, passed]
-        for k in cofactors:
-            passed = ~_x_power_is_one(rows, k, p)
-            keep, rows = keep[passed], rows[:, :, passed]
+        # one column per (survivor, cofactor), at most `cap` columns a pass
+        rejected = np.zeros(len(keep), dtype=bool)
+        for lo in range(0, len(keep), each):
+            in_fp = _x_power_in_fp(np.tile(rows[:, :, lo:lo + each], len(cofactors)),
+                                   cofactors, p)
+            rejected[lo:lo + each] = in_fp.reshape(len(cofactors), -1).any(axis=0)
+        keep = keep[~rejected]
         if found + len(keep) > rank:
             return tuple(int(c) for c in coeffs[:, keep[rank - found]]) + (1,)
         found += len(keep)

@@ -44,6 +44,17 @@ def naive_pow(ctx, a, k):
     return out
 
 
+def square_multiply_pow(ctx, a, k):
+    """a^k by left-to-right square and multiply on naive_mul, for exponents
+    too large to step through."""
+    out = 1
+    for bit in bin(k)[2:]:
+        out = naive_mul(ctx, out, out)
+        if bit == "1":
+            out = naive_mul(ctx, out, a)
+    return out
+
+
 def element_order(ctx, a):
     """Multiplicative order of a nonzero element: n with every prime
     factor divided out while the power stays 1."""

@@ -3,11 +3,12 @@
 import random
 
 import pytest
-from conftest import (annihilated_by, codeword, literal_value, parameter_slots,
-                      poly_divides, trace, weight, x_power_minus_one, zero_params)
+from conftest import (annihilated_by, codeword, literal_value, naive_pow, parameter_slots,
+                      poly_divides, prime_powers_up_to, square_multiply_pow, trace, weight,
+                      x_power_minus_one, zero_params)
 
-from traceweight.codes import FAMILIES, build_code, build_gamma
-from traceweight.fields import make_field
+from traceweight.codes import FAMILIES, build_code, build_gamma, gamma_roots
+from traceweight.fields import make_field, split_prime_power
 from traceweight.quadforms import QuadForm
 
 
@@ -44,6 +45,36 @@ def test_parity_check_divides_xn_minus_one(p, e, m):
     xn1 = x_power_minus_one(ctx, ctx.n)
     for family in FAMILIES:
         assert poly_divides(build_code(ctx, family).parity_check, xn1)
+
+
+@pytest.mark.parametrize("rank", [0, 1])
+def test_gamma_roots_are_inverse_powers_of_pi(rank):
+    # every (q, m) with q^(2m) <= 2^20; F_4 has one primitive modulus
+    for q in prime_powers_up_to(1 << 10):
+        for m in range(1, 11):
+            if q ** (2 * m) > 1 << 20 or (q, m, rank) == (2, 1, 1):
+                continue
+            p, e = split_prime_power(q)
+            ctx = make_field(p, e, 2 * m, rank)
+            roots = gamma_roots(ctx)
+            assert sorted(roots) == sorted(build_gamma(q, m)), (q, m)
+            for u, root in roots.items():
+                assert root == square_multiply_pow(ctx, ctx.pi, ctx.n - u), (q, m, u)
+                if ctx.n < 1 << 10:
+                    assert root == naive_pow(ctx, ctx.pi, ctx.n - u), (q, m, u)
+
+
+# the parity checks as build_code gave them when it took each root by pow
+@pytest.mark.parametrize("p,e,s,family,rank,coeffs", [
+    (2, 1, 4, "D", 0, (1, 1, 1, 0, 1, 0, 0, 0, 1)),
+    (3, 1, 4, "C", 0, (1, 2, 0, 1, 1)),
+    (2, 1, 6, "E", 0, (1, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1)),
+    (2, 2, 4, "D", 1, (1, 234, 0, 1, 235, 234, 235, 0, 1)),
+    (5, 1, 2, "E", 1, (4, 2, 2, 1, 1)),
+    (3, 1, 6, "C", 0, (1, 2, 0, 2, 1, 0, 0, 1, 2, 1)),
+])
+def test_parity_check_frozen_examples(p, e, s, family, rank, coeffs):
+    assert build_code(make_field(p, e, s, rank), family).parity_check.coeffs == coeffs
 
 
 def test_family_e_undefined_at_q2_m1():

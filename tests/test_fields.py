@@ -28,9 +28,12 @@ def test_modulus_matches_independent_search():
             lex_primitive_modulus(p, degree, rank)
 
 
-@pytest.mark.parametrize("p,degree", [(p, 2) for p in (5, 7, 11, 13, 31, 67, 131)]
+# odd degrees at odd p, where (-1)^d f(0) differs from f(0), and p - 1 with
+# several prime factors (30 = 2 * 3 * 5, 210 = 2 * 3 * 5 * 7)
+@pytest.mark.parametrize("p,degree", [(p, 2) for p in (5, 7, 11, 13, 31, 67, 131, 211)]
                          + [(2, d) for d in range(2, 13)]
-                         + [(3, d) for d in range(2, 7)])
+                         + [(3, d) for d in range(2, 7)]
+                         + [(5, 3), (7, 3), (11, 3), (13, 3), (5, 5)])
 def test_block_search_matches_independent_search_at_ranks_0_to_3(p, degree):
     expected = lex_primitive_moduli(p, degree, 4)
     for rank in range(4):
@@ -39,6 +42,22 @@ def test_block_search_matches_independent_search_at_ranks_0_to_3(p, degree):
         else:  # the degree has fewer primitive polynomials, e.g. one at (2, 2)
             with pytest.raises(ModulusRankError, match=f"there are {len(expected)} "):
                 find_primitive_modulus(p, degree, rank)
+
+
+@pytest.mark.parametrize("p,degree", [(2, d) for d in range(2, 9)]
+                         + [(3, d) for d in range(2, 5)] + [(5, 2), (5, 3), (7, 2)])
+def test_block_search_finds_every_primitive_modulus(p, degree):
+    expected = lex_primitive_moduli(p, degree, p**degree)
+    for rank, modulus in enumerate(expected):
+        assert find_primitive_modulus(p, degree, rank) == modulus, rank
+    with pytest.raises(ModulusRankError, match=f"there are {len(expected)} "):
+        find_primitive_modulus(p, degree, len(expected))
+
+
+@pytest.mark.parametrize("p,degree", [(2, 1), (3, 1), (5, 0)])
+def test_modulus_degree_below_2_is_refused(p, degree):
+    with pytest.raises(ValueError, match="below 2"):
+        find_primitive_modulus(p, degree)
 
 
 # p^degree >= 2^63 in each case, far over the 2^26 field-size bound
@@ -60,6 +79,27 @@ def test_no_binomial_is_primitive():
                 for c in range(p):
                     coeffs = [c] + [0] * (d - 1) + [1]
                     assert step_order_of_x(p, coeffs) < p**d - 1, (p, d, c)
+
+
+def test_generator_table_marks_the_residues_of_order_p_minus_1():
+    for p in (q for q in range(2, 256) if admission.is_prime(q)):
+        orders = [0]
+        for g in range(1, p):
+            power, order = g, 1
+            while power != 1:
+                power, order = power * g % p, order + 1
+            orders.append(order)
+        assert fields._generator_table(p).tolist() == [o == p - 1 for o in orders], p
+
+
+def test_no_primitive_modulus_fails_the_constant_term_filter():
+    # the search drops f unless (-1)^d f(0) generates F_p^*, on this lemma
+    for p, generators in ((5, {2, 3}), (7, {3, 5})):
+        for d in (2, 3):
+            for packed in range(p**d):
+                coeffs = [packed // p**i % p for i in range(d)] + [1]
+                if (-1) ** d * coeffs[0] % p not in generators:
+                    assert step_order_of_x(p, coeffs) != p**d - 1, (p, coeffs)
 
 
 # the outputs of the search that scanned the binomials too; p^degree is
