@@ -107,7 +107,10 @@ def gamma_roots(ctx: FieldCtx) -> dict[int, int]:
 
 def build_code(ctx: FieldCtx, family: str) -> CodeSpec:
     """Assemble the parity-check polynomial for one family over ctx and
-    validate the dimension against the closed form."""
+    validate the dimension against the closed form.  The minimal
+    polynomials come from the context's cache (fields.minimal_polynomial),
+    so the families built on one context share them; the coincidence,
+    degree and vanishing checks run on every build."""
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
     q, m, n = ctx.q, ctx.m, ctx.n

@@ -47,8 +47,11 @@ F_q-rank of B.  The sweep trusts the value tables, which the tests check
 against the literal Q(x), but not the closed-form rank frequencies,
 which it measures.  On a sample of forms the epsilon check compares its
 ranks with QuadForm.rank, which eliminates each form's own Gram over F_q
-(fields.label_matrix_rank): two eliminations over two fields must agree.
-It also checks the sign convention against the plain character sum.
+(fields.label_matrix_rank, forward elimination through F_q's own
+multiplication and subtraction tables, built from the field's mul and
+sub and shared with no kernel here): two eliminations over two fields
+must agree.  It also checks the sign convention against the plain
+character sum T, which the form caches.
 Neither side evaluates Q through pow and trace at run time.
 
 Both oracles run through one function, _enumerate.  It admits or refuses

@@ -246,6 +246,7 @@ class FieldCtx:
         self._frob_rows: list[int] | None = None
         self._subfields: dict[int, SubfieldView] = {}
         self._trace_tables: dict[tuple[int, int], np.ndarray] = {}
+        self._minimal_polys: dict[int, Poly] = {}
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, e={self.e}, s={self.s}, size={self.size})"
@@ -511,7 +512,9 @@ class SubfieldView:
     Labels 0..Q-1 are packed F_p coordinates with respect to the basis
     {g^0, .., g^(k-1)} where g = pi^((q^s-1)/(Q-1)), so label addition is
     digitwise base-p (plain XOR when p = 2).  Label 0 is the zero element
-    and label 1 is the one element.
+    and label 1 is the one element.  The uint8 op tables (add_table,
+    mul_table, sub_table) hold labels below 256 only and refuse a larger
+    Q with FieldSizeError; label_tables, nested lists, has no such bound.
     """
 
     def __init__(self, ctx: FieldCtx, order: int):
@@ -542,6 +545,7 @@ class SubfieldView:
         if len(self._label_of) != order:
             raise AssertionError("subfield labelling not injective")
         self._inv_labels: dict[int, int] = {}
+        self._rows: dict[str, list[list[int]]] = {}
 
     def contains(self, a: int) -> bool:
         return a in self._label_of
@@ -552,15 +556,24 @@ class SubfieldView:
     def from_label(self, lbl: int) -> int:
         return self.elements_by_label[lbl]
 
+    def _op_rows(self, name, fn) -> list[list[int]]:
+        """Labels of fn on every pair of labels as rows of Python ints,
+        built once from the field's own fn: label_tables hands them to the
+        row elimination and _op_table copies them into a uint8 table."""
+        if name not in self._rows:
+            elems, label_of = self.elements_by_label, self._label_of
+            self._rows[name] = [[label_of[fn(a, b)] for b in elems] for a in elems]
+        return self._rows[name]
+
     def _op_table(self, name, fn):
+        """_op_rows as a Q x Q uint8 table, built once.  A label above 255
+        does not fit a byte, so an order above MAX_LABEL_Q raises
+        FieldSizeError before any entry is computed."""
         attr = f"_tab_{name}"
         if not hasattr(self, attr):
-            Q = self.order
-            t = np.empty((Q, Q), dtype=np.uint8)
-            for i in range(Q):
-                for j in range(Q):
-                    t[i, j] = self.label_of(fn(self.from_label(i), self.from_label(j)))
-            setattr(self, attr, t)
+            if self.order > MAX_LABEL_Q:
+                raise FieldSizeError(f"labels of F_{self.order} do not fit the uint8 table")
+            setattr(self, attr, np.array(self._op_rows(name, fn), dtype=np.uint8))
         return getattr(self, attr)
 
     def add_table(self) -> np.ndarray:
@@ -571,6 +584,13 @@ class SubfieldView:
 
     def sub_table(self) -> np.ndarray:
         return self._op_table("sub", self.ctx.sub)
+
+    def label_tables(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The multiplication and subtraction tables as nested lists of
+        Python ints, for a row operation that reads them entry by entry
+        (a numpy scalar per read would cost more than the arithmetic).
+        Not bounded by the uint8 tables' MAX_LABEL_Q."""
+        return self._op_rows("mul", self.ctx.mul), self._op_rows("sub", self.ctx.sub)
 
     def inv_label(self, lbl: int) -> int:
         """The inverse's label, computed once per label."""
@@ -590,30 +610,38 @@ class SubfieldView:
 
 def label_matrix_rank(sub: SubfieldView, rows: list[list[int]]) -> int:
     """Rank over F_Q of a matrix given as rows of subfield labels.
-    Plain Gaussian elimination; destroys nothing (rows are copied)."""
-    ctx = sub.ctx
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
+
+    Forward elimination to echelon form only, one leading column at a
+    time: a row with a nonzero entry there is the pivot and leaves the
+    matrix unscaled, every other row with a nonzero entry c there becomes
+    row - (c / pivot) * pivot, and the column goes.  The update reads
+    sub_t[a][mul_t[c * inv][b]] from the nested-list label tables
+    (SubfieldView.label_tables, built from ctx.mul and ctx.sub), fetched
+    only once a row update happens: a matrix that needs none, such as a
+    1 x 1 one, builds no table.  The rows passed in are not modified."""
+    rows = list(rows)
     rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
+    while rows and rows[0]:
+        for pivot, row in enumerate(rows):
+            if row[0]:
+                break
+        else:
+            rows = [row[1:] for row in rows]
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = sub.inv_label(rows[rank][col])
-        if inv != 1:
-            rows[rank] = [sub.label_of(ctx.mul(sub.from_label(v), sub.from_label(inv)))
-                          for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                c = rows[r][col]
-                celem = sub.from_label(c)
-                rows[r] = [sub.label_of(ctx.sub(sub.from_label(a),
-                                                ctx.mul(celem, sub.from_label(b))))
-                           for a, b in zip(rows[r], rows[rank])]
+        top = rows.pop(pivot)
+        tail, by_inv = top[1:], None  # by_inv: the row of mul_t for 1 / pivot
         rank += 1
-        if rank == len(rows):
-            break
+        rest = []
+        for row in rows:
+            if c := row[0]:
+                if by_inv is None:
+                    mul_t, sub_t = sub.label_tables()
+                    by_inv = mul_t[sub.inv_label(top[0])]
+                scaled = mul_t[by_inv[c]]
+                rest.append([sub_t[a][scaled[b]] for a, b in zip(row[1:], tail)])
+            else:
+                rest.append(row[1:])
+        rows = rest
     return rank
 
 
@@ -665,7 +693,10 @@ class Poly:
 def minimal_polynomial(ctx: FieldCtx, a: int) -> Poly:
     """Monic minimal polynomial of a over the embedded F_q: the product of
     (X - c) over the distinct Frobenius conjugates c of a.  Coefficients are
-    verified to lie in F_q."""
+    verified to lie in F_q.  Computed once per element and context, so the
+    code families built on one context share their factors."""
+    if a in ctx._minimal_polys:
+        return ctx._minimal_polys[a]
     conjugates, c = [], a
     while c not in conjugates:
         conjugates.append(c)
@@ -681,7 +712,8 @@ def minimal_polynomial(ctx: FieldCtx, a: int) -> Poly:
     for coef in poly:
         if ctx.frobenius_q(coef) != coef:
             raise AssertionError("minimal polynomial coefficient escaped F_q")
-    return Poly(ctx, tuple(poly))
+    ctx._minimal_polys[a] = Poly(ctx, tuple(poly))
+    return ctx._minimal_polys[a]
 
 
 # ---------------------------------------------------------------------------

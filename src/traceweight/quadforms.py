@@ -31,7 +31,10 @@ counting: coordinate_values gives one trace term Tr(c x^u) at every
 coordinate, linear_trace_rows gives Tr(beta x) for every beta, and
 coordinate_matches counts, per beta, the coordinates where
 Tr(beta x) + Q(x) hits a target by comparing each row with the one
-n-vector target - Q(x).
+n-vector target - Q(x).  The S(beta) and R_b(beta) histograms are one
+bincount of those match counts, the x = 0 term folded into the keys.
+A QuadForm caches its rank, its sign epsilon and T (big_T), so the
+epsilon check and a later big_T tally the residues once.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ def integral_character_sum(residue_counts, p: int) -> int:
 
 
 class QuadForm:
-    """Handle for one form: coefficients plus lazily cached rank and sign."""
+    """Handle for one form: coefficients plus lazily cached rank, sign and
+    plain character sum T."""
 
     def __init__(self, ctx: FieldCtx, coeffs):
         coeffs = tuple(coeffs)
@@ -73,6 +77,7 @@ class QuadForm:
         self.coeffs = coeffs
         self._rank: int | None = None
         self._epsilon: int | None = None
+        self._big_t: int | None = None  # filled by big_T
         self._value_labels: np.ndarray | None = None
 
     @property
@@ -247,20 +252,25 @@ def trace_residues(ctx: FieldCtx) -> np.ndarray:
 
 def big_T(form: QuadForm) -> int:
     """The plain character sum over all of F_{q^s}: the exact integer
-    sum of w_p^(Tr_{q/p}(Q(x)))."""
-    ctx = form.ctx
-    counts = np.bincount(trace_residues(ctx)[form.value_labels()], minlength=ctx.p)
-    counts[0] += 1  # x = 0, where Q vanishes
-    return integral_character_sum(counts.tolist(), ctx.p)
+    sum of w_p^(Tr_{q/p}(Q(x))), tallied once per form and cached on it."""
+    if form._big_t is None:
+        ctx = form.ctx
+        counts = np.bincount(trace_residues(ctx)[form.value_labels()], minlength=ctx.p)
+        counts[0] += 1  # x = 0, where Q vanishes
+        form._big_t = integral_character_sum(counts.tolist(), ctx.p)
+    return form._big_t
 
 
 def _beta_histogram(form: QuadForm, target: int) -> dict[int, int]:
     """Value distribution over beta of q*N_beta - q^s, where N_beta counts
-    the x in F_{q^s} with Q(x) + Tr(beta x) equal to the target label."""
+    the x in F_{q^s} with Q(x) + Tr(beta x) equal to the target label.
+    One bincount over the coordinate match counts gives the distribution;
+    x = 0 (a solution iff the target is 0) shifts every key by the same
+    q*(target == 0), so it is folded into the keys."""
     ctx = form.ctx
-    counts = coordinate_matches(ctx, form.value_labels(), target) + (target == 0)
-    values, freqs = np.unique(ctx.q * counts - ctx.size, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, freqs)}
+    freqs = np.bincount(coordinate_matches(ctx, form.value_labels(), target))
+    shift = ctx.q * (target == 0) - ctx.size
+    return {ctx.q * c + shift: f for c, f in enumerate(freqs.tolist()) if f}
 
 
 def s_histogram(form: QuadForm) -> dict[int, int]:

@@ -11,10 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from traceweight.admission import factorize
 from traceweight.codes import form_exponents
 from traceweight.fields import Poly
-from traceweight.quadforms import coordinate_matches
+from traceweight.quadforms import linear_trace_rows
 
 
 def naive_mul(ctx, a, b):
@@ -256,8 +258,8 @@ def count_solutions(form, beta, zeta):
         raise ValueError(f"beta = {beta} is not a packed element of F_{ctx.size}")
     if not sub.contains(zeta):
         raise ValueError("zeta is not in the embedded F_q")
-    target = sub.label_of(zeta)
-    return int(coordinate_matches(ctx, form.value_labels(), target)[beta]) + (zeta == 0)
+    wanted = sub.sub_table()[sub.label_of(zeta), form.value_labels()]
+    return int(np.count_nonzero(linear_trace_rows(ctx)[beta] == wanted)) + (zeta == 0)
 
 
 def literal_value(form, x):
@@ -282,6 +284,36 @@ def literal_gram(form):
     sub = ctx.subfield(ctx.q)
     basis = [ctx.pow(ctx.pi, i) for i in range(ctx.s)]
     return [[sub.label_of(literal_bilinear(form, a, b)) for b in basis] for a in basis]
+
+
+def literal_label_rank(sub, rows):
+    """Rank over F_Q of a matrix of subfield labels by Gauss-Jordan
+    elimination with one ctx.mul / ctx.sub per entry: every pivot row is
+    scaled to 1 and its column cleared above and below, through the
+    elements themselves and no label table."""
+    ctx = sub.ctx
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = sub.label_of(ctx.inv(sub.from_label(rows[rank][col])))
+        if inv != 1:
+            rows[rank] = [sub.label_of(ctx.mul(sub.from_label(v), sub.from_label(inv)))
+                          for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                celem = sub.from_label(rows[r][col])
+                rows[r] = [sub.label_of(ctx.sub(sub.from_label(a),
+                                                ctx.mul(celem, sub.from_label(b))))
+                           for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
 
 
 def naive_add(ctx, a, b):

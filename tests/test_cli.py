@@ -127,6 +127,19 @@ def test_witness_exits_1_on_a_failed_embedding(capsys, monkeypatch):
     assert doc["isomorphism_ok"] is False and doc["isomorphism_notes"] == ["forced"]
 
 
+@pytest.mark.parametrize("q,p,e", [(17, 17, 1), (256, 2, 8)])
+def test_witness_at_m_1_builds_no_label_table(capsys, q, p, e):
+    # the 1 x 1 matrices over F_{q^2} need no row update, so no op table of
+    # up to 2^16 x 2^16 labels is built for them
+    from traceweight.fields import make_field
+    code, out, _ = run(capsys, "witness", "--q", str(q), "--m", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["rank1_count"], doc["equal"], doc["isomorphism_ok"]) == (q - 1, True, True)
+    for sub in make_field(p, e, 2)._subfields.values():
+        assert not sub._rows and not any(a.startswith("_tab_") for a in vars(sub))
+
+
 def test_witness_rank1_at_32(capsys):
     _, out, _ = run(capsys, "witness", "--q", "3", "--m", "2")
     assert json.loads(out)["rank1_count"] == 20

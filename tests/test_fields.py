@@ -5,16 +5,18 @@ import random
 import numpy as np
 import pytest
 from conftest import (coset_size, element_order, frobenius_sum, lex_primitive_moduli,
-                      lex_primitive_modulus, naive_add, naive_mul, poly_divides,
-                      poly_divmod, prime_powers_up_to, step_order_of_x, trace)
+                      lex_primitive_modulus, literal_label_rank, naive_add, naive_mul,
+                      poly_divides, poly_divmod, prime_powers_up_to, step_order_of_x,
+                      trace)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traceweight import admission, fields
 from traceweight.admission import (FieldSizeError, ModulusRankError, check_witness_budget,
                                    choose_oracle)
-from traceweight.fields import (FieldCtx, Poly, find_primitive_modulus, make_field,
-                                minimal_polynomial, split_prime_power)
+from traceweight.fields import (FieldCtx, Poly, find_primitive_modulus,
+                                label_matrix_rank, make_field, minimal_polynomial,
+                                split_prime_power)
 
 
 def test_modulus_matches_independent_search():
@@ -447,6 +449,74 @@ def test_subfield_labels_are_additive():
         for j in range(4):
             total = ctx.add(sub.from_label(i), sub.from_label(j))
             assert sub.label_of(total) == sub.add_labels(i, j)
+
+
+def _label_product(sub, a, b):
+    """The matrix product of two label matrices, entry by entry through
+    the field's own add and mul."""
+    ctx = sub.ctx
+    out = []
+    for row in a:
+        out.append([])
+        for col in zip(*b):
+            acc = 0
+            for x, y in zip(row, col):
+                acc = ctx.add(acc, ctx.mul(sub.from_label(x), sub.from_label(y)))
+            out[-1].append(sub.label_of(acc))
+    return out
+
+
+def _rank_cases(sub, rng):
+    """(matrix, known rank or None) over the labels of sub: 1 x 1, 1 x k,
+    k x 1, zero, full-rank (unit lower times invertible upper triangular),
+    random squares up to 10 x 10 and rank-deficient k x r times r x k
+    products."""
+    Q = sub.order
+
+    def rand(rows, cols):
+        return [[rng.randrange(Q) for _ in range(cols)] for _ in range(rows)]
+
+    cases = [([[0]], 0), ([[rng.randrange(1, Q)]], 1)]
+    for k in range(2, 7):
+        cases += [(rand(1, k), None), (rand(k, 1), None), ([[0] * k] * k, 0),
+                  ([[0] * (k + 1)] * k, 0)]
+    for k in range(2, 11):
+        lower = [[1 if i == j else rng.randrange(Q) if i > j else 0 for j in range(k)]
+                 for i in range(k)]
+        upper = [[rng.randrange(1, Q) if i == j else rng.randrange(Q) if i < j else 0
+                  for j in range(k)] for i in range(k)]
+        full = _label_product(sub, lower, upper)
+        rng.shuffle(full)
+        cases += [(full, k), (rand(k, k), None), (rand(k, k + 2), None)]
+        for r in range(1, k):
+            cases.append((_label_product(sub, rand(k, r), rand(r, k)), None))
+    return cases
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 256])
+def test_label_matrix_rank_equals_the_literal_elimination(q):
+    # the echelon elimination through the label tables against Gauss-Jordan
+    # with a field operation per entry, on seeded random matrices
+    p, e = split_prime_power(q)
+    sub = make_field(p, 1, 2 * e).subfield(q)
+    for rows, known in _rank_cases(sub, random.Random(q)):
+        expected = literal_label_rank(sub, rows)
+        if known is not None:
+            assert expected == known, rows
+        assert label_matrix_rank(sub, rows) == expected, rows
+
+
+def test_label_matrix_rank_above_the_byte_tables():
+    # F_{17^2} has labels above 255: its uint8 op tables are refused before
+    # any entry is computed, while the elimination's list tables hold them
+    sub = make_field(17, 1, 4).subfield(17**2)
+    with pytest.raises(FieldSizeError):
+        sub.mul_table()
+    assert not sub._rows
+    rng = random.Random(17)
+    for rows in ([[rng.randrange(289) for _ in range(3)] for _ in range(3)],
+                 _label_product(sub, [[5], [200]], [[7, 288]])):
+        assert label_matrix_rank(sub, rows) == literal_label_rank(sub, rows)
 
 
 def test_poly_divmod_roundtrip():

@@ -236,6 +236,36 @@ def test_histograms_match_rank_driven_rows_exhaustively(p, e, m):
             assert r_histogram(form, sub.from_label(lbl)) == offset_sum_rows(q, s, r, eps)
 
 
+@pytest.mark.parametrize("p,e,m", [(2, 1, 2), (3, 1, 2), (2, 2, 2)])
+def test_histograms_equal_the_counter_of_solution_counts(p, e, m):
+    # every form, the zero form first: the bincount histograms against the
+    # Counter over beta of q * N_beta(zeta) - q^s, zeta = 0 for S and -b for R_b
+    ctx = make_field(p, e, 2 * m)
+    sub = ctx.subfield(ctx.q)
+
+    def shifted(form, zeta):
+        return Counter(ctx.q * count_solutions(form, beta, zeta) - ctx.size
+                       for beta in range(ctx.size))
+    for form in all_forms(ctx):
+        assert s_histogram(form) == shifted(form, 0)
+        for b in sub.elements_by_label[1:]:
+            assert r_histogram(form, b) == shifted(form, ctx.neg(b))
+
+
+def test_epsilon_then_big_T_tallies_the_residues_once(monkeypatch):
+    from traceweight import quadforms
+    calls = []
+
+    def counted(counts, p):
+        calls.append(p)
+        return integral_character_sum(counts, p)
+    monkeypatch.setattr(quadforms, "integral_character_sum", counted)
+    for form in all_forms(make_field(3, 1, 4)):
+        calls.clear()
+        eps = form.epsilon
+        assert big_T(form) == eps * 3 ** (4 - form.rank // 2)
+        assert len(calls) == 1
+
 @pytest.mark.parametrize("p,e,m,stride", [(2, 1, 2, 1), (3, 1, 2, 1), (2, 1, 3, 1),
                                           (2, 2, 2, 17)])
 def test_coordinate_tables_match_literal_definitions(p, e, m, stride):
