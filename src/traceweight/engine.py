@@ -1,15 +1,20 @@
 """The independent oracles: exhaustive codeword counting and the rank sweep.
 
-brute_distribution counts codewords one form (the quadratic part of the
-parameters) at a time, by literal match counting.  It never
-materializes codewords: each counted form is read through its own value
-table (QuadForm.value_labels, the n-vector of F_q labels of Q(pi^i) in
-coordinate order) and matched against the linear-trace rows shared with
-quadforms (linear_trace_rows, coordinate_matches): a codeword
-b + Tr(beta x) + Q(x) vanishes where Tr(beta x) equals -b - Q(x), so
-each form costs one comparison of the linear-trace rows with one
-n-vector per constant shift.  Family E uses one bin per constant shift;
-family C has no beta and counts the zeros of Q alone.
+brute_distribution counts codewords a block of forms (the quadratic part
+of the parameters) at a time, by literal match counting.  It never
+materializes codewords.  A form's value table (the n-vector of F_q
+labels of Q(pi^i) in coordinate order) is F_p-linear in its index's
+base-p digits, so a block's tables are combined from the per-digit
+tables, FormSpace.digit_values, which the rank sweep reads its
+per-digit Grams from too.  Each table is matched against every
+linear-trace row by quadforms.coordinate_matches, over bit planes: a
+codeword b + Tr(beta x) + Q(x) vanishes where Tr(beta x) equals
+-b - Q(x), and every coordinate is compared, 64 to a machine word.
+Family E uses one bin per constant shift; family C has no beta and
+counts the zeros of Q alone.  The brute oracle never trusts the
+combination: on every run the values check compares the combined
+tables of a fixed sample of counted forms with each form's own,
+QuadForm.value_labels, built from its coefficients.
 
 Both oracles count one form per orbit of the code's symmetry group, not
 all q^(m^2) forms.  Three maps act on every slot coefficient c_j = pi^l
@@ -40,7 +45,7 @@ the measured rank multiplicities into the weight distribution through
 the exponential-sum value classes.  The Gram matrix of the polarized
 bilinear form B is F_p-linear in the form index, so a chunk's Grams are
 combined from per-digit Grams, which quadforms.gram_labels reads off the
-digit forms' value tables, and eliminated at once over F_p: as
+digit tables, and eliminated at once over F_p: as
 bit-packed GF(2) rows at every even q, mod p otherwise.  The trace form
 of F_q/F_p is nondegenerate, so Tr_{q/p}(B) has F_p-rank e times the
 F_q-rank of B.  The sweep trusts the value tables, which the tests check
@@ -82,11 +87,13 @@ from .admission import (TIER_BUDGETS, _refusal, brute_work,  # noqa: F401 - re-e
                         choose_oracle, rank_sweep_work, split_prime_power)
 from .codes import CodeSpec, ConsistencyError, build_code
 from .fields import make_field
-from .quadforms import FormSpace, coordinate_matches, gram_labels, trace_residues
+from .quadforms import (MATCH_WORDS, FormSpace, coordinate_matches, gram_labels,
+                        linear_trace_planes, trace_residues)
 from .spectra import WeightDistribution, assemble_distribution, predict
 
 DEFAULT_BUDGET = 2**36
-_EPSILON_SAMPLES = 12
+# forms sampled by the epsilon check and by the brute values check
+_CHECK_SAMPLES = 12
 # Enumerations of fewer forms run in-process whatever the worker count: a
 # second worker gained nothing on the (4,3) sweep, 2^18 forms in about
 # 1.5 s, and below that a pool's start-up only adds to the time and to its
@@ -104,14 +111,67 @@ _BATCH_CAP = 1 << 16
 
 
 class _CountPlan:
-    """The histogram of codeword weights a worker fills, one counted form
-    at a time, from each form's own value table."""
+    """The histogram of codeword weights a worker fills, a block of counted
+    forms at a time.
+
+    A form's value table is F_p-linear in its index's base-p digits, so a
+    block's tables are combined from the per-digit tables
+    (FormSpace.digit_values): at p = 2 as XORs of the digit rows the index
+    bits select, a machine word at a time; at odd p as one matmul of the
+    base-p digits with the digit tables' F_p coordinates, reduced mod p and
+    packed back into labels.  Each block's tables are then matched against
+    the linear-trace rows by coordinate_matches.  A block holds as many
+    forms as keep its largest temporaries under quadforms.MATCH_WORDS
+    words, so a chunk of 2^16 forms of 4,095 labels is never held at once.
+    """
 
     def __init__(self, spec: CodeSpec):
-        spec.ctx.require_tables()
+        ctx = spec.ctx
+        ctx.require_tables()
         self.spec = spec
-        self.ctx = spec.ctx
-        self.space = FormSpace(spec.ctx)
+        self.ctx = ctx
+        self.space = FormSpace(ctx)
+        p, e, n = ctx.p, ctx.e, ctx.n
+        digit_values = self.space.digit_values()
+        digits = len(digit_values)
+        if p == 2:
+            self.digit_shifts = np.arange(digits, dtype=np.int64)
+            row_words = -(-n // 8)
+            padded = np.zeros((digits, 8 * row_words), dtype=np.uint8)
+            padded[:, :n] = digit_values
+            self.digit_words = padded.view(np.uint64)
+            per_form = digits * row_words
+        else:
+            self.digit_powers = p ** np.arange(digits, dtype=np.int64)
+            # digit_coords[d, i * e + k] is F_p coordinate k of label i of
+            # digit d; float64 for a BLAS matmul: every sum is an integer
+            # below digits * p^2, so it stays exact
+            coords = digit_values[:, :, None] // p ** np.arange(e) % p
+            self.digit_coords = coords.reshape(digits, -1).astype(np.float64)
+            self.label_weights = (p ** np.arange(e)).astype(np.float64)
+            per_form = n * e
+        if spec.family != "C":
+            # one target's XOR words, W per packed beta, and every target's
+            # int64 match counts
+            targets = ctx.q if spec.family == "E" else 1
+            per_form += (-(-n // 64) + targets) * ctx.size
+            # built now, so that a field over the table bound is refused
+            # before the orbit layer and forked workers inherit the planes
+            linear_trace_planes(ctx)
+        self.block = max(1, MATCH_WORDS // per_form)
+
+    def values(self, idx: np.ndarray) -> np.ndarray:
+        """(len(idx), n) uint8 value tables of the forms at the indices idx."""
+        ctx = self.ctx
+        if ctx.p == 2:
+            bits = ((idx[:, None] >> self.digit_shifts) & 1).astype(np.uint64)
+            words = np.bitwise_xor.reduce(bits[:, :, None] * self.digit_words, axis=1)
+            return words.view(np.uint8)[:, :ctx.n]
+        digits = (idx[:, None] // self.digit_powers % ctx.p).astype(np.float64)
+        coords = (digits @ self.digit_coords) % ctx.p
+        if ctx.e > 1:
+            coords = coords.reshape(len(idx), ctx.n, ctx.e) @ self.label_weights
+        return coords.astype(np.uint8)
 
     def counts(self, idx: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Weighted histogram of codeword weights over the forms at the
@@ -119,20 +179,24 @@ class _CountPlan:
         ctx, family = self.ctx, self.spec.family
         q, n = ctx.q, ctx.n
         hist = np.zeros(n + 1, dtype=np.int64)
-        for index, weight in zip(idx.tolist(), weights.tolist()):
-            values = self.space.form_at(index).value_labels()
+        for lo in range(0, len(idx), self.block):
+            values = self.values(idx[lo:lo + self.block])
             if family == "C":
-                hist[np.count_nonzero(values)] += weight
-                continue
-            # codeword b + Tr(beta x) + Q(x) vanishes where Tr(beta x) + Q(x) = -b
-            remaining = np.full(ctx.size, n, dtype=np.int64)
-            for lbl in range(q if family == "E" else 1):
-                if lbl < q - 1:
-                    cnt = coordinate_matches(ctx, values, lbl)
-                    remaining -= cnt
-                else:
-                    cnt = remaining
-                hist += weight * np.bincount(n - cnt, minlength=n + 1)
+                # no beta: the codeword Q(x) has weight |{x : Q(x) != 0}|
+                cw_weights = np.count_nonzero(values, axis=1)[:, None]
+            else:
+                # codeword b + Tr(beta x) + Q(x) vanishes where
+                # Tr(beta x) + Q(x) = -b; E's last target takes the rest
+                matches = coordinate_matches(
+                    ctx, values, q - 1 if family == "E" else 1).astype(np.int64)
+                if family == "E":
+                    matches = np.concatenate([matches, n - matches.sum(axis=0)[None]])
+                cw_weights = n - matches
+            forms = len(values)
+            offsets = (n + 1) * np.arange(forms, dtype=np.int64)[:, None]
+            per_form = np.bincount((cw_weights + offsets).ravel(),
+                                   minlength=forms * (n + 1)).reshape(forms, n + 1)
+            hist += weights[lo:lo + self.block] @ per_form
         return hist
 
 
@@ -160,8 +224,7 @@ class _RankPlan:
         self.es = e * ctx.s
         space = FormSpace(ctx)
         self.p_digits = e * space.digit_count
-        values = np.stack([space.form_at(p**d).value_labels()
-                           for d in range(self.p_digits)])
+        values = space.digit_values()
         # grams[d, a, b] = B_d(pi^a, pi^b) as an F_q label
         self.grams = gram_labels(ctx, values)
         # block[L, i, j] = Tr_{q/p}(g^(i+j) L) as a residue
@@ -396,6 +459,8 @@ def _enumerate(kind: str, spec: CodeSpec, budget: int, workers: int,
         raise refusal
     plan = _plan(kind, spec)
     idx, weights = _orbit_batch(FormSpace(spec.ctx))
+    if kind == "brute":
+        _values_cross_check(plan, idx)
     total = len(idx)
     n_chunks = max(min(-(-total // _MIN_CHUNK_FORMS), max(100, 4 * workers)),
                    -(-total // _BATCH_CAP))
@@ -415,6 +480,24 @@ def _enumerate(kind: str, spec: CodeSpec, budget: int, workers: int,
             if progress:
                 progress(done, total)
     return counts
+
+
+def _spread(total: int) -> list[int]:
+    """_CHECK_SAMPLES positions spread evenly over range(total), both ends
+    included (fewer where total is smaller)."""
+    return sorted({round(i * (total - 1) / (_CHECK_SAMPLES - 1))
+                   for i in range(_CHECK_SAMPLES)})
+
+
+def _values_cross_check(plan: _CountPlan, idx: np.ndarray):
+    """Sample counted forms: the value tables the brute plan combines from
+    the digit tables must equal each form's own, built from its
+    coefficients by QuadForm.value_labels."""
+    sample = idx[_spread(len(idx))]
+    for index, values in zip(sample.tolist(), plan.values(sample)):
+        if not np.array_equal(values, plan.space.form_at(index).value_labels()):
+            raise ConsistencyError(
+                f"combined value table differs from the form's own at {index}")
 
 
 def brute_distribution(spec: CodeSpec, budget: int = DEFAULT_BUDGET,
@@ -443,9 +526,7 @@ def _epsilon_cross_check(spec: CodeSpec):
     (-1)^(rank/2) that the sweep relies on."""
     space = FormSpace(spec.ctx)
     plan = _plan("rank_sweep", spec)
-    total = space.num_forms
-    sample = sorted({round(i * (total - 1) / (_EPSILON_SAMPLES - 1))
-                     for i in range(_EPSILON_SAMPLES)}) if total > 1 else [0]
+    sample = _spread(space.num_forms)
     for index, r_sweep in zip(sample, plan.ranks(np.array(sample, dtype=np.int64))):
         form = space.form_at(index)
         if form.rank != r_sweep:

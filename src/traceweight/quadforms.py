@@ -21,20 +21,26 @@ bilinear form B(x,y) = Q(x+y) - Q(x) - Q(y), computed as s minus the
 nullity of the Gram matrix over F_q; for even q the symplectic radical
 is used as-is, with no quadratic refinement.  gram_labels reads the
 Gram on the basis pi^0..pi^(s-1) off a value table, and the engine's
-rank sweep reads its per-digit Grams through the same function.  All
-character sums are kept exact: values of Tr down to F_p are tallied per
-residue and the tally is contracted against p-th roots of unity
-symbolically, so a non-integral sum raises instead of rounding.
+rank sweep reads its per-digit Grams off the digit tables through the
+same function.  All character sums are kept exact: values of Tr down to
+F_p are tallied per residue and the tally is contracted against p-th
+roots of unity symbolically, so a non-integral sum raises instead of
+rounding.
 
-Three shared tables, also read by the engine's brute oracle, do the
-counting: coordinate_values gives one trace term Tr(c x^u) at every
-coordinate, linear_trace_rows gives Tr(beta x) for every beta, and
-coordinate_matches counts, per beta, the coordinates where
-Tr(beta x) + Q(x) hits a target by comparing each row with the one
-n-vector target - Q(x).  The S(beta) and R_b(beta) histograms are one
-bincount of those match counts, the x = 0 term folded into the keys.
-A QuadForm caches its rank, its sign epsilon and T (big_T), so the
-epsilon check and a later big_T tally the residues once.
+Shared tables, also read by the engine's brute oracle, do the counting:
+coordinate_values gives one trace term Tr(c x^u) at every coordinate,
+FormSpace.digit_values the value tables of the forms at the indices
+p^d, linear_trace_rows gives Tr(beta x) for every beta, and
+linear_trace_planes the same rows as bit planes.  coordinate_matches,
+the one match kernel, counts per beta and target the coordinates where
+Tr(beta x) + Q(x) hits the target: the wanted labels target - Q(x)
+become bit planes too, and a row's mismatches are the popcount of the
+OR over planes of row XOR wanted, so every coordinate is still
+compared.  The S(beta) and R_b(beta) histograms of a form come from one
+such call over all q targets, a bincount each, the x = 0 term folded
+into the keys.  A QuadForm caches its rank, its sign epsilon, T
+(big_T) and those histograms, so the epsilon check and a later big_T
+tally the residues once.
 """
 
 from __future__ import annotations
@@ -46,6 +52,10 @@ import numpy as np
 from .admission import LINEAR_TRACE_BOUND, FieldSizeError
 from .codes import ConsistencyError, form_exponents
 from .fields import FieldCtx, label_matrix_rank
+
+# The most XOR words one step of coordinate_matches holds; the brute
+# oracle sizes its blocks of forms by it too.
+MATCH_WORDS = 1 << 16
 
 
 def integral_character_sum(residue_counts, p: int) -> int:
@@ -78,6 +88,7 @@ class QuadForm:
         self._rank: int | None = None
         self._epsilon: int | None = None
         self._big_t: int | None = None  # filled by big_T
+        self._beta_hists: list[dict[int, int]] | None = None  # by _beta_histogram
         self._value_labels: np.ndarray | None = None
 
     @property
@@ -133,11 +144,15 @@ class FormSpace:
         self.exponents = form_exponents(q, m)
         zeta = ctx.pow(ctx.pi, q**m + 1)
         self.slot_bases: list[tuple[int, ...]] = []
+        # the order of the subfield each slot's coefficient lies in
+        self.uppers: list[int] = []
         for u in self.exponents:
             if m % 2 and u == q**m + 1:
                 self.slot_bases.append(tuple(ctx.pow(zeta, i) for i in range(m)))
+                self.uppers.append(q**m)
             else:
                 self.slot_bases.append(tuple(ctx.pow(ctx.pi, i) for i in range(s)))
+                self.uppers.append(ctx.size)
         # digit d lives in slot slot_of[d] scaling basis element basis_of[d]
         self.slot_of: list[int] = []
         self.basis_of: list[int] = []
@@ -170,6 +185,19 @@ class FormSpace:
 
     def form_at(self, index: int) -> QuadForm:
         return QuadForm(self.ctx, self.coeffs_at(index))
+
+    def digit_values(self) -> np.ndarray:
+        """(e * digit_count, n) uint8: row e*d + i is the value table of the
+        form at index p^(e*d + i), whose one nonzero coefficient is
+        g^i * basis_d (g^i the F_q element of label p^i).  A form's value
+        table is F_p-linear in its index's base-p digits, so every form's
+        is the combination of these rows by its digits."""
+        ctx = self.ctx
+        sub = ctx.subfield(ctx.q)
+        return np.stack([
+            coordinate_values(ctx, ctx.mul(sub.from_label(ctx.p**i), b),
+                              self.exponents[j], self.uppers[j])
+            for j, b in zip(self.slot_of, self.basis_of) for i in range(ctx.e)])
 
 
 def all_forms(ctx: FieldCtx):
@@ -206,16 +234,56 @@ def linear_trace_rows(ctx: FieldCtx) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _basis_sum_logs(ctx: FieldCtx) -> np.ndarray:
-    """(s, s) int64 table: entry [a, b] is the log of pi^a + pi^b, or n
-    where the sum is zero (only at a = b when p = 2: a - b = n/2 is
-    impossible with a, b < s)."""
+def linear_trace_planes(ctx: FieldCtx) -> np.ndarray:
+    """linear_trace_rows as bit planes, (planes, W, size) uint64 with
+    planes = bit_length(q - 1) and W = ceil(n / 64): bit i of word
+    [j, w, b] is bit j of the label of Tr(b * pi^(64 w + i)), and the
+    padding bits are zero.  Words run along the packed b, so one word of
+    a target's planes meets every row at once.  The rows are packed in
+    blocks of at most 2^20 bit bytes."""
+    rows, n = linear_trace_rows(ctx), ctx.n
+    count, width = (ctx.q - 1).bit_length(), -(-n // 64)
+    planes = np.empty((count, width, ctx.size), dtype=np.uint64)
+    step = max(1, (1 << 20) // (count * width * 64))
+    for lo in range(0, ctx.size, step):
+        block = rows[lo:lo + step]
+        bits = np.zeros((count, len(block), 64 * width), dtype=np.uint8)
+        for j in range(count):
+            np.bitwise_and(block, 1 << j, out=bits[j, :, :n])
+        planes[:, :, lo:lo + step] = _packed(bits).swapaxes(1, 2)
+    planes.flags.writeable = False  # one cached table serves every caller
+    return planes
+
+
+@lru_cache(maxsize=8)
+def _wanted_bits(ctx: FieldCtx) -> np.ndarray:
+    """(planes, q, q) uint8: entry [j, t, v] is bit j of the label of t - v."""
+    planes = np.arange((ctx.q - 1).bit_length(), dtype=np.uint8)
+    bits = (ctx.subfield(ctx.q).sub_table()[None] >> planes[:, None, None]) & 1
+    bits.flags.writeable = False  # one cached table serves every caller
+    return bits
+
+
+def _packed(bits: np.ndarray) -> np.ndarray:
+    """Bytes of shape (..., 64 W) as uint64 words of shape (..., W): bit
+    i % 64 of word i // 64 is set where byte i is nonzero."""
+    return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+
+
+@lru_cache(maxsize=8)
+def _gram_tables(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """What gram_labels reads a Gram with: the (s, s) logs of pi^a + pi^b,
+    the mask of the entries whose sum is zero (only a = b at p = 2, as
+    a - b = n/2 is impossible with a, b < s; None at odd p), and the F_q
+    subtraction table.  A zero sum's log is replaced by 0 and its entry
+    masked to B(x, x) = -2 Q(x) = 0."""
     basis = [ctx.pow(ctx.pi, i) for i in range(ctx.s)]
     sums = [[ctx.add(a, b) for b in basis] for a in basis]
-    logs = np.array([[ctx.log(t) if t else ctx.n for t in row] for row in sums],
+    logs = np.array([[ctx.log(t) if t else 0 for t in row] for row in sums],
                     dtype=np.int64)
-    logs.flags.writeable = False  # one cached table serves every caller
-    return logs
+    zero = np.array([[t == 0 for t in row] for row in sums])
+    nonzero = (~zero).astype(np.uint8) if zero.any() else None
+    return logs, nonzero, ctx.subfield(ctx.q).sub_table()
 
 
 def gram_labels(ctx: FieldCtx, values: np.ndarray) -> np.ndarray:
@@ -223,22 +291,37 @@ def gram_labels(ctx: FieldCtx, values: np.ndarray) -> np.ndarray:
     off value tables: values of shape (..., n) give F_q labels of shape
     (..., s, s), entry [a, b] being
     B(pi^a, pi^b) = Q(pi^a + pi^b) - Q(pi^a) - Q(pi^b)."""
-    sum_log = _basis_sum_logs(ctx)
-    # column n holds Q(0) = 0
-    padded = np.zeros(values.shape[:-1] + (ctx.n + 1,), dtype=np.uint8)
-    padded[..., :ctx.n] = values
-    sub_t = ctx.subfield(ctx.q).sub_table()
+    sum_log, nonzero, sub_t = _gram_tables(ctx)
     at_basis = values[..., :ctx.s]
-    return sub_t[sub_t[padded[..., sum_log], at_basis[..., :, None]],
+    gram = sub_t[sub_t[values.take(sum_log, axis=-1), at_basis[..., :, None]],
                  at_basis[..., None, :]]
+    return gram if nonzero is None else gram * nonzero
 
 
-def coordinate_matches(ctx: FieldCtx, values: np.ndarray, target: int) -> np.ndarray:
-    """For every packed beta, |{i : Tr(beta * pi^i) + values[i] = target}|,
-    with values and target as F_q labels.  Each linear-trace row is compared
-    with the single n-vector target - values."""
-    wanted = ctx.subfield(ctx.q).sub_table()[target, values]
-    return (linear_trace_rows(ctx) == wanted).sum(axis=1, dtype=np.int32)
+def coordinate_matches(ctx: FieldCtx, values: np.ndarray, targets: int) -> np.ndarray:
+    """For each target label t < targets and every packed beta,
+    |{i : Tr(beta * pi^i) + values[..., i] = t}|, with values as F_q
+    labels: values of shape (..., n) give uint16 counts of shape
+    (targets, ..., size).  Every coordinate is compared: the wanted labels
+    t - values become bit planes, and a row's mismatches are
+    popcount(OR_j (row plane j XOR wanted plane j)).  The targets are
+    matched in groups of at most MATCH_WORDS XOR words, or one at a time
+    where one target's words exceed that."""
+    rows, wanted_bits, n = linear_trace_planes(ctx), _wanted_bits(ctx), ctx.n
+    bits = np.zeros((len(rows), targets) + values.shape[:-1] + (64 * rows.shape[1],),
+                    dtype=np.uint8)
+    wanted_bits[:, :targets].take(values, axis=-1, out=bits[..., :n], mode="clip")
+    wanted = _packed(bits)
+    step = max(1, MATCH_WORDS // (wanted[0, 0].size * ctx.size))
+    misses = []
+    for lo in range(0, targets, step):
+        part = wanted[:, lo:lo + step]
+        miss = rows[0] ^ part[0, ..., None]
+        for j in range(1, len(rows)):
+            miss |= rows[j] ^ part[j, ..., None]
+        # a row holds at most n < 2^16 mismatches, which uint16 sums exactly
+        misses.append(np.bitwise_count(miss).sum(axis=-2, dtype=np.uint16))
+    return n - (misses[0] if len(misses) == 1 else np.concatenate(misses))
 
 
 @lru_cache(maxsize=8)
@@ -264,13 +347,18 @@ def big_T(form: QuadForm) -> int:
 def _beta_histogram(form: QuadForm, target: int) -> dict[int, int]:
     """Value distribution over beta of q*N_beta - q^s, where N_beta counts
     the x in F_{q^s} with Q(x) + Tr(beta x) equal to the target label.
-    One bincount over the coordinate match counts gives the distribution;
-    x = 0 (a solution iff the target is 0) shifts every key by the same
-    q*(target == 0), so it is folded into the keys."""
-    ctx = form.ctx
-    freqs = np.bincount(coordinate_matches(ctx, form.value_labels(), target))
-    shift = ctx.q * (target == 0) - ctx.size
-    return {ctx.q * c + shift: f for c, f in enumerate(freqs.tolist()) if f}
+    The first call counts every target at once, in one coordinate_matches
+    call, and caches the q distributions on the form, each one bincount
+    over its match counts.  x = 0 (a solution iff the target is 0) shifts
+    every key of a target by the same q*(target == 0), so it is folded
+    into the keys."""
+    if form._beta_hists is None:
+        ctx = form.ctx
+        q, size = ctx.q, ctx.size
+        form._beta_hists = [
+            {q * c + q * (t == 0) - size: f for c, f in enumerate(np.bincount(row).tolist()) if f}
+            for t, row in enumerate(coordinate_matches(ctx, form.value_labels(), q))]
+    return form._beta_hists[target]
 
 
 def s_histogram(form: QuadForm) -> dict[int, int]:

@@ -262,6 +262,17 @@ def count_solutions(form, beta, zeta):
     return int(np.count_nonzero(linear_trace_rows(ctx)[beta] == wanted)) + (zeta == 0)
 
 
+def solution_counts(form, zeta):
+    """count_solutions at every packed beta at once: each linear-trace row
+    compared with zeta - Q(x) byte by byte, coordinate by coordinate."""
+    ctx = form.ctx
+    sub = ctx.subfield(ctx.q)
+    if not sub.contains(zeta):
+        raise ValueError("zeta is not in the embedded F_q")
+    wanted = sub.sub_table()[sub.label_of(zeta), form.value_labels()]
+    return np.count_nonzero(linear_trace_rows(ctx) == wanted, axis=1) + (zeta == 0)
+
+
 def literal_value(form, x):
     """Q(x) through pow and trace chains, term by term, with no table."""
     ctx, acc = form.ctx, 0

@@ -212,6 +212,68 @@ def test_orbit_reduced_brute_equals_full_enumeration(p, e, m, family, modulus_ra
     assert dist.work_count == brute_work(p**e, m, family)
 
 
+# every form at the sizes of up to 81 field elements
+_VALUE_SIZES = [(2, 1, 1), (3, 1, 1), (2, 2, 1), (5, 1, 1), (7, 1, 1), (2, 3, 1), (3, 2, 1),
+                (2, 1, 2), (3, 1, 2), (2, 1, 3)]
+
+
+@pytest.mark.parametrize("p,e,m", _VALUE_SIZES + [(2, 1, 4), (3, 1, 3), (2, 2, 3), (7, 1, 2)])
+def test_combined_values_equal_each_forms_own(p, e, m):
+    """The brute plan's value tables, combined from the digit tables, equal
+    QuadForm.value_labels: for every form up to 81 field elements, and for
+    every counted form above."""
+    spec = build_code(make_field(p, e, 2 * m), "D")
+    plan = engine._CountPlan(spec)
+    space = plan.space
+    if (p, e, m) in _VALUE_SIZES:
+        idx = np.arange(space.num_forms, dtype=np.int64)
+    else:
+        idx, _ = engine._orbit_batch(space)
+    combined = plan.values(idx)
+    assert combined.shape == (len(idx), spec.ctx.n)
+    for index, values in zip(idx.tolist(), combined):
+        assert (values == space.form_at(index).value_labels()).all()
+    assert plan.values(idx[:0]).shape == (0, spec.ctx.n)
+
+
+@pytest.mark.parametrize("p,e,m,family", [(2, 1, 4, "D"), (3, 1, 3, "E"), (5, 1, 2, "C")])
+def test_values_check_catches_a_corrupted_digit_table(monkeypatch, p, e, m, family):
+    spec = build_code(make_field(p, e, 2 * m), family)
+    idx, _ = engine._orbit_batch(FormSpace(spec.ctx))
+    last = int(idx[-1])  # always in the checked sample
+    digit = next(d for d in range(64) if last // p**d % p)
+    digit_values = FormSpace.digit_values
+
+    def corrupted(space):
+        values = digit_values(space).copy()
+        values[digit, 0] = values[digit, 0] // p * p + (values[digit, 0] + 1) % p
+        return values
+    monkeypatch.setattr(FormSpace, "digit_values", corrupted)
+    engine._plan.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="combined value table"):
+            brute_distribution(spec)
+    finally:
+        engine._plan.cache_clear()
+
+
+def test_brute_counts_equal_for_any_block_size(monkeypatch):
+    """One form a block and one target a step count what the default
+    blocks count."""
+    from traceweight import quadforms
+    specs = [build_code(make_field(p, e, 2 * m), family)
+             for p, e, m, family in [(2, 1, 4, "D"), (2, 2, 2, "E"), (3, 1, 3, "E"),
+                                     (2, 2, 3, "C")]]
+    every = [engine._orbit_batch(FormSpace(spec.ctx)) for spec in specs]
+    default = [engine._CountPlan(spec).counts(*batch) for spec, batch in zip(specs, every)]
+    monkeypatch.setattr(engine, "MATCH_WORDS", 1)
+    monkeypatch.setattr(quadforms, "MATCH_WORDS", 1)
+    for spec, batch, counts in zip(specs, every, default):
+        plan = engine._CountPlan(spec)
+        assert plan.block == 1
+        assert (plan.counts(*batch) == counts).all()
+
+
 _SWEEP_CASES = [(2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 2), (5, 1, 2), (3, 1, 3),
                 (2, 1, 4), (3, 2, 2), (2, 3, 2)]
 

@@ -2,10 +2,11 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from conftest import (count_solutions, literal_bilinear, literal_gram, literal_value,
                       naive_mul, offset_sum_rows, shift_sum_rows,
-                      solution_count_multiset, trace)
+                      solution_count_multiset, solution_counts, trace)
 
 from traceweight.codes import ConsistencyError
 from traceweight.fields import label_matrix_rank, make_field
@@ -290,11 +291,34 @@ def test_coordinate_tables_match_literal_definitions(p, e, m, stride):
         [[sub.label_of(t) for t in row] for row in traces]
     for form in forms[::7]:
         literal = [literal_value(form, x) for x in coords]
+        matches = coordinate_matches(ctx, form.value_labels(), ctx.q)
         for target in sub.elements_by_label:
             double_loop = [sum(ctx.add(t, v) == target for t, v in zip(row, literal))
                            for row in traces]
-            assert coordinate_matches(ctx, form.value_labels(),
-                                      sub.label_of(target)).tolist() == double_loop
+            assert matches[sub.label_of(target)].tolist() == double_loop
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (7, 1, 2),
+                                   (2, 3, 2), (3, 2, 1), (2, 4, 1), (2, 6, 1)])
+def test_plane_matches_equal_literal_counts(p, e, m):
+    # q = 2..64: one to six bit planes, and n = 63, 80, 255, 624, 2400,
+    # 4095 coordinates, none a multiple of 64
+    ctx = make_field(p, e, 2 * m)
+    space = FormSpace(ctx)
+    sub = ctx.subfield(ctx.q)
+    # at 4096 x 4095 bytes a target, one nonzero form only
+    picks = [space.num_forms // 3] + ([0, 1, space.num_forms - 1] if ctx.size < 4096 else [])
+    forms = [space.form_at(i) for i in picks]
+    batch = coordinate_matches(ctx, np.stack([f.value_labels() for f in forms]), ctx.q)
+    assert batch.shape == (ctx.q, len(forms), ctx.size)
+    for i, form in enumerate(forms):
+        alone = coordinate_matches(ctx, form.value_labels(), ctx.q)
+        assert (alone == batch[:, i]).all()
+        for lbl, zeta in enumerate(sub.elements_by_label):
+            literal = solution_counts(form, zeta) - (zeta == 0)  # x = 0 is not a coordinate
+            assert (alone[lbl] == literal).all()
+        for beta in (0, 1, ctx.size - 1):  # tied to the per-beta reference
+            assert solution_counts(form, 0)[beta] == count_solutions(form, beta, 0)
 
 
 def test_count_solutions_validates_beta_and_zeta():
