@@ -135,6 +135,9 @@ class _CountPlan:
         digit_values = self.space.digit_values()
         digits = len(digit_values)
         if p == 2:
+            # the matmul below serves p = 2 as well, but with its float mod
+            # and repacking the brute benchmark's oracle_s read 43 % higher
+            # (BENCH_bitplane_brute.json, p2_branch_check)
             self.digit_shifts = np.arange(digits, dtype=np.int64)
             row_words = -(-n // 8)
             padded = np.zeros((digits, 8 * row_words), dtype=np.uint8)
@@ -188,7 +191,7 @@ class _CountPlan:
                 # codeword b + Tr(beta x) + Q(x) vanishes where
                 # Tr(beta x) + Q(x) = -b; E's last target takes the rest
                 matches = coordinate_matches(
-                    ctx, values, q - 1 if family == "E" else 1).astype(np.int64)
+                    ctx, values, range(q - 1 if family == "E" else 1)).astype(np.int64)
                 if family == "E":
                     matches = np.concatenate([matches, n - matches.sum(axis=0)[None]])
                 cw_weights = n - matches

@@ -36,11 +36,10 @@ the one match kernel, counts per beta and target the coordinates where
 Tr(beta x) + Q(x) hits the target: the wanted labels target - Q(x)
 become bit planes too, and a row's mismatches are the popcount of the
 OR over planes of row XOR wanted, so every coordinate is still
-compared.  The S(beta) and R_b(beta) histograms of a form come from one
-such call over all q targets, a bincount each, the x = 0 term folded
-into the keys.  A QuadForm caches its rank, its sign epsilon, T
-(big_T) and those histograms, so the epsilon check and a later big_T
-tally the residues once.
+compared.  The S(beta) and R_b(beta) histograms are one bincount of
+those match counts, the x = 0 term folded into the keys.  A QuadForm
+caches its rank, its sign epsilon and T (big_T), so the epsilon check
+and a later big_T tally the residues once.
 """
 
 from __future__ import annotations
@@ -88,7 +87,6 @@ class QuadForm:
         self._rank: int | None = None
         self._epsilon: int | None = None
         self._big_t: int | None = None  # filled by big_T
-        self._beta_hists: list[dict[int, int]] | None = None  # by _beta_histogram
         self._value_labels: np.ndarray | None = None
 
     @property
@@ -144,15 +142,11 @@ class FormSpace:
         self.exponents = form_exponents(q, m)
         zeta = ctx.pow(ctx.pi, q**m + 1)
         self.slot_bases: list[tuple[int, ...]] = []
-        # the order of the subfield each slot's coefficient lies in
-        self.uppers: list[int] = []
         for u in self.exponents:
             if m % 2 and u == q**m + 1:
                 self.slot_bases.append(tuple(ctx.pow(zeta, i) for i in range(m)))
-                self.uppers.append(q**m)
             else:
                 self.slot_bases.append(tuple(ctx.pow(ctx.pi, i) for i in range(s)))
-                self.uppers.append(ctx.size)
         # digit d lives in slot slot_of[d] scaling basis element basis_of[d]
         self.slot_of: list[int] = []
         self.basis_of: list[int] = []
@@ -187,17 +181,13 @@ class FormSpace:
         return QuadForm(self.ctx, self.coeffs_at(index))
 
     def digit_values(self) -> np.ndarray:
-        """(e * digit_count, n) uint8: row e*d + i is the value table of the
-        form at index p^(e*d + i), whose one nonzero coefficient is
-        g^i * basis_d (g^i the F_q element of label p^i).  A form's value
-        table is F_p-linear in its index's base-p digits, so every form's
-        is the combination of these rows by its digits."""
+        """(e * digit_count, n) uint8: row d is the value table of the form
+        at index p^d.  A form's value table is F_p-linear in its index's
+        base-p digits, so every form's is the combination of these rows by
+        its digits."""
         ctx = self.ctx
-        sub = ctx.subfield(ctx.q)
-        return np.stack([
-            coordinate_values(ctx, ctx.mul(sub.from_label(ctx.p**i), b),
-                              self.exponents[j], self.uppers[j])
-            for j, b in zip(self.slot_of, self.basis_of) for i in range(ctx.e)])
+        return np.stack([self.form_at(ctx.p**d).value_labels()
+                         for d in range(ctx.e * self.digit_count)])
 
 
 def all_forms(ctx: FieldCtx):
@@ -216,12 +206,12 @@ def coordinate_values(ctx: FieldCtx, coeff: int, u: int, upper: int) -> np.ndarr
     return tr[ctx.exp_table()[(ctx.log(coeff) + u * idx) % ctx.n]]
 
 
-@lru_cache(maxsize=8)
 def linear_trace_rows(ctx: FieldCtx) -> np.ndarray:
     """(size, n) uint8 table: entry [b, i] is the F_q label of
     Tr_{q^s/q}(b * pi^i), one row per packed b.  Row pi^j is the sequence
     Tr(pi^k) read from k = j on, so the rows are the cyclic shifts of one
-    n-vector.  Verification-scale only."""
+    n-vector.  Verification-scale only, and not cached: the brute oracle
+    keeps only linear_trace_planes, packed from it."""
     if ctx.size > LINEAR_TRACE_BOUND:
         raise FieldSizeError(
             f"linear-trace table refused above {LINEAR_TRACE_BOUND} field elements")
@@ -229,7 +219,6 @@ def linear_trace_rows(ctx: FieldCtx) -> np.ndarray:
     rows = np.zeros((ctx.size, ctx.n), dtype=np.uint8)
     rows[ctx.exp_table()] = np.lib.stride_tricks.sliding_window_view(
         np.concatenate([seq, seq[:-1]]), ctx.n)
-    rows.flags.writeable = False  # one cached table serves every caller
     return rows
 
 
@@ -298,23 +287,24 @@ def gram_labels(ctx: FieldCtx, values: np.ndarray) -> np.ndarray:
     return gram if nonzero is None else gram * nonzero
 
 
-def coordinate_matches(ctx: FieldCtx, values: np.ndarray, targets: int) -> np.ndarray:
-    """For each target label t < targets and every packed beta,
+def coordinate_matches(ctx: FieldCtx, values: np.ndarray, targets) -> np.ndarray:
+    """For each F_q label t in the sequence targets and every packed beta,
     |{i : Tr(beta * pi^i) + values[..., i] = t}|, with values as F_q
     labels: values of shape (..., n) give uint16 counts of shape
-    (targets, ..., size).  Every coordinate is compared: the wanted labels
-    t - values become bit planes, and a row's mismatches are
+    (len(targets), ..., size).  Every coordinate is compared: the wanted
+    labels t - values become bit planes, and a row's mismatches are
     popcount(OR_j (row plane j XOR wanted plane j)).  The targets are
     matched in groups of at most MATCH_WORDS XOR words, or one at a time
     where one target's words exceed that."""
     rows, wanted_bits, n = linear_trace_planes(ctx), _wanted_bits(ctx), ctx.n
-    bits = np.zeros((len(rows), targets) + values.shape[:-1] + (64 * rows.shape[1],),
+    count = len(targets)
+    bits = np.zeros((len(rows), count) + values.shape[:-1] + (64 * rows.shape[1],),
                     dtype=np.uint8)
-    wanted_bits[:, :targets].take(values, axis=-1, out=bits[..., :n], mode="clip")
+    wanted_bits.take(targets, axis=1).take(values, axis=-1, out=bits[..., :n], mode="clip")
     wanted = _packed(bits)
     step = max(1, MATCH_WORDS // (wanted[0, 0].size * ctx.size))
     misses = []
-    for lo in range(0, targets, step):
+    for lo in range(0, count, step):
         part = wanted[:, lo:lo + step]
         miss = rows[0] ^ part[0, ..., None]
         for j in range(1, len(rows)):
@@ -347,18 +337,13 @@ def big_T(form: QuadForm) -> int:
 def _beta_histogram(form: QuadForm, target: int) -> dict[int, int]:
     """Value distribution over beta of q*N_beta - q^s, where N_beta counts
     the x in F_{q^s} with Q(x) + Tr(beta x) equal to the target label.
-    The first call counts every target at once, in one coordinate_matches
-    call, and caches the q distributions on the form, each one bincount
-    over its match counts.  x = 0 (a solution iff the target is 0) shifts
-    every key of a target by the same q*(target == 0), so it is folded
-    into the keys."""
-    if form._beta_hists is None:
-        ctx = form.ctx
-        q, size = ctx.q, ctx.size
-        form._beta_hists = [
-            {q * c + q * (t == 0) - size: f for c, f in enumerate(np.bincount(row).tolist()) if f}
-            for t, row in enumerate(coordinate_matches(ctx, form.value_labels(), q))]
-    return form._beta_hists[target]
+    One bincount over the coordinate match counts gives the distribution;
+    x = 0 (a solution iff the target is 0) shifts every key by the same
+    q*(target == 0), so it is folded into the keys."""
+    ctx = form.ctx
+    freqs = np.bincount(coordinate_matches(ctx, form.value_labels(), [target])[0])
+    shift = ctx.q * (target == 0) - ctx.size
+    return {ctx.q * c + shift: f for c, f in enumerate(freqs.tolist()) if f}
 
 
 def s_histogram(form: QuadForm) -> dict[int, int]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,6 +18,9 @@ from traceweight.admission import factorize
 from traceweight.codes import form_exponents
 from traceweight.fields import Poly
 from traceweight.quadforms import linear_trace_rows
+
+# the references count every beta of a field, often many times over
+_trace_rows = lru_cache(maxsize=8)(linear_trace_rows)
 
 
 def naive_mul(ctx, a, b):
@@ -259,7 +263,7 @@ def count_solutions(form, beta, zeta):
     if not sub.contains(zeta):
         raise ValueError("zeta is not in the embedded F_q")
     wanted = sub.sub_table()[sub.label_of(zeta), form.value_labels()]
-    return int(np.count_nonzero(linear_trace_rows(ctx)[beta] == wanted)) + (zeta == 0)
+    return int(np.count_nonzero(_trace_rows(ctx)[beta] == wanted)) + (zeta == 0)
 
 
 def solution_counts(form, zeta):
@@ -270,7 +274,7 @@ def solution_counts(form, zeta):
     if not sub.contains(zeta):
         raise ValueError("zeta is not in the embedded F_q")
     wanted = sub.sub_table()[sub.label_of(zeta), form.value_labels()]
-    return np.count_nonzero(linear_trace_rows(ctx) == wanted, axis=1) + (zeta == 0)
+    return np.count_nonzero(_trace_rows(ctx) == wanted, axis=1) + (zeta == 0)
 
 
 def literal_value(form, x):

@@ -291,7 +291,7 @@ def test_coordinate_tables_match_literal_definitions(p, e, m, stride):
         [[sub.label_of(t) for t in row] for row in traces]
     for form in forms[::7]:
         literal = [literal_value(form, x) for x in coords]
-        matches = coordinate_matches(ctx, form.value_labels(), ctx.q)
+        matches = coordinate_matches(ctx, form.value_labels(), range(ctx.q))
         for target in sub.elements_by_label:
             double_loop = [sum(ctx.add(t, v) == target for t, v in zip(row, literal))
                            for row in traces]
@@ -309,11 +309,15 @@ def test_plane_matches_equal_literal_counts(p, e, m):
     # at 4096 x 4095 bytes a target, one nonzero form only
     picks = [space.num_forms // 3] + ([0, 1, space.num_forms - 1] if ctx.size < 4096 else [])
     forms = [space.form_at(i) for i in picks]
-    batch = coordinate_matches(ctx, np.stack([f.value_labels() for f in forms]), ctx.q)
+    batch = coordinate_matches(ctx, np.stack([f.value_labels() for f in forms]),
+                               range(ctx.q))
     assert batch.shape == (ctx.q, len(forms), ctx.size)
     for i, form in enumerate(forms):
-        alone = coordinate_matches(ctx, form.value_labels(), ctx.q)
+        alone = coordinate_matches(ctx, form.value_labels(), range(ctx.q))
         assert (alone == batch[:, i]).all()
+        # any sequence of targets, in any order
+        assert (coordinate_matches(ctx, form.value_labels(), range(ctx.q)[::-1]) ==
+                alone[::-1]).all()
         for lbl, zeta in enumerate(sub.elements_by_label):
             literal = solution_counts(form, zeta) - (zeta == 0)  # x = 0 is not a coordinate
             assert (alone[lbl] == literal).all()
