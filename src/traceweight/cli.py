@@ -208,7 +208,7 @@ def cmd_verify(args, p: int, e: int, config: dict) -> int:
             "q": report.q, "m": report.m, "family": report.family,
             "tier": report.tier, "oracle_kind": report.oracle_kind,
             "equal": report.equal, "first_diff": report.first_diff,
-            "runtime_seconds": round(report.runtime_seconds, 3),
+            "runtime_seconds": round(report.runtime_seconds, 6),
             "work_count": report.work_count, "workers": report.workers,
             "predicted": _distribution_doc(report.predicted),
             "oracle": _distribution_doc(report.oracle),

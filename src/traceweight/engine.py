@@ -5,16 +5,15 @@ of the parameters) at a time, by literal match counting.  It never
 materializes codewords.  A form's value table (the n-vector of F_q
 labels of Q(pi^i) in coordinate order) is F_p-linear in its index's
 base-p digits, so a block's tables are combined from the per-digit
-tables, FormSpace.digit_values, which the rank sweep reads its
-per-digit Grams from too.  Each table is matched against every
+tables, FormSpace.digit_values.  Each table is matched against every
 linear-trace row by quadforms.coordinate_matches, over bit planes: a
 codeword b + Tr(beta x) + Q(x) vanishes where Tr(beta x) equals
 -b - Q(x), and every coordinate is compared, 64 to a machine word.
 Family E uses one bin per constant shift; family C has no beta and
 counts the zeros of Q alone.  The brute oracle never trusts the
 combination: on every run the values check compares the combined
-tables of a fixed sample of counted forms with each form's own,
-QuadForm.value_labels, built from its coefficients.
+tables of a fixed sample of counted forms with each form's own, built
+from its coefficients by quadforms.form_values (FormSpace.forms).
 
 Both oracles count one form per orbit of the code's symmetry group, not
 all q^(m^2) forms.  Three maps act on every slot coefficient c_j = pi^l
@@ -45,18 +44,19 @@ the measured rank multiplicities into the weight distribution through
 the exponential-sum value classes.  The Gram matrix of the polarized
 bilinear form B is F_p-linear in the form index, so a chunk's Grams are
 combined from per-digit Grams, which quadforms.gram_labels reads off the
-digit tables, and eliminated at once over F_p: as
-bit-packed GF(2) rows at every even q, mod p otherwise.  The trace form
-of F_q/F_p is nondegenerate, so Tr_{q/p}(B) has F_p-rank e times the
-F_q-rank of B.  The sweep trusts the value tables, which the tests check
-against the literal Q(x), but not the closed-form rank frequencies,
-which it measures.  On a sample of forms the epsilon check compares its
-ranks with QuadForm.rank, which eliminates each form's own Gram over F_q
-(fields.label_matrix_rank, forward elimination through F_q's own
-multiplication and subtraction tables, built from the field's mul and
-sub and shared with no kernel here): two eliminations over two fields
-must agree.  It also checks the sign convention against the plain
-character sum T, which the form caches.
+digit forms' values at the Gram points only, and eliminated at once over
+F_p: as bit-packed GF(2) rows at every even q, mod p otherwise.  The
+trace form of F_q/F_p is nondegenerate, so Tr_{q/p}(B) has F_p-rank e
+times the F_q-rank of B.  The rank plan, built once per field, serves
+every family and the epsilon check.  The sweep trusts the form values,
+which the tests check against the literal Q(x), but not the closed-form
+rank frequencies, which it measures.  On a sample of forms the epsilon
+check compares its ranks with QuadForm.rank, which eliminates each
+form's own Gram over F_q (fields.label_matrix_rank, forward elimination
+through F_q's own multiplication and subtraction tables, built from the
+field's mul and sub and shared with no kernel here): two eliminations
+over two fields must agree.  It also checks the sign convention against
+the plain character sum T, which the form caches.
 Neither side evaluates Q through pow and trace at run time.
 
 Both oracles run through one function, _enumerate.  It admits or refuses
@@ -86,9 +86,9 @@ import numpy as np
 from .admission import (TIER_BUDGETS, _refusal, brute_work,  # noqa: F401 - re-exported
                         choose_oracle, rank_sweep_work, split_prime_power)
 from .codes import CodeSpec, ConsistencyError, build_code
-from .fields import make_field
-from .quadforms import (MATCH_WORDS, FormSpace, coordinate_matches, gram_labels,
-                        linear_trace_planes, trace_residues)
+from .fields import FieldCtx, make_field
+from .quadforms import (MATCH_WORDS, FormSpace, coordinate_matches, form_values,
+                        gram_labels, gram_points, linear_trace_planes, trace_residues)
 from .spectra import WeightDistribution, assemble_distribution, predict
 
 DEFAULT_BUDGET = 2**36
@@ -208,28 +208,27 @@ class _RankPlan:
 
     The Gram matrix of the polarized form B on the basis pi^0..pi^(s-1) is
     F_p-linear in the form index's base-p digits: a combination of
-    per-digit Grams, digit d's read off the value table of the form at
-    index p^d by quadforms.gram_labels, as QuadForm.rank reads a single
-    form's.  The ranks are measured over F_p: on the F_p-basis g^i pi^a
-    (g generating F_q, i < e) the Gram of Tr_{q/p}(B) holds the e x e block
-    Tr_{q/p}(g^(i+j) L) for each F_q label L of B's, and as the trace form
-    of F_q/F_p is nondegenerate, its F_p-rank is e times B's F_q-rank.  At
-    p = 2 a batch's Grams are XORs of bit-packed rows, eliminated over
-    GF(2); at odd p they are one matmul of the index digits with the
-    per-digit Grams, reduced mod p and eliminated all at once.
+    per-digit Grams, digit d's read by quadforms.gram_labels off the values
+    of the form at index p^d at the Gram points, as QuadForm.rank reads a
+    single form's.  The ranks are measured over F_p: on the F_p-basis
+    g^i pi^a (g generating F_q, i < e) the Gram of Tr_{q/p}(B) holds the
+    e x e block Tr_{q/p}(g^(i+j) L) for each F_q label L of B's, and as the
+    trace form of F_q/F_p is nondegenerate, its F_p-rank is e times B's
+    F_q-rank.  At p = 2 a batch's Grams are XORs of bit-packed rows,
+    eliminated over GF(2); at odd p they are one matmul of the index digits
+    with the per-digit Grams, reduced mod p and eliminated all at once.
     """
 
-    def __init__(self, spec: CodeSpec):
-        ctx = spec.ctx
+    def __init__(self, ctx: FieldCtx):
         ctx.require_tables()
         self.ctx = ctx
         p, e = ctx.p, ctx.e
         self.es = e * ctx.s
         space = FormSpace(ctx)
         self.p_digits = e * space.digit_count
-        values = space.digit_values()
+        digit_coeffs = [space.coeffs_at(p**d) for d in range(self.p_digits)]
         # grams[d, a, b] = B_d(pi^a, pi^b) as an F_q label
-        self.grams = gram_labels(ctx, values)
+        self.grams = gram_labels(ctx, form_values(ctx, digit_coeffs, gram_points(ctx)))
         # block[L, i, j] = Tr_{q/p}(g^(i+j) L) as a residue
         sub = ctx.subfield(ctx.q)
         g_ij = [[sub.label_of(ctx.pow(sub.gen, i + j)) for j in range(e)] for i in range(e)]
@@ -409,6 +408,7 @@ def _form_orbits(space: FormSpace) -> list[tuple[int, int, int]]:
             visit(j - 1, base + v * q ** ends[j], *stabilizer(K, d, j, log))
 
     visit(len(widths) - 1, 0, np.zeros((degree, q - 1), dtype=np.int64), 1)
+    values_at.clear()  # visit refers to itself: free the n-long maps before gc
     return sorted(ranges)
 
 
@@ -432,10 +432,10 @@ def _orbit_batch(space: FormSpace) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=4)
-def _plan(kind: str, spec: CodeSpec):
-    """The plan an oracle counts with; cached, so the epsilon check reuses
-    the sweep's."""
-    return _CountPlan(spec) if kind == "brute" else _RankPlan(spec)
+def _plan(kind: str, key):
+    """The plan an oracle counts with, cached per key: the brute plan's is
+    the CodeSpec, the rank plan's the FieldCtx it alone reads."""
+    return _CountPlan(key) if kind == "brute" else _RankPlan(key)
 
 
 _worker_plan = None  # set in each pool worker as it starts
@@ -460,7 +460,7 @@ def _enumerate(kind: str, spec: CodeSpec, budget: int, workers: int,
     refusal = _refusal(kind, spec.q, spec.m, spec.family, budget)
     if refusal:
         raise refusal
-    plan = _plan(kind, spec)
+    plan = _plan(kind, spec if kind == "brute" else spec.ctx)
     idx, weights = _orbit_batch(FormSpace(spec.ctx))
     if kind == "brute":
         _values_cross_check(plan, idx)
@@ -495,10 +495,11 @@ def _spread(total: int) -> list[int]:
 def _values_cross_check(plan: _CountPlan, idx: np.ndarray):
     """Sample counted forms: the value tables the brute plan combines from
     the digit tables must equal each form's own, built from its
-    coefficients by QuadForm.value_labels."""
+    coefficients by FormSpace.forms."""
     sample = idx[_spread(len(idx))]
-    for index, values in zip(sample.tolist(), plan.values(sample)):
-        if not np.array_equal(values, plan.space.form_at(index).value_labels()):
+    own = plan.space.forms(sample)
+    for index, values, form in zip(sample.tolist(), plan.values(sample), own):
+        if not np.array_equal(values, form.value_labels()):
             raise ConsistencyError(
                 f"combined value table differs from the form's own at {index}")
 
@@ -523,15 +524,14 @@ def measure_rank_counts(spec: CodeSpec, budget: int = DEFAULT_BUDGET,
     return _enumerate("rank_sweep", spec, budget, workers, progress).tolist()
 
 
-def _epsilon_cross_check(spec: CodeSpec):
+def _epsilon_cross_check(ctx: FieldCtx):
     """Sample forms: the sweep's rank must be the radical rank, and the plain
     character sum must agree with it in magnitude and in the sign
     (-1)^(rank/2) that the sweep relies on."""
-    space = FormSpace(spec.ctx)
-    plan = _plan("rank_sweep", spec)
+    space = FormSpace(ctx)
     sample = _spread(space.num_forms)
-    for index, r_sweep in zip(sample, plan.ranks(np.array(sample, dtype=np.int64))):
-        form = space.form_at(index)
+    ranks = _plan("rank_sweep", ctx).ranks(np.array(sample, dtype=np.int64))
+    for index, form, r_sweep in zip(sample, space.forms(sample), ranks):
         if form.rank != r_sweep:
             raise ConsistencyError(
                 f"sweep rank {r_sweep} != radical rank {form.rank} at {index}")
@@ -543,7 +543,7 @@ def rank_sweep(spec: CodeSpec, budget: int = DEFAULT_BUDGET,
     """Semi-analytic oracle: measured rank multiplicities pushed through the
     exponential-sum value classes."""
     counts = measure_rank_counts(spec, budget, workers, progress)
-    _epsilon_cross_check(spec)
+    _epsilon_cross_check(spec.ctx)
     dist = assemble_distribution(spec.q, spec.m, spec.family, counts)
     return dataclasses.replace(dist, work_count=rank_sweep_work(spec.q, spec.m))
 

@@ -19,7 +19,7 @@ Subfields are not separate towers: F_q is the fixed set of y -> y^q,
 F_{q^2} of y -> y^{q^2}, and (odd m) F_{q^m} of y -> y^{q^m}.  A
 SubfieldView attaches dense label tables (labels 0..Q-1, F_p-linear
 labelling) so inner loops can work on small numpy arrays instead of
-packed values.
+packed values; trace_labels holds the traces to F_q by log, likewise.
 
 Every field has at most 2^26 elements, admission's one field-size
 rule, so its exp/log tables fit; they are built lazily.  Until then a
@@ -245,7 +245,7 @@ class FieldCtx:
         self._log: np.ndarray | None = None
         self._frob_rows: list[int] | None = None
         self._subfields: dict[int, SubfieldView] = {}
-        self._trace_tables: dict[tuple[int, int], np.ndarray] = {}
+        self._trace_labels: dict[int, np.ndarray] = {}
         self._minimal_polys: dict[int, Poly] = {}
 
     def __repr__(self):
@@ -477,33 +477,31 @@ class FieldCtx:
             self._subfields[order] = SubfieldView(self, order)
         return self._subfields[order]
 
-    def trace_label_table(self, upper: int, lower: int) -> np.ndarray:
-        """uint8 array over all packed values: label in subfield(lower) of the
-        trace from subfield(upper) down to subfield(lower).  Entries for
-        values outside subfield(upper) are 0xFF."""
-        key = (upper, lower)
-        if key not in self._trace_tables:
-            if lower > 256:
-                raise FieldSizeError(f"labels of F_{lower} do not fit the uint8 table")
+    def trace_labels(self, upper: int) -> np.ndarray:
+        """uint8 n-vector: entry k is the F_q label of Tr_{upper/q}(pi^k)
+        where pi^k lies in the subfield of order upper (k a multiple of
+        n/(upper - 1)), and 0xFF elsewhere.  Built once per subfield."""
+        if upper not in self._trace_labels:
+            if self.q > MAX_LABEL_Q:
+                raise FieldSizeError(f"labels of F_{self.q} do not fit the uint8 table")
             self.require_tables()
-            sub_lo = self.subfield(lower)
-            steps = round(math.log(upper, lower))
-            if lower**steps != upper:
+            steps = round(math.log(upper, self.q))
+            if self.q**steps != upper:
                 raise ValueError("incompatible trace levels")
-            # the Frobenius-chain sum a + a^lower + ... is F_p-linear: its
+            # the Frobenius-chain sum a + a^q + ... is F_p-linear: its
             # matrix holds the sums of the basis elements x^i
-            chain = np.array([self.digits(self._trace_chain(self._ppow[i], lower, steps))
+            chain = np.array([self.digits(self._trace_chain(self._ppow[i], self.q, steps))
                               for i in range(self.degree)], dtype=np.float64)
-            members = np.concatenate([[0], self._exp[::self.n // (upper - 1)]])
             label_of = np.full(self.size, -1, dtype=np.int16)
-            label_of[list(sub_lo.elements_by_label)] = np.arange(lower)
-            labels = label_of[self.linear_image(members, chain)]
+            label_of[list(self.subfield(self.q).elements_by_label)] = np.arange(self.q)
+            step = self.n // (upper - 1)
+            labels = label_of[self.linear_image(self._exp[::step], chain)]
             if np.any(labels < 0):
-                raise AssertionError("trace escaped the lower subfield")
-            table = np.full(self.size, 0xFF, dtype=np.uint8)
-            table[members] = labels
-            self._trace_tables[key] = table
-        return self._trace_tables[key]
+                raise AssertionError("trace escaped F_q")
+            table = np.full(self.n, 0xFF, dtype=np.uint8)
+            table[::step] = labels
+            self._trace_labels[upper] = table
+        return self._trace_labels[upper]
 
 
 class SubfieldView:

@@ -12,25 +12,24 @@ first; the engine relies on this exact order for partitioning.
 Everything here works on the coordinates x = pi^i, i = 0..n-1, the
 nonzero elements in the order of a codeword's positions; sums over all
 of F_{q^s} add the x = 0 term (where Q and every Tr(beta x) vanish)
-explicitly.  A form's values are read only through its value table,
-value_labels (Q(pi^i) as F_q labels), which the tests check against the
-literal Q(x) evaluated through pow and trace.
+explicitly.  Every value table comes from form_values (Q(pi^l) as F_q
+labels, for a batch of forms, at every coordinate or at given logs),
+which the tests check against the literal Q(x) through pow and trace.
 
 The rank of a form is the codimension of the radical of its polarized
 bilinear form B(x,y) = Q(x+y) - Q(x) - Q(y), computed as s minus the
 nullity of the Gram matrix over F_q; for even q the symplectic radical
 is used as-is, with no quadratic refinement.  gram_labels reads the
-Gram on the basis pi^0..pi^(s-1) off a value table, and the engine's
-rank sweep reads its per-digit Grams off the digit tables through the
-same function.  All character sums are kept exact: values of Tr down to
-F_p are tallied per residue and the tally is contracted against p-th
-roots of unity symbolically, so a non-integral sum raises instead of
-rounding.
+Gram on the basis pi^0..pi^(s-1) off the values at the Gram points (the
+basis and its pairwise sums), for a form's own rank and the engine's
+per-digit Grams alike.  All character sums are kept exact: values of Tr
+down to F_p are tallied per residue and the tally is contracted against
+p-th roots of unity symbolically, so a non-integral sum raises instead
+of rounding.
 
 Shared tables, also read by the engine's brute oracle, do the counting:
-coordinate_values gives one trace term Tr(c x^u) at every coordinate,
-FormSpace.digit_values the value tables of the forms at the indices
-p^d, linear_trace_rows gives Tr(beta x) for every beta, and
+FormSpace.digit_values gives the value tables of the forms at the
+indices p^d, linear_trace_rows gives Tr(beta x) for every beta, and
 linear_trace_planes the same rows as bit planes.  coordinate_matches,
 the one match kernel, counts per beta and target the coordinates where
 Tr(beta x) + Q(x) hits the target: the wanted labels target - Q(x)
@@ -53,7 +52,7 @@ from .codes import ConsistencyError, form_exponents
 from .fields import FieldCtx, label_matrix_rank
 
 # The most XOR words one step of coordinate_matches holds; the brute
-# oracle sizes its blocks of forms by it too.
+# oracle and FormSpace.forms size their blocks of forms by it too.
 MATCH_WORDS = 1 << 16
 
 
@@ -79,9 +78,7 @@ class QuadForm:
         if len(coeffs) != len(self.exponents):
             raise ValueError(
                 f"expected {len(self.exponents)} coefficients, got {len(coeffs)}")
-        odd = ctx.m % 2 == 1
-        self.selectors = (("qm",) if odd else ()) + ("q",) * (ctx.m // 2)
-        if odd and ctx.pow(coeffs[0], ctx.q**ctx.m) != coeffs[0]:
+        if ctx.m % 2 and ctx.pow(coeffs[0], ctx.q**ctx.m) != coeffs[0]:
             raise ValueError("leading coefficient is not in the embedded F_{q^m}")
         self.coeffs = coeffs
         self._rank: int | None = None
@@ -92,10 +89,10 @@ class QuadForm:
     @property
     def rank(self) -> int:
         """s minus the F_q-dimension of the radical of B, from the Gram
-        that gram_labels reads off the value table."""
+        that gram_labels reads off the value table at the Gram points."""
         if self._rank is None:
             ctx = self.ctx
-            gram = gram_labels(ctx, self.value_labels())
+            gram = gram_labels(ctx, self.value_labels()[gram_points(ctx)])
             r = label_matrix_rank(ctx.subfield(ctx.q), gram.tolist())
             if r % 2:
                 raise ConsistencyError(f"odd radical rank {r} for {self.coeffs}")
@@ -122,14 +119,7 @@ class QuadForm:
     def value_labels(self) -> np.ndarray:
         """F_q labels of Q(pi^i) at every coordinate i = 0..n-1, as uint8."""
         if self._value_labels is None:
-            ctx = self.ctx
-            sub = ctx.subfield(ctx.q)
-            out = np.zeros(ctx.n, dtype=np.uint8)
-            for c, u, sel in zip(self.coeffs, self.exponents, self.selectors):
-                if c:
-                    upper = ctx.q**ctx.m if sel == "qm" else ctx.size
-                    out = sub.add_labels(out, coordinate_values(ctx, c, u, upper))
-            self._value_labels = out
+            self._value_labels = form_values(self.ctx, [self.coeffs])[0]
         return self._value_labels
 
 
@@ -148,37 +138,36 @@ class FormSpace:
             else:
                 self.slot_bases.append(tuple(ctx.pow(ctx.pi, i) for i in range(s)))
         # digit d lives in slot slot_of[d] scaling basis element basis_of[d]
-        self.slot_of: list[int] = []
-        self.basis_of: list[int] = []
-        for si, basis in enumerate(self.slot_bases):
-            for b in basis:
-                self.slot_of.append(si)
-                self.basis_of.append(b)
+        self.slot_of = [si for si, basis in enumerate(self.slot_bases) for _ in basis]
+        self.basis_of = [b for basis in self.slot_bases for b in basis]
         self.digit_count = len(self.slot_of)
         self.num_forms = q**self.digit_count
         if self.digit_count != m * m:
             raise ConsistencyError("parameter space dimension is not m^2")
 
-    def digits_at(self, index: int) -> list[int]:
-        q, out = self.ctx.q, []
-        for _ in range(self.digit_count):
-            out.append(index % q)
-            index //= q
-        return out
-
     def coeffs_at(self, index: int) -> tuple[int, ...]:
         ctx = self.ctx
         sub = ctx.subfield(ctx.q)
         coeffs = [0] * len(self.exponents)
-        for d, lbl in enumerate(self.digits_at(index)):
+        for si, basis in zip(self.slot_of, self.basis_of):
+            index, lbl = divmod(index, ctx.q)  # base-q digits, least first
             if lbl:
-                si = self.slot_of[d]
-                coeffs[si] = ctx.add(coeffs[si],
-                                     ctx.mul(sub.from_label(lbl), self.basis_of[d]))
+                coeffs[si] = ctx.add(coeffs[si], ctx.mul(sub.from_label(lbl), basis))
         return tuple(coeffs)
 
+    def forms(self, indices):
+        """The forms at the sequence of indices, in order, each block of
+        max(1, MATCH_WORDS // n) with its tables from one form_values call."""
+        ctx = self.ctx
+        step = max(1, MATCH_WORDS // ctx.n)
+        for lo in range(0, len(indices), step):
+            block = [QuadForm(ctx, self.coeffs_at(int(i))) for i in indices[lo:lo + step]]
+            for form, values in zip(block, form_values(ctx, [f.coeffs for f in block])):
+                form._value_labels = values
+                yield form
+
     def form_at(self, index: int) -> QuadForm:
-        return QuadForm(self.ctx, self.coeffs_at(index))
+        return next(self.forms([index]))
 
     def digit_values(self) -> np.ndarray:
         """(e * digit_count, n) uint8: row d is the value table of the form
@@ -186,24 +175,37 @@ class FormSpace:
         base-p digits, so every form's is the combination of these rows by
         its digits."""
         ctx = self.ctx
-        return np.stack([self.form_at(ctx.p**d).value_labels()
-                         for d in range(ctx.e * self.digit_count)])
+        return np.stack([form.value_labels() for form in
+                         self.forms([ctx.p**d for d in range(ctx.e * self.digit_count)])])
 
 
 def all_forms(ctx: FieldCtx):
     """Every form at (q, m), in canonical index order."""
     space = FormSpace(ctx)
-    for i in range(space.num_forms):
-        yield space.form_at(i)
+    yield from space.forms(range(space.num_forms))
 
 
-def coordinate_values(ctx: FieldCtx, coeff: int, u: int, upper: int) -> np.ndarray:
-    """uint8 n-vector: entry i is the F_q label of Tr(coeff * x^u) at the
-    coordinate x = pi^i, the trace taken from the subfield of order upper
-    (which must contain coeff) down to F_q."""
-    idx = np.arange(ctx.n, dtype=np.int64)
-    tr = ctx.trace_label_table(upper, ctx.q)
-    return tr[ctx.exp_table()[(ctx.log(coeff) + u * idx) % ctx.n]]
+def form_values(ctx: FieldCtx, coeff_rows, logs=None) -> np.ndarray:
+    """uint8 F_q labels of Q(pi^l), one row per coefficient tuple, at every
+    coordinate l = 0..n-1 or at the int64 logs only.  Slot j's term is
+    Tr(c_j pi^(u_j l)), entry (log c_j + u_j l) mod n of the trace labels
+    from F_{q^m} (slot 0 at odd m, where c_0 lies) or from F_{q^s}: one
+    gather per slot for the whole batch, which FormSpace.forms keeps to
+    max(1, MATCH_WORDS // n) forms at full length."""
+    q, m, n = ctx.q, ctx.m, ctx.n
+    logs = np.arange(n, dtype=np.int64) if logs is None else np.asarray(logs, dtype=np.int64)
+    exponents = form_exponents(q, m)
+    coeffs = np.array(coeff_rows, dtype=np.int64).reshape(-1, 1, len(exponents))
+    out = np.zeros((len(coeffs), len(logs)), dtype=np.uint8)
+    for j, u in enumerate(exponents):
+        trace = ctx.trace_labels(q**m if m % 2 and j == 0 else ctx.size)
+        live = np.flatnonzero(coeffs[:, 0, j])  # a zero coefficient adds nothing
+        # in steps: at full length at most three int64 n-vectors live at once
+        at = logs * (u % n)
+        at = at + ctx.log_table()[coeffs[live, :, j]]
+        at %= n
+        out[live] = ctx.subfield(q).add_labels(out[live], trace[at])
+    return out
 
 
 def linear_trace_rows(ctx: FieldCtx) -> np.ndarray:
@@ -215,7 +217,7 @@ def linear_trace_rows(ctx: FieldCtx) -> np.ndarray:
     if ctx.size > LINEAR_TRACE_BOUND:
         raise FieldSizeError(
             f"linear-trace table refused above {LINEAR_TRACE_BOUND} field elements")
-    seq = coordinate_values(ctx, 1, 1, ctx.size)
+    seq = ctx.trace_labels(ctx.size)
     rows = np.zeros((ctx.size, ctx.n), dtype=np.uint8)
     rows[ctx.exp_table()] = np.lib.stride_tricks.sliding_window_view(
         np.concatenate([seq, seq[:-1]]), ctx.n)
@@ -260,31 +262,30 @@ def _packed(bits: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _gram_tables(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """What gram_labels reads a Gram with: the (s, s) logs of pi^a + pi^b,
-    the mask of the entries whose sum is zero (only a = b at p = 2, as
-    a - b = n/2 is impossible with a, b < s; None at odd p), and the F_q
-    subtraction table.  A zero sum's log is replaced by 0 and its entry
-    masked to B(x, x) = -2 Q(x) = 0."""
+def gram_points(ctx: FieldCtx) -> np.ndarray:
+    """The s + s^2 logs at which gram_labels reads a form's values: those of
+    the basis pi^a, then of the sums pi^a + pi^b row by row.  A zero sum
+    (only a = b at p = 2, as a - b = n/2 is impossible with a, b < s) has
+    the log -1: its value is read and its entry masked to 0."""
     basis = [ctx.pow(ctx.pi, i) for i in range(ctx.s)]
-    sums = [[ctx.add(a, b) for b in basis] for a in basis]
-    logs = np.array([[ctx.log(t) if t else 0 for t in row] for row in sums],
-                    dtype=np.int64)
-    zero = np.array([[t == 0 for t in row] for row in sums])
-    nonzero = (~zero).astype(np.uint8) if zero.any() else None
-    return logs, nonzero, ctx.subfield(ctx.q).sub_table()
+    sums = [ctx.add(a, b) for a in basis for b in basis]
+    points = np.array(list(range(ctx.s)) + [ctx.log(t) if t else -1 for t in sums],
+                      dtype=np.int64)
+    points.flags.writeable = False  # one cached table serves every caller
+    return points
 
 
 def gram_labels(ctx: FieldCtx, values: np.ndarray) -> np.ndarray:
     """Gram matrices of polarized forms on the basis pi^0..pi^(s-1), read
-    off value tables: values of shape (..., n) give F_q labels of shape
-    (..., s, s), entry [a, b] being
-    B(pi^a, pi^b) = Q(pi^a + pi^b) - Q(pi^a) - Q(pi^b)."""
-    sum_log, nonzero, sub_t = _gram_tables(ctx)
-    at_basis = values[..., :ctx.s]
-    gram = sub_t[sub_t[values.take(sum_log, axis=-1), at_basis[..., :, None]],
-                 at_basis[..., None, :]]
-    return gram if nonzero is None else gram * nonzero
+    off their values at the Gram points: values of shape (..., s + s^2)
+    give F_q labels of shape (..., s, s), entry [a, b] being
+    B(pi^a, pi^b) = Q(pi^a + pi^b) - Q(pi^a) - Q(pi^b), and 0 where the
+    sum is zero, as B(x, x) = -2 Q(x) = 0 at p = 2."""
+    s, sub_t = ctx.s, ctx.subfield(ctx.q).sub_table()
+    at_basis = values[..., :s]
+    at_sums = values[..., s:].reshape(values.shape[:-1] + (s, s))
+    gram = sub_t[sub_t[at_sums, at_basis[..., :, None]], at_basis[..., None, :]]
+    return gram * (gram_points(ctx)[s:] >= 0).reshape(s, s)
 
 
 def coordinate_matches(ctx: FieldCtx, values: np.ndarray, targets) -> np.ndarray:

@@ -280,10 +280,16 @@ def solution_counts(form, zeta):
 def literal_value(form, x):
     """Q(x) through pow and trace chains, term by term, with no table."""
     ctx, acc = form.ctx, 0
-    for c, u, sel in zip(form.coeffs, form.exponents, form.selectors):
+    for j, (c, u) in enumerate(zip(form.coeffs, form.exponents)):
         if c:
-            acc = ctx.add(acc, trace(ctx, ctx.mul(c, ctx.pow(x, u)), sel))
+            acc = ctx.add(acc, trace(ctx, ctx.mul(c, ctx.pow(x, u)), slot_trace(ctx, j)))
     return acc
+
+
+def slot_trace(ctx, j):
+    """The trace selector of slot j: the delta0 slot of odd m traces from
+    F_{q^m}, every other slot from F_{q^s}."""
+    return "qm" if ctx.m % 2 and j == 0 else "q"
 
 
 def literal_bilinear(form, x, y):

@@ -63,6 +63,22 @@ def test_verify_quick_json(capsys):
     assert doc["work_count"] == 81 * 81 * 80
 
 
+def test_verify_reports_runtime_to_the_microsecond(capsys, monkeypatch):
+    # a golden oracle runs in a few ms, so milliseconds would hide its changes
+    import dataclasses
+
+    from traceweight import cli, engine
+
+    def timed(*args, **kwargs):
+        report = engine.verify(*args, **kwargs)
+        return dataclasses.replace(report, runtime_seconds=0.0123456789)
+    monkeypatch.setattr(cli, "verify", timed)
+    code, out, _ = run(capsys, "verify", "--q", "3", "--m", "2", "--family", "D",
+                       "--tier", "quick", "--workers", "1")
+    assert code == 0
+    assert json.loads(out)["runtime_seconds"] == 0.012346
+
+
 def test_verify_refusal_exit_3(capsys):
     code, out, _ = run(capsys, "verify", "--q", "2", "--m", "5", "--family", "D",
                        "--tier", "quick")

@@ -4,18 +4,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import codeword, literal_gram, parameter_slots, weight
+from conftest import codeword, literal_gram, literal_value, parameter_slots, weight
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traceweight import engine
+from traceweight import engine, quadforms
 from traceweight.admission import BudgetExceeded, FieldSizeError
 from traceweight.codes import ConsistencyError, build_code
 from traceweight.engine import (TIER_BUDGETS, brute_distribution, brute_work,
                                 measure_rank_counts, rank_sweep,
                                 rank_sweep_work, verify)
 from traceweight.fields import label_matrix_rank, make_field
-from traceweight.quadforms import FormSpace
+from traceweight.quadforms import FormSpace, QuadForm, form_values, gram_labels, gram_points
 from traceweight.spectra import frequencies, predict
 
 
@@ -236,6 +236,61 @@ def test_combined_values_equal_each_forms_own(p, e, m):
     assert plan.values(idx[:0]).shape == (0, spec.ctx.n)
 
 
+@pytest.mark.parametrize("p,e,m", _VALUE_SIZES + [(2, 1, 4), (3, 1, 3), (2, 2, 3), (7, 1, 2),
+                                                   (2, 4, 1)])
+def test_form_values_equal_the_literal_values(p, e, m):
+    """form_values of a batch equals the literal Q(pi^l) of each form: every
+    form up to 81 field elements, and every counted form above, at every
+    coordinate or, above 300 coordinates, at a stride of them.  Read at
+    logs, it gives those columns of the full table."""
+    ctx = make_field(p, e, 2 * m)
+    space = FormSpace(ctx)
+    sub = ctx.subfield(ctx.q)
+    if (p, e, m) in _VALUE_SIZES:
+        idx = range(space.num_forms)
+    else:
+        idx = engine._orbit_batch(space)[0].tolist()
+    coeffs = [space.coeffs_at(i) for i in idx]
+    full = form_values(ctx, coeffs)
+    assert full.shape == (len(coeffs), ctx.n)
+    logs = np.arange(ctx.n - 1, -1, -max(1, ctx.n // 300))  # descending
+    at_logs = form_values(ctx, coeffs, logs)
+    assert (at_logs == full[:, logs]).all()
+    coords = [ctx.pow(ctx.pi, int(log)) for log in logs]
+    for c, values in zip(coeffs, at_logs):
+        form = QuadForm(ctx, c)
+        assert values.tolist() == [sub.label_of(literal_value(form, x)) for x in coords]
+    assert form_values(ctx, []).shape == (0, ctx.n)
+    assert form_values(ctx, [], logs).shape == (0, len(logs))
+
+
+@pytest.mark.parametrize("match_words", [quadforms.MATCH_WORDS, 1])
+def test_forms_equal_form_at_one_index_at_a_time(monkeypatch, match_words):
+    """FormSpace.forms, in blocks of many forms or of one, gives the tables,
+    ranks and signs that form_at gives one index at a time."""
+    for p, e, m in [(2, 1, 3), (3, 1, 2), (2, 2, 2), (2, 1, 4)]:
+        space = FormSpace(make_field(p, e, 2 * m))
+        indices = list(range(0, space.num_forms, max(1, space.num_forms // 300)))
+        alone = [space.form_at(i) for i in indices]
+        monkeypatch.setattr(quadforms, "MATCH_WORDS", match_words)
+        batch = list(space.forms(np.array(indices)))
+        monkeypatch.undo()
+        assert len(batch) == len(alone)
+        for one, form in zip(alone, batch):
+            assert form.coeffs == one.coeffs
+            assert (form.value_labels() == one.value_labels()).all()
+            assert (form.rank, form.epsilon) == (one.rank, one.epsilon)
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (3, 1, 2), (3, 2, 2)])
+def test_point_value_grams_equal_the_full_tables_grams(p, e, m):
+    """The rank plan's per-digit Grams, from values at the Gram points only,
+    equal those gram_labels reads off the full digit tables."""
+    ctx = make_field(p, e, 2 * m)
+    full = FormSpace(ctx).digit_values()
+    assert (_rank_plan(p, e, m).grams == gram_labels(ctx, full[:, gram_points(ctx)])).all()
+
+
 @pytest.mark.parametrize("p,e,m,family", [(2, 1, 4, "D"), (3, 1, 3, "E"), (5, 1, 2, "C")])
 def test_values_check_catches_a_corrupted_digit_table(monkeypatch, p, e, m, family):
     spec = build_code(make_field(p, e, 2 * m), family)
@@ -260,7 +315,6 @@ def test_values_check_catches_a_corrupted_digit_table(monkeypatch, p, e, m, fami
 def test_brute_counts_equal_for_any_block_size(monkeypatch):
     """One form a block and one target a step count what the default
     blocks count."""
-    from traceweight import quadforms
     specs = [build_code(make_field(p, e, 2 * m), family)
              for p, e, m, family in [(2, 1, 4, "D"), (2, 2, 2, "E"), (3, 1, 3, "E"),
                                      (2, 2, 3, "C")]]
@@ -283,7 +337,7 @@ _SWEEP_CASES = [(2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 2), (5, 1, 2), (3, 1, 3)
 def test_orbit_reduced_sweep_equals_full_sweep(p, e, m, modulus_rank):
     spec = build_code(make_field(p, e, 2 * m, modulus_rank), "D")
     every = np.arange((p**e) ** (m * m), dtype=np.int64)
-    full = engine._RankPlan(spec).counts(every, np.ones_like(every))
+    full = engine._RankPlan(spec.ctx).counts(every, np.ones_like(every))
     assert measure_rank_counts(spec) == full.tolist() == frequencies(p**e, m)
 
 
@@ -348,7 +402,7 @@ def test_verify_takes_sweep_when_linear_trace_table_is_too_big():
 
 
 def _rank_plan(p, e, m):
-    return engine._RankPlan(build_code(make_field(p, e, 2 * m), "D"))
+    return engine._RankPlan(make_field(p, e, 2 * m))
 
 
 @pytest.mark.parametrize("p,e,m", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2),
@@ -435,7 +489,7 @@ def test_rank_counts_add_up_over_any_split(data):
     weights."""
     p, e, m = data.draw(st.sampled_from([(3, 1, 2), (2, 2, 2), (2, 1, 3)]))
     spec = build_code(make_field(p, e, 2 * m), data.draw(st.sampled_from("CDE")))
-    rank_plan, count_plan = engine._RankPlan(spec), engine._CountPlan(spec)
+    rank_plan, count_plan = engine._RankPlan(spec.ctx), engine._CountPlan(spec)
     total = (p**e) ** (m * m)
     idx = np.array(sorted(data.draw(st.sets(st.integers(0, total - 1), max_size=40))),
                    dtype=np.int64)

@@ -372,9 +372,11 @@ def test_log_table_bound_refusal():
         make_field(2, 7, 4)  # F_{2^28}, over the 2^26 table bound
 
 
-# p = 2 and p = 3, e = 1 and e > 1, m even and odd
+# q = 2, 3, 4, 5, 8, 9 and 16, each with m odd, so that both slot fields
+# are traced from, and at q = 2, 4, 8, 9 with m even too
 @pytest.mark.parametrize("p,e,s", [(2, 1, 6), (2, 2, 4), (2, 3, 4), (3, 1, 6),
-                                   (3, 2, 2), (3, 2, 4)])
+                                   (3, 2, 2), (3, 2, 4), (2, 1, 2), (2, 2, 2),
+                                   (2, 3, 2), (5, 1, 2), (2, 4, 2), (2, 1, 4)])
 def test_exp_log_and_trace_tables_match_literal_definitions(p, e, s):
     ctx = make_field(p, e, s)
     exp = ctx.exp_table()
@@ -383,27 +385,21 @@ def test_exp_log_and_trace_tables_match_literal_definitions(p, e, s):
         assert exp[k + 1] == ctx._mul_poly(int(exp[k]), ctx.pi), k
     assert (ctx._log[exp] == np.arange(ctx.n)).all()
     sub_q = ctx.subfield(ctx.q)
-    sample = range(0, ctx.size, max(1, ctx.size // 97))
-    table = ctx.trace_label_table(ctx.size, ctx.q)
-    assert [int(table[a]) for a in sample] == \
-        [sub_q.label_of(trace(ctx, a, "q")) for a in sample]
-    to_p = ctx.trace_label_table(ctx.q, ctx.p)
-    assert [int(to_p[a]) for a in sub_q.elements_by_label] == \
-        [ctx.trace_q_to_p(a) for a in sub_q.elements_by_label]
-    assert np.count_nonzero(to_p != 0xFF) == ctx.q  # 0xFF outside F_q
-    if ctx.m % 2:
-        qm = ctx.q**ctx.m
-        zeta = ctx.pow(ctx.pi, ctx.n // (qm - 1))
-        members = [0] + [ctx.pow(zeta, i) for i in range(0, qm - 1, max(1, qm // 50))]
-        table = ctx.trace_label_table(qm, ctx.q)
-        assert [int(table[a]) for a in members] == \
-            [sub_q.label_of(trace(ctx, a, "qm")) for a in members]
-        assert np.count_nonzero(table != 0xFF) == qm
+    uppers = {"q": ctx.size, "qm": ctx.q**ctx.m} if ctx.m % 2 else {"q": ctx.size}
+    for selector, upper in uppers.items():
+        # pi^k lies in F_upper exactly at the multiples of n/(upper - 1)
+        step = ctx.n // (upper - 1)
+        table = ctx.trace_labels(upper)
+        assert table.shape == (ctx.n,) and table.dtype == np.uint8
+        assert [int(table[k]) for k in range(0, ctx.n, step)] == \
+            [sub_q.label_of(trace(ctx, int(exp[k]), selector)) for k in range(0, ctx.n, step)]
+        assert np.count_nonzero(table != 0xFF) == upper - 1  # 0xFF outside F_upper
+        assert ctx.trace_labels(upper) is table  # built once
 
 
-def test_trace_label_table_refuses_labels_above_a_byte():
+def test_trace_labels_refuse_labels_above_a_byte():
     with pytest.raises(FieldSizeError):
-        make_field(2, 9, 2).trace_label_table(2**18, 512)
+        make_field(2, 9, 2).trace_labels(2**18)
 
 
 def test_split_prime_power():

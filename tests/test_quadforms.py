@@ -5,13 +5,13 @@ from collections import Counter
 import numpy as np
 import pytest
 from conftest import (count_solutions, literal_bilinear, literal_gram, literal_value,
-                      naive_mul, offset_sum_rows, shift_sum_rows,
+                      naive_mul, offset_sum_rows, shift_sum_rows, slot_trace,
                       solution_count_multiset, solution_counts, trace)
 
 from traceweight.codes import ConsistencyError
 from traceweight.fields import label_matrix_rank, make_field
 from traceweight.quadforms import (FormSpace, QuadForm, all_forms, big_T,
-                                   coordinate_matches, coordinate_values,
+                                   coordinate_matches, form_values,
                                    integral_character_sum,
                                    linear_trace_rows, r_histogram, s_histogram)
 from traceweight.spectra import frequencies
@@ -273,17 +273,17 @@ def test_coordinate_tables_match_literal_definitions(p, e, m, stride):
     ctx = make_field(p, e, 2 * m)
     sub = ctx.subfield(ctx.q)
     coords = [ctx.pow(ctx.pi, i) for i in range(ctx.n)]
-    uppers = {"qm": ctx.q**ctx.m, "q": ctx.size}
     space = FormSpace(ctx)
     forms = [space.form_at(i) for i in range(0, space.num_forms, stride)]
     for form in forms:
         literal = [literal_value(form, x) for x in coords]
         assert form.value_labels().tolist() == [sub.label_of(v) for v in literal]
-        for c, u, sel in zip(form.coeffs, form.exponents, form.selectors):
-            if c:
-                term = [sub.label_of(trace(ctx, ctx.mul(c, ctx.pow(x, u)), sel))
-                        for x in coords]
-                assert coordinate_values(ctx, c, u, uppers[sel]).tolist() == term
+        for j, (c, u) in enumerate(zip(form.coeffs, form.exponents)):
+            # one slot alone: the one trace term Tr(c x^u)
+            alone = tuple(c if i == j else 0 for i in range(len(form.coeffs)))
+            term = [sub.label_of(trace(ctx, ctx.mul(c, ctx.pow(x, u)), slot_trace(ctx, j)))
+                    for x in coords]
+            assert form_values(ctx, [alone])[0].tolist() == term
     if ctx.size > 81:
         return
     traces = [[trace(ctx, ctx.mul(b, x)) for x in coords] for b in range(ctx.size)]
