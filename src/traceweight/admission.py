@@ -30,7 +30,7 @@ TIER_BUDGETS = {"quick": 2**24, "standard": 2**32, "extended": 2**38}
 DEFAULT_TABLE_BOUND = 2**26
 # F_q labels are uint8, and an F_{q^2} label table holds at most 2^16 elements
 MAX_LABEL_Q = 256
-LINEAR_TRACE_BOUND = 4096  # linear_trace_rows holds size * n bytes
+LINEAR_TRACE_BOUND = 4096  # the linear-trace planes hold size * n bits a plane
 DEFAULT_WITNESS_BOUND = 2**20
 
 

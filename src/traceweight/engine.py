@@ -30,7 +30,9 @@ values, and recurses with that value's stabilizer.  Once H fixes every
 value of every lower slot, the lower slots are free: it emits one
 contiguous form-index range of weight |G|/|H|, the orbit size of each of
 its forms.  H is held as the translations k allowed per (f, a), a coset
-of one subgroup d Z_n (or none), so no temporary grows with |G|.  The
+of one subgroup d Z_n (or none), so no temporary grows with |G|.  A
+slot's value is solved only at the representative logs visited, from
+the pivot digits of pi^l (_slot_solver), so no map grows with n.  The
 ranges must cover all q^(m^2) forms with their weights before anything
 is counted; they are then flattened into one index array with one weight
 per form, which _enumerate cuts into contiguous slices.  Only which
@@ -86,7 +88,7 @@ import numpy as np
 from .admission import (TIER_BUDGETS, _refusal, brute_work,  # noqa: F401 - re-exported
                         choose_oracle, rank_sweep_work, split_prime_power)
 from .codes import CodeSpec, ConsistencyError, build_code
-from .fields import FieldCtx, make_field
+from .fields import FieldCtx, coordinate_inverse, make_field
 from .quadforms import (MATCH_WORDS, FormSpace, coordinate_matches, form_values,
                         gram_labels, gram_points, linear_trace_planes, trace_residues)
 from .spectra import WeightDistribution, assemble_distribution, predict
@@ -162,6 +164,9 @@ class _CountPlan:
             # before the orbit layer and forked workers inherit the planes
             linear_trace_planes(ctx)
         self.block = max(1, MATCH_WORDS // per_form)
+        # coordinate_matches's work arrays, kept across blocks (a plan serves
+        # one thread: each pool worker holds its own copy)
+        self.scratch = {}
 
     def values(self, idx: np.ndarray) -> np.ndarray:
         """(len(idx), n) uint8 value tables of the forms at the indices idx."""
@@ -190,8 +195,8 @@ class _CountPlan:
             else:
                 # codeword b + Tr(beta x) + Q(x) vanishes where
                 # Tr(beta x) + Q(x) = -b; E's last target takes the rest
-                matches = coordinate_matches(
-                    ctx, values, range(q - 1 if family == "E" else 1)).astype(np.int64)
+                matches = coordinate_matches(ctx, values, range(q - 1 if family == "E" else 1),
+                                             self.scratch).astype(np.int64)
                 if family == "E":
                     matches = np.concatenate([matches, n - matches.sum(axis=0)[None]])
                 cw_weights = n - matches
@@ -308,20 +313,22 @@ def _batched_fp_rank(mats: np.ndarray, p: int) -> np.ndarray:
 # the orbit layer
 
 
-def _logs_to_values(space: FormSpace, j: int) -> np.ndarray:
-    """Slot j's local value v at every log l of a nonzero slot coefficient
-    (entries at other logs are unset).  The coefficient is F_p-linear in
-    v's base-p digits: digit e*d + i scales basis_d by the F_q label p^i."""
+def _slot_solver(space: FormSpace, j: int):
+    """The function from an int64 array of logs l of nonzero slot-j
+    coefficients to the slot's local values v.  The coefficient pi^l is
+    F_p-linear in v's base-p digits, digit e*d + i scaling basis_d by the
+    F_q label p^i, so v is linear in pi^l's pivot digits, through the
+    inverse of the slot's basis matrix (fields.coordinate_inverse)."""
     ctx = space.ctx
     sub = ctx.subfield(ctx.q)
-    basis = space.slot_bases[j]
-    matrix = np.zeros((ctx.degree, ctx.degree))
-    matrix[:ctx.e * len(basis)] = [ctx.digits(ctx.mul(sub.from_label(ctx.p**i), b))
-                                   for b in basis for i in range(ctx.e)]
-    values = np.arange(1, ctx.q ** len(basis), dtype=np.int64)
-    out = np.empty(ctx.n, dtype=np.int64)
-    out[ctx.log_table()[ctx.linear_image(values, matrix)]] = values
-    return out
+    rows = [ctx.digits(ctx.mul(sub.from_label(ctx.p**i), b))
+            for b in space.slot_bases[j] for i in range(ctx.e)]
+    if rows == np.eye(ctx.degree, dtype=np.int64).tolist():
+        return ctx.exp_table().take  # q = p and basis pi^0..pi^(s-1): v is pi^l
+    pivots, inverse = coordinate_inverse(rows, ctx.p)
+    matrix = np.zeros((ctx.degree, len(rows)))
+    matrix[pivots] = inverse
+    return lambda logs: ctx.linear_image(ctx.exp_table()[logs], matrix)
 
 
 def _form_orbits(space: FormSpace) -> list[tuple[int, int, int]]:
@@ -343,7 +350,7 @@ def _form_orbits(space: FormSpace) -> list[tuple[int, int, int]]:
     # below ends[j] belong to slots 0..j-1
     steps = [n // (q**w - 1) for w in widths]
     ends = [sum(widths[:j]) for j in range(len(widths) + 1)]
-    values_at = {}
+    solvers, solved = {}, [{} for _ in widths]
     ranges = []
 
     def fixes_slot(K, d, i):
@@ -392,23 +399,26 @@ def _form_orbits(space: FormSpace) -> list[tuple[int, int, int]]:
         if all(fixes_slot(K, d, i) for i in range(j + 1)):
             ranges.append((base, base + q ** ends[j + 1], weight))
             return
-        if j not in values_at:
-            values_at[j] = _logs_to_values(space, j)
         logs, sizes = orbits(K, d, j)
+        logs = logs.tolist()
+        # each log's value is solved once, the first time it is visited
+        if missing := [log for log in logs if log not in solved[j]]:
+            if j not in solvers:
+                solvers[j] = _slot_solver(space, j)
+            solved[j].update(zip(missing, solvers[j](np.array(missing)).tolist()))
+        values = [solved[j][log] for log in logs]
         if j == 0:
             # no slot is left below: each value's form is one orbit, of
             # |G|/|H| times the value's H-orbit size
             ranges.append((base, base + 1, weight))
-            ranges.extend((base + v, base + v + 1, weight * size) for v, size in
-                          zip(values_at[0][logs].tolist(), sizes.tolist()))
+            ranges.extend((base + v, base + v + 1, weight * size)
+                          for v, size in zip(values, sizes.tolist()))
             return
         visit(j - 1, base, K, d)  # the zero coefficient keeps H
-        for log in logs.tolist():
-            v = int(values_at[j][log])
+        for log, v in zip(logs, values):
             visit(j - 1, base + v * q ** ends[j], *stabilizer(K, d, j, log))
 
     visit(len(widths) - 1, 0, np.zeros((degree, q - 1), dtype=np.int64), 1)
-    values_at.clear()  # visit refers to itself: free the n-long maps before gc
     return sorted(ranges)
 
 
@@ -508,7 +518,8 @@ def brute_distribution(spec: CodeSpec, budget: int = DEFAULT_BUDGET,
                        workers: int = 1, progress=None) -> WeightDistribution:
     """Exact weight distribution by enumerating every parameter tuple."""
     hist = _enumerate("brute", spec, budget, workers, progress)
-    counts = {int(w): int(c) for w, c in enumerate(hist) if c}
+    weights = np.flatnonzero(hist)
+    counts = dict(zip(weights.tolist(), hist[weights].tolist()))
     dist = WeightDistribution(spec.q, spec.m, spec.family, spec.n, spec.k, counts,
                               work_count=brute_work(spec.q, spec.m, spec.family))
     expected_total = spec.q**spec.k

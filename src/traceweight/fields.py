@@ -21,6 +21,15 @@ SubfieldView attaches dense label tables (labels 0..Q-1, F_p-linear
 labelling) so inner loops can work on small numpy arrays instead of
 packed values; trace_labels holds the traces to F_q by log, likewise.
 
+F_p-linear maps on packed elements (the exp table's doubling steps, the
+trace labels) go through linear_image.  An input of more than a few
+hundred values is mapped through two tables, the images of every
+pattern of the low ceil(D/2) digits and of the high ones, so an image is
+two lookups combined by XOR at p = 2, or by a digitwise sum mod p at odd
+p: slot-spread entries added without carries, then packed and reduced
+through a table over a few slots at a time.  Below the measured
+crossover (_half_tables_pay) the digits go through one float64 matmul.
+
 Every field has at most 2^26 elements, admission's one field-size
 rule, so its exp/log tables fit; they are built lazily.  Until then a
 product is taken on the packed ints: at p = 2 a carry-less
@@ -198,6 +207,47 @@ def find_primitive_modulus(p: int, degree: int, rank: int = 0) -> tuple[int, ...
 
 # ---------------------------------------------------------------------------
 # the field context
+
+# FieldCtx.linear_image maps blocks of this many values, and packs the
+# spread images of odd p through tables of at most 2^_PACK_BITS entries
+_LINEAR_BLOCK = 1 << 16
+_PACK_BITS = 12
+
+
+def _digit_image(values: np.ndarray, matrix: np.ndarray, p: int) -> np.ndarray:
+    """Image digits of packed elements, (len(values), c) float64 reduced to
+    0..p-1, under the map whose float64 matrix row i holds the digits of
+    the image of x^i.  Coordinates, products and their sums (below
+    D * p^2) are integers that float64 holds exactly, and so is
+    x - p * floor(x / p)."""
+    weights = p ** np.arange(len(matrix), dtype=np.float64)
+    coords = np.floor(values[:, None] / weights)
+    coords -= p * np.floor(coords / p)
+    image = coords @ matrix
+    image -= p * np.floor(image / p)
+    return image
+
+
+def _xor_table(rows: np.ndarray) -> np.ndarray:
+    """Entry b is the XOR of the rows that the bits of b select, for every
+    b below 2^len(rows)."""
+    table = np.zeros(1, dtype=np.int64)
+    for row in rows:
+        table = np.concatenate([table, table ^ row])
+    return table
+
+
+def _half_tables_pay(p: int, D: int, length: int) -> bool:
+    """Whether linear_image maps length values of D digits faster through
+    its two half tables than directly, as measured on both paths over
+    p = 2, 3, 5, 7, 31 and 251 at D = 2 to 24.  The XOR tables of p = 2
+    cost about a word operation per entry, so they pay from a few hundred
+    values at every D; the float-built tables of odd p once the input is
+    twice their entries, and from a few thousand values."""
+    if p == 2:
+        return length >= 1 << 8
+    h = (D + 1) // 2
+    return length >= max(1 << 12, 2 * (p**h + p ** (D - h)))
 
 
 class FieldCtx:
@@ -416,18 +466,21 @@ class FieldCtx:
         if self._log is not None:
             return
         p, D, n = self.p, self.degree, self.n
-        # step = multiplication by x^filled as a matrix on coordinate rows:
-        # row i holds the coordinates of x^(i + filled); it starts as the
-        # companion matrix of the modulus and is squared as filled doubles
-        step = np.zeros((D, D))
-        step[np.arange(D - 1), np.arange(1, D)] = 1
-        step[D - 1] = self._top_reduction
+        # x^i = p^i for i < D; after that, step is multiplication by
+        # x^filled as a matrix on coordinate rows: row i holds the digits of
+        # x^(i + filled), starting from x^D, x^(D+1), .. and squared as
+        # filled doubles
         exp = np.empty(n, dtype=np.int64)
-        exp[0] = 1
-        filled = 1
+        exp[:D] = self._ppow[:D]
+        top, rows = self._mul_poly(self._ppow[D - 1], self.pi), []
+        for _ in range(D):
+            rows.append(self.digits(top))
+            top = self._mul_poly(top, self.pi)
+        step = np.array(rows, dtype=np.float64)
+        filled = D
         while filled < n:
             take = min(filled, n - filled)
-            exp[filled:filled + take] = self.linear_image(exp[:take], step)
+            self.linear_image(exp[:take], step, out=exp[filled:filled + take])
             filled += take
             step = step @ step
             step -= p * np.floor(step / p)
@@ -438,21 +491,60 @@ class FieldCtx:
         self._exp = exp
         self._log = log
 
-    def linear_image(self, values: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-        """Packed images of packed elements under an F_p-linear map, given
-        as a float64 matrix whose row i holds the coordinates of the image
-        of x^i.  Coordinates, products and their sums (below D * p^2) are
-        integers that float64 holds exactly, and so is x - p * floor(x / p).
-        Blocks of 2^14 elements keep the temporaries small."""
-        p, block = self.p, 1 << 14
-        weights = np.array(self._ppow[:self.degree], dtype=np.float64)
-        out = np.empty(len(values), dtype=np.int64)
-        for lo in range(0, len(values), block):
-            coords = np.floor(values[lo:lo + block, None] / weights)
-            coords -= p * np.floor(coords / p)
-            image = coords @ matrix
-            image -= p * np.floor(image / p)
-            out[lo:lo + block] = image @ weights
+    def linear_image(self, values: np.ndarray, matrix, out=None) -> np.ndarray:
+        """Packed images of packed elements under an F_p-linear map.  Row i
+        of matrix holds the base-p digits of the image of x^i (D rows); its
+        c columns are the digits of an image, which packs to c digits.
+        Written to out (int64 if not given) in blocks of _LINEAR_BLOCK.
+
+        A short input is mapped directly by _digit_image.  A long one (see
+        _half_tables_pay) goes through two tables, the images of every
+        pattern of the low h = ceil(D/2) digits and of the high D - h
+        digits, p^h entries at most: an image is the sum of two entries,
+        an XOR at p = 2.  At odd p the tables hold the image digits spread
+        into slots of w bits, 2^w > 2(p - 1), so the two entries add
+        without a carry between slots, and tables over k slots at a time
+        reduce the slots mod p and pack them."""
+        p, D = self.p, self.degree
+        matrix = np.asarray(matrix, dtype=np.float64)
+        c = matrix.shape[1]
+        weights = p ** np.arange(c, dtype=np.float64)
+        if out is None:
+            out = np.empty(len(values), dtype=np.int64)
+        blocks = range(0, len(values), _LINEAR_BLOCK)
+        h = (D + 1) // 2
+        if not _half_tables_pay(p, D, len(values)):
+            for lo in blocks:
+                out[lo:lo + _LINEAR_BLOCK] = _digit_image(
+                    values[lo:lo + _LINEAR_BLOCK], matrix, p) @ weights
+            return out
+        if p == 2:
+            rows = (matrix @ weights).astype(np.int64)
+            low, high = _xor_table(rows[:h]), _xor_table(rows[h:])
+            for lo in blocks:
+                v = values[lo:lo + _LINEAR_BLOCK]
+                out[lo:lo + _LINEAR_BLOCK] = low[v & (2**h - 1)] ^ high[v >> h]
+            return out
+        w = (2 * p - 2).bit_length()
+        k = min(c, max(1, _PACK_BITS // w))
+        # every spread image has c * w <= 48 bits (p = 3, D = 16), which
+        # float64 holds exactly
+        slots = 2.0 ** (w * np.arange(c))
+        low, high = (np.asarray(_digit_image(np.arange(p**d), part, p) @ slots, dtype=np.int64)
+                     for d, part in ((h, matrix[:h]), (D - h, matrix[h:])))
+        # pack[x] packs the k slots of x, each reduced mod p
+        slot = np.arange(2**w, dtype=np.int64) % p
+        pack = slot
+        for _ in range(k - 1):
+            pack = (slot + p * pack[:, None]).ravel()
+        mask = 2 ** (w * k) - 1
+        for lo in blocks:
+            high_digits, low_digits = np.divmod(values[lo:lo + _LINEAR_BLOCK], p**h)
+            spread = low[low_digits] + high[high_digits]
+            image = pack[spread & mask]
+            for i in range(k, c, k):
+                image += pack[spread >> w * i & mask] * p**i
+            out[lo:lo + _LINEAR_BLOCK] = image
         return out
 
     def log(self, a: int) -> int:
@@ -480,7 +572,13 @@ class FieldCtx:
     def trace_labels(self, upper: int) -> np.ndarray:
         """uint8 n-vector: entry k is the F_q label of Tr_{upper/q}(pi^k)
         where pi^k lies in the subfield of order upper (k a multiple of
-        n/(upper - 1)), and 0xFF elsewhere.  Built once per subfield."""
+        n/(upper - 1)), and 0xFF elsewhere.  Built once per subfield.
+
+        The label is F_p-linear in pi^k: the F_p-basis g^i = pi^(step i),
+        i < log_p(upper), of F_upper has traces that are checked to lie in
+        F_q, pi^k's coordinates in that basis are its pivot digits times
+        coordinate_inverse's matrix, and the labels of all of exp[::step]
+        are one linear_image."""
         if upper not in self._trace_labels:
             if self.q > MAX_LABEL_Q:
                 raise FieldSizeError(f"labels of F_{self.q} do not fit the uint8 table")
@@ -488,20 +586,52 @@ class FieldCtx:
             steps = round(math.log(upper, self.q))
             if self.q**steps != upper:
                 raise ValueError("incompatible trace levels")
-            # the Frobenius-chain sum a + a^q + ... is F_p-linear: its
-            # matrix holds the sums of the basis elements x^i
-            chain = np.array([self.digits(self._trace_chain(self._ppow[i], self.q, steps))
-                              for i in range(self.degree)], dtype=np.float64)
-            label_of = np.full(self.size, -1, dtype=np.int16)
-            label_of[list(self.subfield(self.q).elements_by_label)] = np.arange(self.q)
+            p, sub = self.p, self.subfield(self.q)
             step = self.n // (upper - 1)
-            labels = label_of[self.linear_image(self._exp[::step], chain)]
-            if np.any(labels < 0):
+            basis = [int(self._exp[step * i]) for i in range(self.e * steps)]
+            traces = [self._trace_chain(g, self.q, steps) for g in basis]
+            if not all(sub.contains(t) for t in traces):
                 raise AssertionError("trace escaped F_q")
+            pivots, inverse = coordinate_inverse([self.digits(g) for g in basis], p)
+            labels = [[sub.label_of(t) // p**i % p for i in range(self.e)] for t in traces]
+            matrix = np.zeros((self.degree, self.e))
+            matrix[pivots] = inverse @ labels % p
             table = np.full(self.n, 0xFF, dtype=np.uint8)
-            table[::step] = labels
+            self.linear_image(self._exp[::step], matrix, out=table[::step])
             self._trace_labels[upper] = table
         return self._trace_labels[upper]
+
+
+def coordinate_inverse(rows, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pivot columns P and a matrix E that recover coordinates over F_p:
+    for the base-p digit rows (lists of ints) of r elements, of rank r,
+    x = c @ rows mod p gives c = x[P] @ E mod p.  Gauss-Jordan elimination
+    of [rows | I], on lists of Python ints (at most 26 x 52), leaves the
+    identity in the columns P and the inverse of rows[:, P] beside it."""
+    r, D = len(rows), len(rows[0])
+    if r == D and all(x == (i == k) for k, row in enumerate(rows) for i, x in enumerate(row)):
+        return np.arange(r), np.eye(r, dtype=np.int64)  # already reduced
+    aug = [[x % p for x in row] + [int(i == k) for i in range(r)]
+           for k, row in enumerate(rows)]
+    pivots = []
+    for col in range(D):
+        k = len(pivots)
+        if k == r:
+            break
+        pivot = next((i for i in range(k, r) if aug[i][col]), None)
+        if pivot is None:
+            continue
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        if (lead := aug[k][col]) != 1:
+            aug[k] = [x * pow(lead, -1, p) % p for x in aug[k]]
+        top = aug[k]
+        for i in range(r):
+            if i != k and (f := aug[i][col]):
+                aug[i] = [(a - f * b) % p for a, b in zip(aug[i], top)]
+        pivots.append(col)
+    if len(pivots) < r:
+        raise ValueError("rows are linearly dependent over F_p")
+    return np.array(pivots, dtype=np.int64), np.array([row[D:] for row in aug], dtype=np.int64)
 
 
 class SubfieldView:

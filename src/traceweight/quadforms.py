@@ -29,16 +29,19 @@ of rounding.
 
 Shared tables, also read by the engine's brute oracle, do the counting:
 FormSpace.digit_values gives the value tables of the forms at the
-indices p^d, linear_trace_rows gives Tr(beta x) for every beta, and
-linear_trace_planes the same rows as bit planes.  coordinate_matches,
-the one match kernel, counts per beta and target the coordinates where
-Tr(beta x) + Q(x) hits the target: the wanted labels target - Q(x)
-become bit planes too, and a row's mismatches are the popcount of the
-OR over planes of row XOR wanted, so every coordinate is still
-compared.  The S(beta) and R_b(beta) histograms are one bincount of
-those match counts, the x = 0 term folded into the keys.  A QuadForm
-caches its rank, its sign epsilon and T (big_T), so the epsilon check
-and a later big_T tally the residues once.
+indices p^d, and linear_trace_planes gives Tr(beta x) for every beta as
+bit planes.  Row pi^k is the one sequence trace_labels(size) read
+cyclically from k, so each plane of that sequence is packed once and a
+row's words are cut from it by funnel shifts; the size x n byte table
+is never built (tests/conftest.py keeps it as the reference).
+coordinate_matches, the one match kernel, counts per beta and target
+the coordinates where Tr(beta x) + Q(x) hits the target: the wanted
+labels target - Q(x) become bit planes too, and a row's mismatches are
+the popcount of the OR over planes of row XOR wanted, so every
+coordinate is still compared.  The S(beta) and R_b(beta) histograms
+are one bincount of those match counts, the x = 0 term folded into the
+keys.  A QuadForm caches its rank, its sign epsilon and T (big_T), so
+the epsilon check and a later big_T tally the residues once.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .admission import LINEAR_TRACE_BOUND, FieldSizeError
 from .codes import ConsistencyError, form_exponents
 from .fields import FieldCtx, label_matrix_rank
 
-# The most XOR words one step of coordinate_matches holds; the brute
+# The most XOR words one group of coordinate_matches holds; the brute
 # oracle and FormSpace.forms size their blocks of forms by it too.
 MATCH_WORDS = 1 << 16
 
@@ -187,61 +190,68 @@ def all_forms(ctx: FieldCtx):
 
 def form_values(ctx: FieldCtx, coeff_rows, logs=None) -> np.ndarray:
     """uint8 F_q labels of Q(pi^l), one row per coefficient tuple, at every
-    coordinate l = 0..n-1 or at the int64 logs only.  Slot j's term is
+    coordinate l = 0..n-1 or at the given logs only.  Slot j's term is
     Tr(c_j pi^(u_j l)), entry (log c_j + u_j l) mod n of the trace labels
     from F_{q^m} (slot 0 at odd m, where c_0 lies) or from F_{q^s}: one
     gather per slot for the whole batch, which FormSpace.forms keeps to
-    max(1, MATCH_WORDS // n) forms at full length."""
+    max(1, MATCH_WORDS // n) forms at full length.  The logs are taken in
+    blocks of MATCH_WORDS, so no temporary grows with n beyond that
+    batch: the gather index stays int64, as numpy converts a narrower
+    index to intp for the gather, a hidden int64 copy."""
     q, m, n = ctx.q, ctx.m, ctx.n
-    logs = np.arange(n, dtype=np.int64) if logs is None else np.asarray(logs, dtype=np.int64)
+    count = n if logs is None else len(logs)
     exponents = form_exponents(q, m)
     coeffs = np.array(coeff_rows, dtype=np.int64).reshape(-1, 1, len(exponents))
-    out = np.zeros((len(coeffs), len(logs)), dtype=np.uint8)
+    out = np.zeros((len(coeffs), count), dtype=np.uint8)
     for j, u in enumerate(exponents):
         trace = ctx.trace_labels(q**m if m % 2 and j == 0 else ctx.size)
         live = np.flatnonzero(coeffs[:, 0, j])  # a zero coefficient adds nothing
-        # in steps: at full length at most three int64 n-vectors live at once
-        at = logs * (u % n)
-        at = at + ctx.log_table()[coeffs[live, :, j]]
-        at %= n
-        out[live] = ctx.subfield(q).add_labels(out[live], trace[at])
+        at_coeff = ctx.log_table()[coeffs[live, :, j]]
+        for lo in range(0, count, MATCH_WORDS):
+            hi = min(lo + MATCH_WORDS, count)
+            at = np.arange(lo, hi) if logs is None else np.asarray(logs[lo:hi], dtype=np.int64)
+            at = at * (u % n)
+            at = at + at_coeff
+            at %= n
+            part = out[:, lo:hi]
+            part[live] = ctx.subfield(q).add_labels(part[live], trace[at])
     return out
-
-
-def linear_trace_rows(ctx: FieldCtx) -> np.ndarray:
-    """(size, n) uint8 table: entry [b, i] is the F_q label of
-    Tr_{q^s/q}(b * pi^i), one row per packed b.  Row pi^j is the sequence
-    Tr(pi^k) read from k = j on, so the rows are the cyclic shifts of one
-    n-vector.  Verification-scale only, and not cached: the brute oracle
-    keeps only linear_trace_planes, packed from it."""
-    if ctx.size > LINEAR_TRACE_BOUND:
-        raise FieldSizeError(
-            f"linear-trace table refused above {LINEAR_TRACE_BOUND} field elements")
-    seq = ctx.trace_labels(ctx.size)
-    rows = np.zeros((ctx.size, ctx.n), dtype=np.uint8)
-    rows[ctx.exp_table()] = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([seq, seq[:-1]]), ctx.n)
-    return rows
 
 
 @lru_cache(maxsize=8)
 def linear_trace_planes(ctx: FieldCtx) -> np.ndarray:
-    """linear_trace_rows as bit planes, (planes, W, size) uint64 with
-    planes = bit_length(q - 1) and W = ceil(n / 64): bit i of word
-    [j, w, b] is bit j of the label of Tr(b * pi^(64 w + i)), and the
+    """Tr(beta x) for every packed beta as bit planes, (planes, W, size)
+    uint64 with planes = bit_length(q - 1) and W = ceil(n / 64): bit i of
+    word [j, w, b] is bit j of the label of Tr(b * pi^(64 w + i)), and the
     padding bits are zero.  Words run along the packed b, so one word of
-    a target's planes meets every row at once.  The rows are packed in
-    blocks of at most 2^20 bit bytes."""
-    rows, n = linear_trace_rows(ctx), ctx.n
+    a target's planes meets every row at once.  Verification-scale only:
+    a field over LINEAR_TRACE_BOUND raises FieldSizeError.
+
+    Row pi^k is the sequence Tr(pi^t) = trace_labels(size)[t] read
+    cyclically from t = k, so each plane of the sequence, twice over, is
+    packed once, and row k's word w is cut from it by a funnel shift: the
+    words at k // 64 + w and the next, shifted by k % 64.  With k = 64 c + r
+    the words of every row form a (W, W, 64) array over (w, c, r), columns
+    in log order, placed at the packed b through the log table; row 0
+    stays zero."""
+    if ctx.size > LINEAR_TRACE_BOUND:
+        raise FieldSizeError(
+            f"linear-trace table refused above {LINEAR_TRACE_BOUND} field elements")
+    seq, n = ctx.trace_labels(ctx.size), ctx.n
     count, width = (ctx.q - 1).bit_length(), -(-n // 64)
-    planes = np.empty((count, width, ctx.size), dtype=np.uint64)
-    step = max(1, (1 << 20) // (count * width * 64))
-    for lo in range(0, ctx.size, step):
-        block = rows[lo:lo + step]
-        bits = np.zeros((count, len(block), 64 * width), dtype=np.uint8)
-        for j in range(count):
-            np.bitwise_and(block, 1 << j, out=bits[j, :, :n])
-        planes[:, :, lo:lo + step] = _packed(bits).swapaxes(1, 2)
+    shifts = np.arange(64, dtype=np.uint64)
+    columns = ctx.log_table()[1:]
+    planes = np.zeros((count, width, ctx.size), dtype=np.uint64)
+    for j in range(count):  # a plane at a time keeps the words in cache
+        bits = np.zeros(128 * width, dtype=np.uint8)
+        bits[:n] = bits[n:2 * n] = seq >> j & 1
+        windows = _packed(bits)[np.add.outer(np.arange(width + 1), np.arange(width))]
+        low, high = windows[:width, :, None], windows[1:, :, None]
+        words = (low >> shifts) | ((high << np.uint64(1)) << (np.uint64(63) - shifts))
+        words = words.reshape(width, -1)[:, :n]
+        if n % 64:
+            words[-1] &= np.uint64((1 << n % 64) - 1)
+        planes[j, :, 1:] = words[:, columns]
     planes.flags.writeable = False  # one cached table serves every caller
     return planes
 
@@ -288,31 +298,46 @@ def gram_labels(ctx: FieldCtx, values: np.ndarray) -> np.ndarray:
     return gram * (gram_points(ctx)[s:] >= 0).reshape(s, s)
 
 
-def coordinate_matches(ctx: FieldCtx, values: np.ndarray, targets) -> np.ndarray:
+def coordinate_matches(ctx: FieldCtx, values: np.ndarray, targets, scratch=None) -> np.ndarray:
     """For each F_q label t in the sequence targets and every packed beta,
     |{i : Tr(beta * pi^i) + values[..., i] = t}|, with values as F_q
     labels: values of shape (..., n) give uint16 counts of shape
     (len(targets), ..., size).  Every coordinate is compared: the wanted
     labels t - values become bit planes, and a row's mismatches are
-    popcount(OR_j (row plane j XOR wanted plane j)).  The targets are
-    matched in groups of at most MATCH_WORDS XOR words, or one at a time
-    where one target's words exceed that."""
+    popcount(OR_j (row plane j XOR wanted plane j)).  The (target, form)
+    pairs are matched in groups of at most MATCH_WORDS XOR words, or one
+    pair at a time where a pair's words exceed that.  A caller that
+    matches block after block passes a dict as scratch and keeps it: the
+    groups' work arrays stay in it between calls, so a later call maps
+    and page-faults no fresh memory for them."""
     rows, wanted_bits, n = linear_trace_planes(ctx), _wanted_bits(ctx), ctx.n
-    count = len(targets)
-    bits = np.zeros((len(rows), count) + values.shape[:-1] + (64 * rows.shape[1],),
+    bits = np.zeros((len(rows), len(targets)) + values.shape[:-1] + (64 * rows.shape[1],),
                     dtype=np.uint8)
     wanted_bits.take(targets, axis=1).take(values, axis=-1, out=bits[..., :n], mode="clip")
     wanted = _packed(bits)
-    step = max(1, MATCH_WORDS // (wanted[0, 0].size * ctx.size))
+    pairs = wanted.reshape(len(rows), -1, rows.shape[1], 1)
+    step = max(1, MATCH_WORDS // rows[0].size)
+    work = scratch.get(rows[0].shape) if scratch is not None else None
+    if work is None:
+        shape = (step if scratch is not None else min(step, pairs.shape[1]),) + rows[0].shape
+        work = (np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64),
+                np.empty(shape, dtype=np.uint8))
+        if scratch is not None:
+            scratch[rows[0].shape] = work
+    miss, xor, ones = work
     misses = []
-    for lo in range(0, count, step):
-        part = wanted[:, lo:lo + step]
-        miss = rows[0] ^ part[0, ..., None]
+    for lo in range(0, pairs.shape[1], step):
+        part = pairs[:, lo:lo + step]
+        g = part.shape[1]
+        np.bitwise_xor(rows[0], part[0], out=miss[:g])
         for j in range(1, len(rows)):
-            miss |= rows[j] ^ part[j, ..., None]
+            np.bitwise_xor(rows[j], part[j], out=xor[:g])
+            np.bitwise_or(miss[:g], xor[:g], out=miss[:g])
         # a row holds at most n < 2^16 mismatches, which uint16 sums exactly
-        misses.append(np.bitwise_count(miss).sum(axis=-2, dtype=np.uint16))
-    return n - (misses[0] if len(misses) == 1 else np.concatenate(misses))
+        counts = np.bitwise_count(miss[:g], out=ones[:g])
+        misses.append(counts.sum(axis=-2, dtype=np.uint16))
+    mismatches = misses[0] if len(misses) == 1 else np.concatenate(misses)
+    return (n - mismatches).reshape(wanted.shape[1:-1] + (ctx.size,))
 
 
 @lru_cache(maxsize=8)

@@ -14,13 +14,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from traceweight.admission import factorize
+from traceweight.admission import LINEAR_TRACE_BOUND, FieldSizeError, factorize
 from traceweight.codes import form_exponents
 from traceweight.fields import Poly
-from traceweight.quadforms import linear_trace_rows
-
-# the references count every beta of a field, often many times over
-_trace_rows = lru_cache(maxsize=8)(linear_trace_rows)
+from traceweight.quadforms import _packed
 
 
 def naive_mul(ctx, a, b):
@@ -145,6 +142,18 @@ def trace(ctx, a, lower="q"):
     return acc
 
 
+def literal_linear_image(ctx, values, matrix):
+    """Images of packed elements under the F_p-linear map whose row i holds
+    the base-p digits of the image of x^i, digit by digit."""
+    p, out = ctx.p, []
+    for v in values:
+        digits = [int(v) // p**i % p for i in range(ctx.degree)]
+        image = [sum(d * int(row[k]) for d, row in zip(digits, matrix)) % p
+                 for k in range(len(matrix[0]))]
+        out.append(sum(c * p**k for k, c in enumerate(image)))
+    return out
+
+
 def x_power_minus_one(ctx, n):
     """The polynomial x^n - 1 over the field of ctx."""
     return Poly(ctx, (ctx.neg(1),) + (0,) * (n - 1) + (1,))
@@ -253,6 +262,39 @@ def annihilated_by(check, seq):
 # quadratic forms
 
 
+def linear_trace_rows(ctx):
+    """(size, n) uint8 table: entry [b, i] is the F_q label of
+    Tr_{q^s/q}(b * pi^i), one row per packed b.  Row pi^j is the sequence
+    Tr(pi^k) read from k = j on, so the rows are the cyclic shifts of one
+    n-vector."""
+    if ctx.size > LINEAR_TRACE_BOUND:
+        raise FieldSizeError(
+            f"linear-trace table refused above {LINEAR_TRACE_BOUND} field elements")
+    seq = ctx.trace_labels(ctx.size)
+    rows = np.zeros((ctx.size, ctx.n), dtype=np.uint8)
+    rows[ctx.exp_table()] = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([seq, seq[:-1]]), ctx.n)
+    return rows
+
+
+# the references count every beta of a field, often many times over
+_trace_rows = lru_cache(maxsize=8)(linear_trace_rows)
+
+
+def packed_trace_rows(ctx):
+    """linear_trace_rows packed row by row into bit planes, the layout of
+    quadforms.linear_trace_planes: bit i of word [j, w, b] is bit j of
+    row b's label at coordinate 64 w + i, padding bits zero."""
+    rows, n = _trace_rows(ctx), ctx.n
+    count, width = (ctx.q - 1).bit_length(), -(-n // 64)
+    planes = np.empty((count, width, ctx.size), dtype=np.uint64)
+    for j in range(count):
+        bits = np.zeros((ctx.size, 64 * width), dtype=np.uint8)
+        bits[:, :n] = rows >> j & 1
+        planes[j] = _packed(bits).T
+    return planes
+
+
 def count_solutions(form, beta, zeta):
     """|{x : Q(x) + Tr(beta x) = zeta}| by direct counting; beta a packed
     element of F_{q^s}, zeta in F_q."""
@@ -275,6 +317,17 @@ def solution_counts(form, zeta):
         raise ValueError("zeta is not in the embedded F_q")
     wanted = sub.sub_table()[sub.label_of(zeta), form.value_labels()]
     return np.count_nonzero(_trace_rows(ctx) == wanted, axis=1) + (zeta == 0)
+
+
+def full_map_slot_solver(space, j):
+    """The orbit layer's slot values through a full map, the reference for
+    engine._slot_solver: every nonzero value v of slot j, at the log of
+    its coefficient as FormSpace.coeffs_at builds it."""
+    ctx = space.ctx
+    below = sum(len(basis) for basis in space.slot_bases[:j])
+    value_at = {ctx.log(space.coeffs_at(v * ctx.q**below)[j]): v
+                for v in range(1, ctx.q ** len(space.slot_bases[j]))}
+    return lambda logs: np.array([value_at[int(log)] for log in logs], dtype=np.int64)
 
 
 def literal_value(form, x):

@@ -4,7 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import codeword, literal_gram, literal_value, parameter_slots, weight
+from conftest import (codeword, full_map_slot_solver, literal_gram, literal_value,
+                      parameter_slots, weight)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -313,8 +314,8 @@ def test_values_check_catches_a_corrupted_digit_table(monkeypatch, p, e, m, fami
 
 
 def test_brute_counts_equal_for_any_block_size(monkeypatch):
-    """One form a block and one target a step count what the default
-    blocks count."""
+    """One form a block and one (target, form) pair a match group count
+    what the default blocks count."""
     specs = [build_code(make_field(p, e, 2 * m), family)
              for p, e, m, family in [(2, 1, 4, "D"), (2, 2, 2, "E"), (3, 1, 3, "E"),
                                      (2, 2, 3, "C")]]
@@ -354,6 +355,22 @@ def test_orbit_layer_pins_the_counted_form_count(p, e, m, forms, ranges, modulus
     idx, weights = engine._orbit_batch(space)
     assert len(idx) == forms and idx.tolist() == sorted(set(idx.tolist()))
     assert int(weights.sum()) == space.num_forms
+
+
+# every size where an orbit test runs
+_ORBIT_SIZES = sorted({(p, e, m) for p, e, m, _ in _ORBIT_CASES} | set(_SWEEP_CASES)
+                      | {(2, 2, 3), (2, 1, 5), (3, 1, 4)})
+
+
+@pytest.mark.parametrize("modulus_rank", [0, 1])
+@pytest.mark.parametrize("p,e,m", _ORBIT_SIZES)
+def test_orbit_ranges_equal_the_full_map_reference(monkeypatch, p, e, m, modulus_rank):
+    """The slot values solved at the representative logs only give the
+    ranges and weights that the full map of every slot value gives."""
+    space = FormSpace(make_field(p, e, 2 * m, modulus_rank))
+    solved = engine._form_orbits(space)
+    monkeypatch.setattr(engine, "_slot_solver", full_map_slot_solver)
+    assert solved == engine._form_orbits(space)
 
 
 def test_brute_refuses_ranges_that_miss_forms_before_counting(monkeypatch):

@@ -5,16 +5,16 @@ import random
 import numpy as np
 import pytest
 from conftest import (coset_size, element_order, frobenius_sum, lex_primitive_moduli,
-                      lex_primitive_modulus, literal_label_rank, naive_add, naive_mul,
-                      poly_divides, poly_divmod, prime_powers_up_to, step_order_of_x,
-                      trace)
+                      lex_primitive_modulus, literal_label_rank, literal_linear_image,
+                      naive_add, naive_mul, poly_divides, poly_divmod, prime_powers_up_to,
+                      step_order_of_x, trace)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traceweight import admission, fields
 from traceweight.admission import (FieldSizeError, ModulusRankError, check_witness_budget,
                                    choose_oracle)
-from traceweight.fields import (FieldCtx, Poly, find_primitive_modulus,
+from traceweight.fields import (FieldCtx, Poly, coordinate_inverse, find_primitive_modulus,
                                 label_matrix_rank, make_field, minimal_polynomial,
                                 split_prime_power)
 
@@ -395,6 +395,45 @@ def test_exp_log_and_trace_tables_match_literal_definitions(p, e, s):
             [sub_q.label_of(trace(ctx, int(exp[k]), selector)) for k in range(0, ctx.n, step)]
         assert np.count_nonzero(table != 0xFF) == upper - 1  # 0xFF outside F_upper
         assert ctx.trace_labels(upper) is table  # built once
+
+
+# p = 2 at D = 4, 6 (q = 8) and 12, odd p = 3, 5, 31 and 251 (F_{251^2})
+@pytest.mark.parametrize("p,e,s", [(2, 1, 4), (2, 3, 2), (2, 1, 12), (3, 1, 8), (5, 1, 6),
+                                   (31, 1, 2), (251, 1, 2)])
+def test_linear_image_equals_the_literal_digit_map(p, e, s):
+    """Short inputs take the direct path and long ones the half tables;
+    both give the literal map, for square and two-column matrices, at 0,
+    size - 1 and the values around the split between the digit halves."""
+    ctx = make_field(p, e, s)
+    D, h = ctx.degree, (ctx.degree + 1) // 2
+    rng = np.random.default_rng(p * D)
+    edges = [0, ctx.size - 1, p**h - 1, p**h, p**h + 1, ctx.size - p**h, ctx.size - p**h - 1]
+    short = np.array(edges + rng.integers(0, ctx.size, 20).tolist(), dtype=np.int64)
+    long = np.concatenate([short, rng.integers(0, ctx.size, 1 << 12)])
+    assert not fields._half_tables_pay(p, D, len(short))
+    assert fields._half_tables_pay(p, D, len(long))
+    for columns in (D, 2):
+        matrix = rng.integers(0, p, (D, columns))
+        matrix[0] = p - 1  # every digit p - 1: the largest slot sums
+        for values in (short, long):
+            expected = literal_linear_image(ctx, values, matrix.tolist())
+            assert ctx.linear_image(values, matrix).tolist() == expected
+            out = np.full(2 * len(values), -1, dtype=np.int64)
+            ctx.linear_image(values, matrix, out=out[::2])
+            assert out[::2].tolist() == expected and (out[1::2] == -1).all()
+
+
+@pytest.mark.parametrize("p,rows", [
+    (2, [[0, 1, 1], [1, 1, 0]]), (3, [[2, 0, 1, 1], [0, 0, 2, 1], [1, 0, 0, 2]]),
+    (5, [[1, 0], [0, 1]]), (7, [[3, 5, 0], [6, 2, 4]])])
+def test_coordinate_inverse_recovers_coordinates(p, rows):
+    pivots, inverse = coordinate_inverse(rows, p)
+    basis = np.array(rows)
+    for coords in np.ndindex(*(p,) * len(rows)):
+        x = np.array(coords) @ basis % p
+        assert (x[pivots] @ inverse % p).tolist() == list(coords)
+    with pytest.raises(ValueError):
+        coordinate_inverse(rows + [[(a + b) % p for a, b in zip(rows[0], rows[-1])]], p)
 
 
 def test_trace_labels_refuse_labels_above_a_byte():

@@ -4,16 +4,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import (count_solutions, literal_bilinear, literal_gram, literal_value,
-                      naive_mul, offset_sum_rows, shift_sum_rows, slot_trace,
-                      solution_count_multiset, solution_counts, trace)
+from conftest import (count_solutions, linear_trace_rows, literal_bilinear, literal_gram,
+                      literal_value, naive_mul, offset_sum_rows, packed_trace_rows,
+                      shift_sum_rows, slot_trace, solution_count_multiset,
+                      solution_counts, trace)
 
+from traceweight.admission import LINEAR_TRACE_BOUND, FieldSizeError
 from traceweight.codes import ConsistencyError
 from traceweight.fields import label_matrix_rank, make_field
 from traceweight.quadforms import (FormSpace, QuadForm, all_forms, big_T,
                                    coordinate_matches, form_values,
-                                   integral_character_sum,
-                                   linear_trace_rows, r_histogram, s_histogram)
+                                   integral_character_sum, linear_trace_planes,
+                                   r_histogram, s_histogram)
 from traceweight.spectra import frequencies
 
 
@@ -323,6 +325,25 @@ def test_plane_matches_equal_literal_counts(p, e, m):
             assert (alone[lbl] == literal).all()
         for beta in (0, 1, ctx.size - 1):  # tied to the per-beta reference
             assert solution_counts(form, 0)[beta] == count_solutions(form, beta, 0)
+
+
+# F_{2^4} (n = 15), F_{3^6}, F_{31^2} (n = 960, a multiple of 64) and
+# F_{64^2} (six planes, at the linear-trace bound)
+@pytest.mark.parametrize("p,e,s", [(2, 1, 4), (3, 1, 6), (31, 1, 2), (2, 6, 2)])
+def test_linear_trace_planes_equal_the_packed_rows(p, e, s):
+    """The planes cut from the one packed trace sequence equal the byte
+    table of every row, packed row by row."""
+    ctx = make_field(p, e, s)
+    planes = linear_trace_planes(ctx)
+    assert planes.dtype == np.uint64 and not planes.flags.writeable
+    assert (planes == packed_trace_rows(ctx)).all()
+
+
+def test_linear_trace_planes_refuse_fields_above_the_bound():
+    ctx = make_field(2, 1, 14)
+    assert ctx.size > LINEAR_TRACE_BOUND
+    with pytest.raises(FieldSizeError, match="linear-trace"):
+        linear_trace_planes(ctx)
 
 
 def test_count_solutions_validates_beta_and_zeta():
