@@ -164,9 +164,6 @@ class _CountPlan:
             # before the orbit layer and forked workers inherit the planes
             linear_trace_planes(ctx)
         self.block = max(1, MATCH_WORDS // per_form)
-        # coordinate_matches's work arrays, kept across blocks (a plan serves
-        # one thread: each pool worker holds its own copy)
-        self.scratch = {}
 
     def values(self, idx: np.ndarray) -> np.ndarray:
         """(len(idx), n) uint8 value tables of the forms at the indices idx."""
@@ -195,8 +192,8 @@ class _CountPlan:
             else:
                 # codeword b + Tr(beta x) + Q(x) vanishes where
                 # Tr(beta x) + Q(x) = -b; E's last target takes the rest
-                matches = coordinate_matches(ctx, values, range(q - 1 if family == "E" else 1),
-                                             self.scratch).astype(np.int64)
+                matches = coordinate_matches(
+                    ctx, values, range(q - 1 if family == "E" else 1)).astype(np.int64)
                 if family == "E":
                     matches = np.concatenate([matches, n - matches.sum(axis=0)[None]])
                 cw_weights = n - matches
@@ -324,7 +321,9 @@ def _slot_solver(space: FormSpace, j: int):
     rows = [ctx.digits(ctx.mul(sub.from_label(ctx.p**i), b))
             for b in space.slot_bases[j] for i in range(ctx.e)]
     if rows == np.eye(ctx.degree, dtype=np.int64).tolist():
-        return ctx.exp_table().take  # q = p and basis pi^0..pi^(s-1): v is pi^l
+        # q = p and basis pi^0..pi^(s-1): v is pi^l, and a gather costs less
+        # than the elimination and a linear_image call per visit
+        return ctx.exp_table().take
     pivots, inverse = coordinate_inverse(rows, ctx.p)
     matrix = np.zeros((ctx.degree, len(rows)))
     matrix[pivots] = inverse

@@ -22,13 +22,11 @@ labelling) so inner loops can work on small numpy arrays instead of
 packed values; trace_labels holds the traces to F_q by log, likewise.
 
 F_p-linear maps on packed elements (the exp table's doubling steps, the
-trace labels) go through linear_image.  An input of more than a few
-hundred values is mapped through two tables, the images of every
-pattern of the low ceil(D/2) digits and of the high ones, so an image is
-two lookups combined by XOR at p = 2, or by a digitwise sum mod p at odd
-p: slot-spread entries added without carries, then packed and reduced
-through a table over a few slots at a time.  Below the measured
-crossover (_half_tables_pay) the digits go through one float64 matmul.
+trace labels, the orbit layer's slot values) go through linear_image.
+At p = 2 an input of a few hundred values or more is mapped through two
+tables, the images of every pattern of the low ceil(D/2) bits and of
+the high ones, so an image is two lookups and an XOR.  Shorter inputs,
+and every input at odd p, go through one float64 matmul of the digits.
 
 Every field has at most 2^26 elements, admission's one field-size
 rule, so its exp/log tables fit; they are built lazily.  Until then a
@@ -208,24 +206,11 @@ def find_primitive_modulus(p: int, degree: int, rank: int = 0) -> tuple[int, ...
 # ---------------------------------------------------------------------------
 # the field context
 
-# FieldCtx.linear_image maps blocks of this many values, and packs the
-# spread images of odd p through tables of at most 2^_PACK_BITS entries
-_LINEAR_BLOCK = 1 << 16
-_PACK_BITS = 12
-
-
-def _digit_image(values: np.ndarray, matrix: np.ndarray, p: int) -> np.ndarray:
-    """Image digits of packed elements, (len(values), c) float64 reduced to
-    0..p-1, under the map whose float64 matrix row i holds the digits of
-    the image of x^i.  Coordinates, products and their sums (below
-    D * p^2) are integers that float64 holds exactly, and so is
-    x - p * floor(x / p)."""
-    weights = p ** np.arange(len(matrix), dtype=np.float64)
-    coords = np.floor(values[:, None] / weights)
-    coords -= p * np.floor(coords / p)
-    image = coords @ matrix
-    image -= p * np.floor(image / p)
-    return image
+# FieldCtx.linear_image maps blocks of _LINEAR_BLOCK values; at p = 2 an
+# input of _HALF_TABLES_FROM values or more goes through the half tables,
+# which are faster from there on at every degree (measured at D = 2 to 24)
+_LINEAR_BLOCK = 1 << 14
+_HALF_TABLES_FROM = 1 << 8
 
 
 def _xor_table(rows: np.ndarray) -> np.ndarray:
@@ -235,19 +220,6 @@ def _xor_table(rows: np.ndarray) -> np.ndarray:
     for row in rows:
         table = np.concatenate([table, table ^ row])
     return table
-
-
-def _half_tables_pay(p: int, D: int, length: int) -> bool:
-    """Whether linear_image maps length values of D digits faster through
-    its two half tables than directly, as measured on both paths over
-    p = 2, 3, 5, 7, 31 and 251 at D = 2 to 24.  The XOR tables of p = 2
-    cost about a word operation per entry, so they pay from a few hundred
-    values at every D; the float-built tables of odd p once the input is
-    twice their entries, and from a few thousand values."""
-    if p == 2:
-        return length >= 1 << 8
-    h = (D + 1) // 2
-    return length >= max(1 << 12, 2 * (p**h + p ** (D - h)))
 
 
 class FieldCtx:
@@ -497,54 +469,33 @@ class FieldCtx:
         c columns are the digits of an image, which packs to c digits.
         Written to out (int64 if not given) in blocks of _LINEAR_BLOCK.
 
-        A short input is mapped directly by _digit_image.  A long one (see
-        _half_tables_pay) goes through two tables, the images of every
-        pattern of the low h = ceil(D/2) digits and of the high D - h
-        digits, p^h entries at most: an image is the sum of two entries,
-        an XOR at p = 2.  At odd p the tables hold the image digits spread
-        into slots of w bits, 2^w > 2(p - 1), so the two entries add
-        without a carry between slots, and tables over k slots at a time
-        reduce the slots mod p and pack them."""
+        At p = 2 an input of _HALF_TABLES_FROM values or more goes through
+        two tables, the images of every pattern of the low h = ceil(D/2)
+        bits and of the high D - h bits: an image is two lookups and an
+        XOR.  Otherwise the digits go through a float64 matmul:
+        coordinates, products and their sums (below D * p^2) are integers
+        that float64 holds exactly, and so is x - p * floor(x / p)."""
         p, D = self.p, self.degree
         matrix = np.asarray(matrix, dtype=np.float64)
-        c = matrix.shape[1]
-        weights = p ** np.arange(c, dtype=np.float64)
+        weights = p ** np.arange(matrix.shape[1], dtype=np.float64)
         if out is None:
             out = np.empty(len(values), dtype=np.int64)
         blocks = range(0, len(values), _LINEAR_BLOCK)
-        h = (D + 1) // 2
-        if not _half_tables_pay(p, D, len(values)):
-            for lo in blocks:
-                out[lo:lo + _LINEAR_BLOCK] = _digit_image(
-                    values[lo:lo + _LINEAR_BLOCK], matrix, p) @ weights
-            return out
-        if p == 2:
+        if p == 2 and len(values) >= _HALF_TABLES_FROM:
+            h = (D + 1) // 2
             rows = (matrix @ weights).astype(np.int64)
             low, high = _xor_table(rows[:h]), _xor_table(rows[h:])
             for lo in blocks:
                 v = values[lo:lo + _LINEAR_BLOCK]
                 out[lo:lo + _LINEAR_BLOCK] = low[v & (2**h - 1)] ^ high[v >> h]
             return out
-        w = (2 * p - 2).bit_length()
-        k = min(c, max(1, _PACK_BITS // w))
-        # every spread image has c * w <= 48 bits (p = 3, D = 16), which
-        # float64 holds exactly
-        slots = 2.0 ** (w * np.arange(c))
-        low, high = (np.asarray(_digit_image(np.arange(p**d), part, p) @ slots, dtype=np.int64)
-                     for d, part in ((h, matrix[:h]), (D - h, matrix[h:])))
-        # pack[x] packs the k slots of x, each reduced mod p
-        slot = np.arange(2**w, dtype=np.int64) % p
-        pack = slot
-        for _ in range(k - 1):
-            pack = (slot + p * pack[:, None]).ravel()
-        mask = 2 ** (w * k) - 1
+        digit_weights = np.array(self._ppow[:D], dtype=np.float64)
         for lo in blocks:
-            high_digits, low_digits = np.divmod(values[lo:lo + _LINEAR_BLOCK], p**h)
-            spread = low[low_digits] + high[high_digits]
-            image = pack[spread & mask]
-            for i in range(k, c, k):
-                image += pack[spread >> w * i & mask] * p**i
-            out[lo:lo + _LINEAR_BLOCK] = image
+            coords = np.floor(values[lo:lo + _LINEAR_BLOCK, None] / digit_weights)
+            coords -= p * np.floor(coords / p)
+            image = coords @ matrix
+            image -= p * np.floor(image / p)
+            out[lo:lo + _LINEAR_BLOCK] = image @ weights
         return out
 
     def log(self, a: int) -> int:
@@ -609,8 +560,6 @@ def coordinate_inverse(rows, p: int) -> tuple[np.ndarray, np.ndarray]:
     of [rows | I], on lists of Python ints (at most 26 x 52), leaves the
     identity in the columns P and the inverse of rows[:, P] beside it."""
     r, D = len(rows), len(rows[0])
-    if r == D and all(x == (i == k) for k, row in enumerate(rows) for i, x in enumerate(row)):
-        return np.arange(r), np.eye(r, dtype=np.int64)  # already reduced
     aug = [[x % p for x in row] + [int(i == k) for i in range(r)]
            for k, row in enumerate(rows)]
     pivots = []

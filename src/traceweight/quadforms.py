@@ -298,7 +298,19 @@ def gram_labels(ctx: FieldCtx, values: np.ndarray) -> np.ndarray:
     return gram * (gram_points(ctx)[s:] >= 0).reshape(s, s)
 
 
-def coordinate_matches(ctx: FieldCtx, values: np.ndarray, targets, scratch=None) -> np.ndarray:
+@lru_cache(maxsize=2)
+def _match_work(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """coordinate_matches's work arrays for groups of the given shape, kept
+    between calls.  A call writes every element it reads and returns
+    none of them, and the package runs no threads, so one set serves
+    every call.  Arrays this large are mapped afresh by the allocator and
+    page-faulted on each call otherwise, which doubled the brute oracle's
+    time at D(2,5), where a call holds a group of 3 pairs."""
+    return (np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64),
+            np.empty(shape, dtype=np.uint8))
+
+
+def coordinate_matches(ctx: FieldCtx, values: np.ndarray, targets) -> np.ndarray:
     """For each F_q label t in the sequence targets and every packed beta,
     |{i : Tr(beta * pi^i) + values[..., i] = t}|, with values as F_q
     labels: values of shape (..., n) give uint16 counts of shape
@@ -306,10 +318,8 @@ def coordinate_matches(ctx: FieldCtx, values: np.ndarray, targets, scratch=None)
     labels t - values become bit planes, and a row's mismatches are
     popcount(OR_j (row plane j XOR wanted plane j)).  The (target, form)
     pairs are matched in groups of at most MATCH_WORDS XOR words, or one
-    pair at a time where a pair's words exceed that.  A caller that
-    matches block after block passes a dict as scratch and keeps it: the
-    groups' work arrays stay in it between calls, so a later call maps
-    and page-faults no fresh memory for them."""
+    pair at a time where a pair's words exceed that, in the work arrays
+    of _match_work."""
     rows, wanted_bits, n = linear_trace_planes(ctx), _wanted_bits(ctx), ctx.n
     bits = np.zeros((len(rows), len(targets)) + values.shape[:-1] + (64 * rows.shape[1],),
                     dtype=np.uint8)
@@ -317,14 +327,7 @@ def coordinate_matches(ctx: FieldCtx, values: np.ndarray, targets, scratch=None)
     wanted = _packed(bits)
     pairs = wanted.reshape(len(rows), -1, rows.shape[1], 1)
     step = max(1, MATCH_WORDS // rows[0].size)
-    work = scratch.get(rows[0].shape) if scratch is not None else None
-    if work is None:
-        shape = (step if scratch is not None else min(step, pairs.shape[1]),) + rows[0].shape
-        work = (np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64),
-                np.empty(shape, dtype=np.uint8))
-        if scratch is not None:
-            scratch[rows[0].shape] = work
-    miss, xor, ones = work
+    miss, xor, ones = _match_work((step,) + rows[0].shape)
     misses = []
     for lo in range(0, pairs.shape[1], step):
         part = pairs[:, lo:lo + step]

@@ -400,21 +400,23 @@ def test_exp_log_and_trace_tables_match_literal_definitions(p, e, s):
 # p = 2 at D = 4, 6 (q = 8) and 12, odd p = 3, 5, 31 and 251 (F_{251^2})
 @pytest.mark.parametrize("p,e,s", [(2, 1, 4), (2, 3, 2), (2, 1, 12), (3, 1, 8), (5, 1, 6),
                                    (31, 1, 2), (251, 1, 2)])
-def test_linear_image_equals_the_literal_digit_map(p, e, s):
-    """Short inputs take the direct path and long ones the half tables;
-    both give the literal map, for square and two-column matrices, at 0,
-    size - 1 and the values around the split between the digit halves."""
+def test_linear_image_equals_the_literal_digit_map(monkeypatch, p, e, s):
+    """At p = 2 short inputs take the direct path and long ones the half
+    tables; at odd p both take the direct path.  Each gives the literal
+    map, in blocks of 64 values, for square and two-column matrices, at
+    0, size - 1 and the values around the split between the digit
+    halves."""
     ctx = make_field(p, e, s)
+    monkeypatch.setattr(fields, "_LINEAR_BLOCK", 64)
     D, h = ctx.degree, (ctx.degree + 1) // 2
     rng = np.random.default_rng(p * D)
     edges = [0, ctx.size - 1, p**h - 1, p**h, p**h + 1, ctx.size - p**h, ctx.size - p**h - 1]
     short = np.array(edges + rng.integers(0, ctx.size, 20).tolist(), dtype=np.int64)
-    long = np.concatenate([short, rng.integers(0, ctx.size, 1 << 12)])
-    assert not fields._half_tables_pay(p, D, len(short))
-    assert fields._half_tables_pay(p, D, len(long))
+    long = np.concatenate([short, rng.integers(0, ctx.size, fields._HALF_TABLES_FROM)])
+    assert len(short) < fields._HALF_TABLES_FROM < len(long)
     for columns in (D, 2):
         matrix = rng.integers(0, p, (D, columns))
-        matrix[0] = p - 1  # every digit p - 1: the largest slot sums
+        matrix[0] = p - 1  # every digit p - 1: the largest digit sums
         for values in (short, long):
             expected = literal_linear_image(ctx, values, matrix.tolist())
             assert ctx.linear_image(values, matrix).tolist() == expected
