@@ -2,18 +2,17 @@
 
 brute_distribution counts codewords a block of forms (the quadratic part
 of the parameters) at a time, by literal match counting.  It never
-materializes codewords.  A form's value table (the n-vector of F_q
-labels of Q(pi^i) in coordinate order) is F_p-linear in its index's
-base-p digits, so a block's tables are combined from the per-digit
-tables, FormSpace.digit_values.  Each table is matched against every
+materializes codewords.  A block's value tables (the n-vector of F_q
+labels of Q(pi^i) in coordinate order, per form) come from the one
+implementation of form values, quadforms.form_values, on the forms'
+coefficients, FormSpace.coefficients; the tests check both against
+literal references (Q(x) through pow and trace, and the coefficients
+built digit by digit).  Each table is matched against every
 linear-trace row by quadforms.coordinate_matches, over bit planes: a
 codeword b + Tr(beta x) + Q(x) vanishes where Tr(beta x) equals
 -b - Q(x), and every coordinate is compared, 64 to a machine word.
 Family E uses one bin per constant shift; family C has no beta and
-counts the zeros of Q alone.  The brute oracle never trusts the
-combination: on every run the values check compares the combined
-tables of a fixed sample of counted forms with each form's own, built
-from its coefficients by quadforms.form_values (FormSpace.forms).
+counts the zeros of Q alone.
 
 Both oracles count one form per orbit of the code's symmetry group, not
 all q^(m^2) forms.  Three maps act on every slot coefficient c_j = pi^l
@@ -85,8 +84,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admission import (TIER_BUDGETS, _refusal, brute_work,  # noqa: F401 - re-exported
-                        choose_oracle, rank_sweep_work, split_prime_power)
+from .admission import (TIER_BUDGETS, _refusal, brute_work, choose_oracle,
+                        rank_sweep_work, split_prime_power)
 from .codes import CodeSpec, ConsistencyError, build_code
 from .fields import FieldCtx, coordinate_inverse, make_field
 from .quadforms import (MATCH_WORDS, FormSpace, coordinate_matches, form_values,
@@ -94,7 +93,7 @@ from .quadforms import (MATCH_WORDS, FormSpace, coordinate_matches, form_values,
 from .spectra import WeightDistribution, assemble_distribution, predict
 
 DEFAULT_BUDGET = 2**36
-# forms sampled by the epsilon check and by the brute values check
+# forms sampled by the epsilon check
 _CHECK_SAMPLES = 12
 # Enumerations of fewer forms run in-process whatever the worker count: a
 # second worker gained nothing on the (4,3) sweep, 2^18 forms in about
@@ -116,15 +115,16 @@ class _CountPlan:
     """The histogram of codeword weights a worker fills, a block of counted
     forms at a time.
 
-    A form's value table is F_p-linear in its index's base-p digits, so a
-    block's tables are combined from the per-digit tables
-    (FormSpace.digit_values): at p = 2 as XORs of the digit rows the index
-    bits select, a machine word at a time; at odd p as one matmul of the
-    base-p digits with the digit tables' F_p coordinates, reduced mod p and
-    packed back into labels.  Each block's tables are then matched against
-    the linear-trace rows by coordinate_matches.  A block holds as many
-    forms as keep its largest temporaries under quadforms.MATCH_WORDS
-    words, so a chunk of 2^16 forms of 4,095 labels is never held at once.
+    The counted forms' value tables come from quadforms.form_values on
+    their coefficients (FormSpace.coefficients), a batch of about
+    MATCH_WORDS // n forms a call.  Each match block of a batch is then
+    matched against the linear-trace rows by coordinate_matches; it holds
+    as many forms as keep the match's temporaries under MATCH_WORDS
+    words, so a chunk of 2^16 forms of 4,095 labels is never held at
+    once.  A batch is a whole number of match blocks: one form_values
+    call per match block, 3 forms at D(2,5), made the brute pass there
+    30-90 % slower (0.57-0.60 s against 0.76-1.13 s in one process on a
+    2-vCPU VM).
     """
 
     def __init__(self, spec: CodeSpec):
@@ -133,50 +133,17 @@ class _CountPlan:
         self.spec = spec
         self.ctx = ctx
         self.space = FormSpace(ctx)
-        p, e, n = ctx.p, ctx.e, ctx.n
-        digit_values = self.space.digit_values()
-        digits = len(digit_values)
-        if p == 2:
-            # the matmul below serves p = 2 as well, but with its float mod
-            # and repacking the brute benchmark's oracle_s read 43 % higher
-            # (BENCH_bitplane_brute.json, p2_branch_check)
-            self.digit_shifts = np.arange(digits, dtype=np.int64)
-            row_words = -(-n // 8)
-            padded = np.zeros((digits, 8 * row_words), dtype=np.uint8)
-            padded[:, :n] = digit_values
-            self.digit_words = padded.view(np.uint64)
-            per_form = digits * row_words
-        else:
-            self.digit_powers = p ** np.arange(digits, dtype=np.int64)
-            # digit_coords[d, i * e + k] is F_p coordinate k of label i of
-            # digit d; float64 for a BLAS matmul: every sum is an integer
-            # below digits * p^2, so it stays exact
-            coords = digit_values[:, :, None] // p ** np.arange(e) % p
-            self.digit_coords = coords.reshape(digits, -1).astype(np.float64)
-            self.label_weights = (p ** np.arange(e)).astype(np.float64)
-            per_form = n * e
+        per_batch = max(1, MATCH_WORDS // ctx.n)
+        self.block = per_batch
         if spec.family != "C":
             # one target's XOR words, W per packed beta, and every target's
             # int64 match counts
             targets = ctx.q if spec.family == "E" else 1
-            per_form += (-(-n // 64) + targets) * ctx.size
+            self.block = max(1, MATCH_WORDS // ((-(-ctx.n // 64) + targets) * ctx.size))
             # built now, so that a field over the table bound is refused
             # before the orbit layer and forked workers inherit the planes
             linear_trace_planes(ctx)
-        self.block = max(1, MATCH_WORDS // per_form)
-
-    def values(self, idx: np.ndarray) -> np.ndarray:
-        """(len(idx), n) uint8 value tables of the forms at the indices idx."""
-        ctx = self.ctx
-        if ctx.p == 2:
-            bits = ((idx[:, None] >> self.digit_shifts) & 1).astype(np.uint64)
-            words = np.bitwise_xor.reduce(bits[:, :, None] * self.digit_words, axis=1)
-            return words.view(np.uint8)[:, :ctx.n]
-        digits = (idx[:, None] // self.digit_powers % ctx.p).astype(np.float64)
-        coords = (digits @ self.digit_coords) % ctx.p
-        if ctx.e > 1:
-            coords = coords.reshape(len(idx), ctx.n, ctx.e) @ self.label_weights
-        return coords.astype(np.uint8)
+        self.batch = max(1, per_batch // self.block) * self.block
 
     def counts(self, idx: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Weighted histogram of codeword weights over the forms at the
@@ -184,24 +151,26 @@ class _CountPlan:
         ctx, family = self.ctx, self.spec.family
         q, n = ctx.q, ctx.n
         hist = np.zeros(n + 1, dtype=np.int64)
-        for lo in range(0, len(idx), self.block):
-            values = self.values(idx[lo:lo + self.block])
-            if family == "C":
-                # no beta: the codeword Q(x) has weight |{x : Q(x) != 0}|
-                cw_weights = np.count_nonzero(values, axis=1)[:, None]
-            else:
-                # codeword b + Tr(beta x) + Q(x) vanishes where
-                # Tr(beta x) + Q(x) = -b; E's last target takes the rest
-                matches = coordinate_matches(
-                    ctx, values, range(q - 1 if family == "E" else 1)).astype(np.int64)
-                if family == "E":
-                    matches = np.concatenate([matches, n - matches.sum(axis=0)[None]])
-                cw_weights = n - matches
-            forms = len(values)
-            offsets = (n + 1) * np.arange(forms, dtype=np.int64)[:, None]
-            per_form = np.bincount((cw_weights + offsets).ravel(),
-                                   minlength=forms * (n + 1)).reshape(forms, n + 1)
-            hist += weights[lo:lo + self.block] @ per_form
+        for lo in range(0, len(idx), self.batch):
+            tables = form_values(ctx, self.space.coefficients(idx[lo:lo + self.batch]))
+            for at in range(0, len(tables), self.block):
+                values = tables[at:at + self.block]
+                if family == "C":
+                    # no beta: the codeword Q(x) has weight |{x : Q(x) != 0}|
+                    cw_weights = np.count_nonzero(values, axis=1)[:, None]
+                else:
+                    # codeword b + Tr(beta x) + Q(x) vanishes where
+                    # Tr(beta x) + Q(x) = -b; E's last target takes the rest
+                    matches = coordinate_matches(
+                        ctx, values, range(q - 1 if family == "E" else 1)).astype(np.int64)
+                    if family == "E":
+                        matches = np.concatenate([matches, n - matches.sum(axis=0)[None]])
+                    cw_weights = n - matches
+                forms = len(values)
+                offsets = (n + 1) * np.arange(forms, dtype=np.int64)[:, None]
+                per_form = np.bincount((cw_weights + offsets).ravel(),
+                                       minlength=forms * (n + 1)).reshape(forms, n + 1)
+                hist += weights[lo + at:lo + at + forms] @ per_form
         return hist
 
 
@@ -228,7 +197,7 @@ class _RankPlan:
         self.es = e * ctx.s
         space = FormSpace(ctx)
         self.p_digits = e * space.digit_count
-        digit_coeffs = [space.coeffs_at(p**d) for d in range(self.p_digits)]
+        digit_coeffs = space.coefficients([p**d for d in range(self.p_digits)])
         # grams[d, a, b] = B_d(pi^a, pi^b) as an F_q label
         self.grams = gram_labels(ctx, form_values(ctx, digit_coeffs, gram_points(ctx)))
         # block[L, i, j] = Tr_{q/p}(g^(i+j) L) as a residue
@@ -313,20 +282,17 @@ def _batched_fp_rank(mats: np.ndarray, p: int) -> np.ndarray:
 def _slot_solver(space: FormSpace, j: int):
     """The function from an int64 array of logs l of nonzero slot-j
     coefficients to the slot's local values v.  The coefficient pi^l is
-    F_p-linear in v's base-p digits, digit e*d + i scaling basis_d by the
-    F_q label p^i, so v is linear in pi^l's pivot digits, through the
-    inverse of the slot's basis matrix (fields.coordinate_inverse)."""
+    F_p-linear in v's base-p digits through the slot's digit rows,
+    FormSpace.slot_rows, which FormSpace.coefficients maps forward, so v
+    is linear in pi^l's digits, through the inverse of those rows
+    (fields.coordinate_inverse)."""
     ctx = space.ctx
-    sub = ctx.subfield(ctx.q)
-    rows = [ctx.digits(ctx.mul(sub.from_label(ctx.p**i), b))
-            for b in space.slot_bases[j] for i in range(ctx.e)]
-    if rows == np.eye(ctx.degree, dtype=np.int64).tolist():
+    rows = space.slot_rows[j]
+    if np.array_equal(rows, np.eye(ctx.degree)):
         # q = p and basis pi^0..pi^(s-1): v is pi^l, and a gather costs less
         # than the elimination and a linear_image call per visit
         return ctx.exp_table().take
-    pivots, inverse = coordinate_inverse(rows, ctx.p)
-    matrix = np.zeros((ctx.degree, len(rows)))
-    matrix[pivots] = inverse
+    matrix = coordinate_inverse(rows.tolist(), ctx.p)
     return lambda logs: ctx.linear_image(ctx.exp_table()[logs], matrix)
 
 
@@ -471,8 +437,6 @@ def _enumerate(kind: str, spec: CodeSpec, budget: int, workers: int,
         raise refusal
     plan = _plan(kind, spec if kind == "brute" else spec.ctx)
     idx, weights = _orbit_batch(FormSpace(spec.ctx))
-    if kind == "brute":
-        _values_cross_check(plan, idx)
     total = len(idx)
     n_chunks = max(min(-(-total // _MIN_CHUNK_FORMS), max(100, 4 * workers)),
                    -(-total // _BATCH_CAP))
@@ -499,18 +463,6 @@ def _spread(total: int) -> list[int]:
     included (fewer where total is smaller)."""
     return sorted({round(i * (total - 1) / (_CHECK_SAMPLES - 1))
                    for i in range(_CHECK_SAMPLES)})
-
-
-def _values_cross_check(plan: _CountPlan, idx: np.ndarray):
-    """Sample counted forms: the value tables the brute plan combines from
-    the digit tables must equal each form's own, built from its
-    coefficients by FormSpace.forms."""
-    sample = idx[_spread(len(idx))]
-    own = plan.space.forms(sample)
-    for index, values, form in zip(sample.tolist(), plan.values(sample), own):
-        if not np.array_equal(values, form.value_labels()):
-            raise ConsistencyError(
-                f"combined value table differs from the form's own at {index}")
 
 
 def brute_distribution(spec: CodeSpec, budget: int = DEFAULT_BUDGET,

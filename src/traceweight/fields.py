@@ -527,7 +527,7 @@ class FieldCtx:
 
         The label is F_p-linear in pi^k: the F_p-basis g^i = pi^(step i),
         i < log_p(upper), of F_upper has traces that are checked to lie in
-        F_q, pi^k's coordinates in that basis are its pivot digits times
+        F_q, pi^k's coordinates in that basis are its digits times
         coordinate_inverse's matrix, and the labels of all of exp[::step]
         are one linear_image."""
         if upper not in self._trace_labels:
@@ -543,22 +543,21 @@ class FieldCtx:
             traces = [self._trace_chain(g, self.q, steps) for g in basis]
             if not all(sub.contains(t) for t in traces):
                 raise AssertionError("trace escaped F_q")
-            pivots, inverse = coordinate_inverse([self.digits(g) for g in basis], p)
             labels = [[sub.label_of(t) // p**i % p for i in range(self.e)] for t in traces]
-            matrix = np.zeros((self.degree, self.e))
-            matrix[pivots] = inverse @ labels % p
+            matrix = coordinate_inverse([self.digits(g) for g in basis], p) @ labels % p
             table = np.full(self.n, 0xFF, dtype=np.uint8)
             self.linear_image(self._exp[::step], matrix, out=table[::step])
             self._trace_labels[upper] = table
         return self._trace_labels[upper]
 
 
-def coordinate_inverse(rows, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pivot columns P and a matrix E that recover coordinates over F_p:
-    for the base-p digit rows (lists of ints) of r elements, of rank r,
-    x = c @ rows mod p gives c = x[P] @ E mod p.  Gauss-Jordan elimination
+def coordinate_inverse(rows, p: int) -> np.ndarray:
+    """The D x r matrix E that recovers coordinates over F_p: for the
+    base-p digit rows (lists of ints) of r elements, of rank r,
+    x = c @ rows mod p gives c = x @ E mod p.  Gauss-Jordan elimination
     of [rows | I], on lists of Python ints (at most 26 x 52), leaves the
-    identity in the columns P and the inverse of rows[:, P] beside it."""
+    identity in the pivot columns P and the inverse of rows[:, P] beside
+    it; E holds that inverse in its rows P and zeros elsewhere."""
     r, D = len(rows), len(rows[0])
     aug = [[x % p for x in row] + [int(i == k) for i in range(r)]
            for k, row in enumerate(rows)]
@@ -580,7 +579,9 @@ def coordinate_inverse(rows, p: int) -> tuple[np.ndarray, np.ndarray]:
         pivots.append(col)
     if len(pivots) < r:
         raise ValueError("rows are linearly dependent over F_p")
-    return np.array(pivots, dtype=np.int64), np.array([row[D:] for row in aug], dtype=np.int64)
+    matrix = np.zeros((D, r), dtype=np.int64)
+    matrix[pivots] = [row[D:] for row in aug]
+    return matrix
 
 
 class SubfieldView:

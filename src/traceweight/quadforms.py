@@ -8,13 +8,17 @@ with coefficients running over F_{q^s}^t (even) or F_{q^m} x F_{q^s}^t
 enumeration: an index's base-q digits are F_q labels of the coefficient
 coordinates with respect to the power bases, least-significant digit
 first; the engine relies on this exact order for partitioning.
+FormSpace.coefficients maps indices to coefficients, one F_p-linear
+map per slot, checked by the tests against a digit-by-digit build.
 
 Everything here works on the coordinates x = pi^i, i = 0..n-1, the
 nonzero elements in the order of a codeword's positions; sums over all
 of F_{q^s} add the x = 0 term (where Q and every Tr(beta x) vanish)
 explicitly.  Every value table comes from form_values (Q(pi^l) as F_q
 labels, for a batch of forms, at every coordinate or at given logs),
-which the tests check against the literal Q(x) through pow and trace.
+which the tests check against the literal Q(x) through pow and trace:
+a form's own table, the brute oracle's counted tables and the rank
+sweep's per-digit Grams all come from it.
 
 The rank of a form is the codimension of the radical of its polarized
 bilinear form B(x,y) = Q(x+y) - Q(x) - Q(y), computed as s minus the
@@ -27,10 +31,9 @@ down to F_p are tallied per residue and the tally is contracted against
 p-th roots of unity symbolically, so a non-integral sum raises instead
 of rounding.
 
-Shared tables, also read by the engine's brute oracle, do the counting:
-FormSpace.digit_values gives the value tables of the forms at the
-indices p^d, and linear_trace_planes gives Tr(beta x) for every beta as
-bit planes.  Row pi^k is the one sequence trace_labels(size) read
+A shared table, also read by the engine's brute oracle, does the
+counting: linear_trace_planes gives Tr(beta x) for every beta as bit
+planes.  Row pi^k is the one sequence trace_labels(size) read
 cyclically from k, so each plane of that sequence is packed once and a
 row's words are cut from it by funnel shifts; the size x n byte table
 is never built (tests/conftest.py keeps it as the reference).
@@ -46,6 +49,7 @@ the epsilon check and a later big_T tally the residues once.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -55,7 +59,8 @@ from .codes import ConsistencyError, form_exponents
 from .fields import FieldCtx, label_matrix_rank
 
 # The most XOR words one group of coordinate_matches holds; the brute
-# oracle and FormSpace.forms size their blocks of forms by it too.
+# oracle and FormSpace.forms size their blocks of forms by it too, and
+# form_values and big_T their blocks of coordinates.
 MATCH_WORDS = 1 << 16
 
 
@@ -140,23 +145,32 @@ class FormSpace:
                 self.slot_bases.append(tuple(ctx.pow(zeta, i) for i in range(m)))
             else:
                 self.slot_bases.append(tuple(ctx.pow(ctx.pi, i) for i in range(s)))
-        # digit d lives in slot slot_of[d] scaling basis element basis_of[d]
-        self.slot_of = [si for si, basis in enumerate(self.slot_bases) for _ in basis]
-        self.basis_of = [b for basis in self.slot_bases for b in basis]
-        self.digit_count = len(self.slot_of)
+        self.digit_count = sum(len(basis) for basis in self.slot_bases)
         self.num_forms = q**self.digit_count
         if self.digit_count != m * m:
             raise ConsistencyError("parameter space dimension is not m^2")
+        # slot_rows[j][e * d + i] holds the base-p digits of slot j's
+        # coefficient at its local index p^(e * d + i): the F_q label p^i
+        # (the F_q basis element g^i) times basis element d
+        p, e, sub = ctx.p, ctx.e, ctx.subfield(q)
+        self.slot_rows = [np.array([ctx.digits(ctx.mul(sub.from_label(p**i), b))
+                                    for b in basis for i in range(e)], dtype=np.int64)
+                          for basis in self.slot_bases]
 
-    def coeffs_at(self, index: int) -> tuple[int, ...]:
+    def coefficients(self, indices) -> np.ndarray:
+        """(len(indices), slots) int64: the packed coefficients of the forms
+        at the indices.  Slot j's local index, the index's base-q digits
+        that belong to the slot, is F_p-linear in its base-p digits through
+        slot_rows[j], so each slot is one FieldCtx.linear_image."""
         ctx = self.ctx
-        sub = ctx.subfield(ctx.q)
-        coeffs = [0] * len(self.exponents)
-        for si, basis in zip(self.slot_of, self.basis_of):
-            index, lbl = divmod(index, ctx.q)  # base-q digits, least first
-            if lbl:
-                coeffs[si] = ctx.add(coeffs[si], ctx.mul(sub.from_label(lbl), basis))
-        return tuple(coeffs)
+        rest = np.asarray(indices, dtype=np.int64)
+        coeffs = np.empty((len(rest), len(self.slot_rows)), dtype=np.int64)
+        for j, rows in enumerate(self.slot_rows):
+            rest, local = np.divmod(rest, ctx.q ** len(self.slot_bases[j]))
+            matrix = np.zeros((ctx.degree, ctx.degree))
+            matrix[:len(rows)] = rows
+            ctx.linear_image(local, matrix, out=coeffs[:, j])
+        return coeffs
 
     def forms(self, indices):
         """The forms at the sequence of indices, in order, each block of
@@ -164,22 +178,14 @@ class FormSpace:
         ctx = self.ctx
         step = max(1, MATCH_WORDS // ctx.n)
         for lo in range(0, len(indices), step):
-            block = [QuadForm(ctx, self.coeffs_at(int(i))) for i in indices[lo:lo + step]]
-            for form, values in zip(block, form_values(ctx, [f.coeffs for f in block])):
+            coeffs = self.coefficients(indices[lo:lo + step])
+            for c, values in zip(coeffs.tolist(), form_values(ctx, coeffs)):
+                form = QuadForm(ctx, c)
                 form._value_labels = values
                 yield form
 
     def form_at(self, index: int) -> QuadForm:
         return next(self.forms([index]))
-
-    def digit_values(self) -> np.ndarray:
-        """(e * digit_count, n) uint8: row d is the value table of the form
-        at index p^d.  A form's value table is F_p-linear in its index's
-        base-p digits, so every form's is the combination of these rows by
-        its digits."""
-        ctx = self.ctx
-        return np.stack([form.value_labels() for form in
-                         self.forms([ctx.p**d for d in range(ctx.e * self.digit_count)])])
 
 
 def all_forms(ctx: FieldCtx):
@@ -193,11 +199,16 @@ def form_values(ctx: FieldCtx, coeff_rows, logs=None) -> np.ndarray:
     coordinate l = 0..n-1 or at the given logs only.  Slot j's term is
     Tr(c_j pi^(u_j l)), entry (log c_j + u_j l) mod n of the trace labels
     from F_{q^m} (slot 0 at odd m, where c_0 lies) or from F_{q^s}: one
-    gather per slot for the whole batch, which FormSpace.forms keeps to
-    max(1, MATCH_WORDS // n) forms at full length.  The logs are taken in
-    blocks of MATCH_WORDS, so no temporary grows with n beyond that
-    batch: the gather index stays int64, as numpy converts a narrower
-    index to intp for the gather, a hidden int64 copy."""
+    gather per slot for the whole batch, which FormSpace.forms and the
+    brute oracle keep to about MATCH_WORDS // n forms at full length.  At
+    every coordinate the term has period n / gcd(u_j, n) in l, at most
+    n / (q + 1) as q + 1 divides u_j and n, so one period is gathered and
+    repeated.  The logs and the repeats go in blocks of MATCH_WORDS, so
+    no temporary grows with n beyond that batch.  A block's multiples
+    u_j l are reduced mod n once; plus log c_j they stay below 2n, which
+    the gather's wrap mode reduces.  The index stays int64, as numpy
+    converts a narrower index to intp for the gather, a hidden int64
+    copy."""
     q, m, n = ctx.q, ctx.m, ctx.n
     count = n if logs is None else len(logs)
     exponents = form_exponents(q, m)
@@ -207,14 +218,17 @@ def form_values(ctx: FieldCtx, coeff_rows, logs=None) -> np.ndarray:
         trace = ctx.trace_labels(q**m if m % 2 and j == 0 else ctx.size)
         live = np.flatnonzero(coeffs[:, 0, j])  # a zero coefficient adds nothing
         at_coeff = ctx.log_table()[coeffs[live, :, j]]
-        for lo in range(0, count, MATCH_WORDS):
-            hi = min(lo + MATCH_WORDS, count)
+        width = n // math.gcd(u, n) if logs is None else count
+        periods = out.reshape(len(coeffs), count // width, width)
+        for lo in range(0, width, MATCH_WORDS):
+            hi = min(lo + MATCH_WORDS, width)
             at = np.arange(lo, hi) if logs is None else np.asarray(logs[lo:hi], dtype=np.int64)
-            at = at * (u % n)
-            at = at + at_coeff
-            at %= n
-            part = out[:, lo:hi]
-            part[live] = ctx.subfield(q).add_labels(part[live], trace[at])
+            at = at * (u % n) % n
+            term = trace.take(at + at_coeff, mode="wrap")[:, None]
+            step = max(1, MATCH_WORDS // (hi - lo))  # repeats added at once
+            for r in range(0, count // width, step):
+                part = periods[:, r:r + step, lo:hi]
+                part[live] = ctx.subfield(q).add_labels(part[live], term)
     return out
 
 
@@ -356,8 +370,15 @@ def big_T(form: QuadForm) -> int:
     """The plain character sum over all of F_{q^s}: the exact integer
     sum of w_p^(Tr_{q/p}(Q(x))), tallied once per form and cached on it."""
     if form._big_t is None:
-        ctx = form.ctx
-        counts = np.bincount(trace_residues(ctx)[form.value_labels()], minlength=ctx.p)
+        ctx, labels = form.ctx, form.value_labels()
+        # the labels are tallied in blocks, as bincount copies its input to
+        # intp, and the q label counts then summed per residue (in float64,
+        # exact below 2^53)
+        label_counts = np.bincount(labels[:MATCH_WORDS], minlength=ctx.q)
+        for lo in range(MATCH_WORDS, len(labels), MATCH_WORDS):
+            label_counts += np.bincount(labels[lo:lo + MATCH_WORDS], minlength=ctx.q)
+        counts = np.bincount(trace_residues(ctx), weights=label_counts,
+                             minlength=ctx.p).astype(np.int64)
         counts[0] += 1  # x = 0, where Q vanishes
         form._big_t = integral_character_sum(counts.tolist(), ctx.p)
     return form._big_t

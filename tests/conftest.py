@@ -319,13 +319,28 @@ def solution_counts(form, zeta):
     return np.count_nonzero(_trace_rows(ctx) == wanted, axis=1) + (zeta == 0)
 
 
+def literal_coefficients(space, index):
+    """The coefficients of the form at index, digit by digit, the reference
+    for FormSpace.coefficients: the index's base-q digits, least first,
+    are the F_q labels that scale the slot bases' elements in turn."""
+    ctx = space.ctx
+    sub = ctx.subfield(ctx.q)
+    coeffs = [0] * len(space.slot_bases)
+    for j, basis in enumerate(space.slot_bases):
+        for b in basis:
+            index, lbl = divmod(index, ctx.q)
+            if lbl:
+                coeffs[j] = ctx.add(coeffs[j], ctx.mul(sub.from_label(lbl), b))
+    return tuple(coeffs)
+
+
 def full_map_slot_solver(space, j):
     """The orbit layer's slot values through a full map, the reference for
     engine._slot_solver: every nonzero value v of slot j, at the log of
-    its coefficient as FormSpace.coeffs_at builds it."""
+    its coefficient as literal_coefficients builds it."""
     ctx = space.ctx
     below = sum(len(basis) for basis in space.slot_bases[:j])
-    value_at = {ctx.log(space.coeffs_at(v * ctx.q**below)[j]): v
+    value_at = {ctx.log(literal_coefficients(space, v * ctx.q**below)[j]): v
                 for v in range(1, ctx.q ** len(space.slot_bases[j]))}
     return lambda logs: np.array([value_at[int(log)] for log in logs], dtype=np.int64)
 

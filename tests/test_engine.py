@@ -4,8 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import (codeword, full_map_slot_solver, literal_gram, literal_value,
-                      parameter_slots, weight)
+from conftest import (codeword, full_map_slot_solver, literal_coefficients, literal_gram,
+                      literal_value, parameter_slots, weight)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -220,21 +220,25 @@ _VALUE_SIZES = [(2, 1, 1), (3, 1, 1), (2, 2, 1), (5, 1, 1), (7, 1, 1), (2, 3, 1)
 
 @pytest.mark.parametrize("p,e,m", _VALUE_SIZES + [(2, 1, 4), (3, 1, 3), (2, 2, 3), (7, 1, 2)])
 def test_combined_values_equal_each_forms_own(p, e, m):
-    """The brute plan's value tables, combined from the digit tables, equal
-    QuadForm.value_labels: for every form up to 81 field elements, and for
-    every counted form above."""
-    spec = build_code(make_field(p, e, 2 * m), "D")
-    plan = engine._CountPlan(spec)
-    space = plan.space
+    """A form's value table is F_p-linear in its index's base-p digits, as
+    the rank plan's per-digit Grams assume: the combination of the digit
+    forms' tables (at the indices p^d) by the digits equals the table the
+    brute oracle counts, form_values of FormSpace.coefficients, for every
+    form up to 81 field elements and for every counted form above."""
+    ctx = make_field(p, e, 2 * m)
+    space = FormSpace(ctx)
     if (p, e, m) in _VALUE_SIZES:
         idx = np.arange(space.num_forms, dtype=np.int64)
     else:
         idx, _ = engine._orbit_batch(space)
-    combined = plan.values(idx)
-    assert combined.shape == (len(idx), spec.ctx.n)
-    for index, values in zip(idx.tolist(), combined):
-        assert (values == space.form_at(index).value_labels()).all()
-    assert plan.values(idx[:0]).shape == (0, spec.ctx.n)
+    digits = e * space.digit_count
+    tables = form_values(ctx, space.coefficients([p**d for d in range(digits)]))
+    label_digits = p ** np.arange(e)
+    coords = tables[:, :, None] // label_digits % p  # F_p coordinates of the labels
+    index_digits = idx[:, None] // p ** np.arange(digits) % p
+    combined = np.einsum("fd,dik->fik", index_digits, coords) % p @ label_digits
+    assert (combined == form_values(ctx, space.coefficients(idx))).all()
+    assert form_values(ctx, space.coefficients(idx[:0])).shape == (0, ctx.n)
 
 
 @pytest.mark.parametrize("p,e,m", _VALUE_SIZES + [(2, 1, 4), (3, 1, 3), (2, 2, 3), (7, 1, 2),
@@ -251,7 +255,7 @@ def test_form_values_equal_the_literal_values(p, e, m):
         idx = range(space.num_forms)
     else:
         idx = engine._orbit_batch(space)[0].tolist()
-    coeffs = [space.coeffs_at(i) for i in idx]
+    coeffs = [literal_coefficients(space, i) for i in idx]
     full = form_values(ctx, coeffs)
     assert full.shape == (len(coeffs), ctx.n)
     logs = np.arange(ctx.n - 1, -1, -max(1, ctx.n // 300))  # descending
@@ -286,47 +290,35 @@ def test_forms_equal_form_at_one_index_at_a_time(monkeypatch, match_words):
 @pytest.mark.parametrize("p,e,m", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (3, 1, 2), (3, 2, 2)])
 def test_point_value_grams_equal_the_full_tables_grams(p, e, m):
     """The rank plan's per-digit Grams, from values at the Gram points only,
-    equal those gram_labels reads off the full digit tables."""
+    equal those gram_labels reads off the digit forms' full tables."""
     ctx = make_field(p, e, 2 * m)
-    full = FormSpace(ctx).digit_values()
+    space = FormSpace(ctx)
+    full = form_values(ctx, space.coefficients([p**d for d in range(e * space.digit_count)]))
     assert (_rank_plan(p, e, m).grams == gram_labels(ctx, full[:, gram_points(ctx)])).all()
 
 
-@pytest.mark.parametrize("p,e,m,family", [(2, 1, 4, "D"), (3, 1, 3, "E"), (5, 1, 2, "C")])
-def test_values_check_catches_a_corrupted_digit_table(monkeypatch, p, e, m, family):
-    spec = build_code(make_field(p, e, 2 * m), family)
-    idx, _ = engine._orbit_batch(FormSpace(spec.ctx))
-    last = int(idx[-1])  # always in the checked sample
-    digit = next(d for d in range(64) if last // p**d % p)
-    digit_values = FormSpace.digit_values
-
-    def corrupted(space):
-        values = digit_values(space).copy()
-        values[digit, 0] = values[digit, 0] // p * p + (values[digit, 0] + 1) % p
-        return values
-    monkeypatch.setattr(FormSpace, "digit_values", corrupted)
-    engine._plan.cache_clear()
-    try:
-        with pytest.raises(ConsistencyError, match="combined value table"):
-            brute_distribution(spec)
-    finally:
-        engine._plan.cache_clear()
-
-
 def test_brute_counts_equal_for_any_block_size(monkeypatch):
-    """One form a block and one (target, form) pair a match group count
-    what the default blocks count."""
+    """Value batches of one form, matched one (target, form) pair a group
+    (64 words hold less than a pair's), and batches of several match
+    blocks count what the default batches count."""
     specs = [build_code(make_field(p, e, 2 * m), family)
              for p, e, m, family in [(2, 1, 4, "D"), (2, 2, 2, "E"), (3, 1, 3, "E"),
                                      (2, 2, 3, "C")]]
     every = [engine._orbit_batch(FormSpace(spec.ctx)) for spec in specs]
     default = [engine._CountPlan(spec).counts(*batch) for spec, batch in zip(specs, every)]
-    monkeypatch.setattr(engine, "MATCH_WORDS", 1)
-    monkeypatch.setattr(quadforms, "MATCH_WORDS", 1)
-    for spec, batch, counts in zip(specs, every, default):
-        plan = engine._CountPlan(spec)
-        assert plan.block == 1
-        assert (plan.counts(*batch) == counts).all()
+    for plan_words, match_words in [(1, 64), (1 << 12, 1 << 12)]:
+        monkeypatch.setattr(engine, "MATCH_WORDS", plan_words)
+        monkeypatch.setattr(quadforms, "MATCH_WORDS", match_words)
+        shapes = []
+        for spec, batch, counts in zip(specs, every, default):
+            plan = engine._CountPlan(spec)
+            assert plan.batch % plan.block == 0
+            shapes.append((plan.batch, plan.block, len(batch[0])))
+            assert (plan.counts(*batch) == counts).all()
+        if plan_words == 1:
+            assert all(batch == 1 for batch, _, _ in shapes)
+        else:  # a batch of several match blocks, and more than one batch
+            assert any(block < batch < forms for batch, block, forms in shapes)
 
 
 _SWEEP_CASES = [(2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 2), (5, 1, 2), (3, 1, 3),

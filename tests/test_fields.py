@@ -429,11 +429,12 @@ def test_linear_image_equals_the_literal_digit_map(monkeypatch, p, e, s):
     (2, [[0, 1, 1], [1, 1, 0]]), (3, [[2, 0, 1, 1], [0, 0, 2, 1], [1, 0, 0, 2]]),
     (5, [[1, 0], [0, 1]]), (7, [[3, 5, 0], [6, 2, 4]])])
 def test_coordinate_inverse_recovers_coordinates(p, rows):
-    pivots, inverse = coordinate_inverse(rows, p)
+    matrix = coordinate_inverse(rows, p)
     basis = np.array(rows)
+    assert matrix.shape == basis.T.shape
     for coords in np.ndindex(*(p,) * len(rows)):
         x = np.array(coords) @ basis % p
-        assert (x[pivots] @ inverse % p).tolist() == list(coords)
+        assert (x @ matrix % p).tolist() == list(coords)
     with pytest.raises(ValueError):
         coordinate_inverse(rows + [[(a + b) % p for a, b in zip(rows[0], rows[-1])]], p)
 

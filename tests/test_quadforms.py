@@ -1,13 +1,14 @@
 """Quadratic forms: rank via the radical, character sums, histograms."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import (count_solutions, linear_trace_rows, literal_bilinear, literal_gram,
-                      literal_value, naive_mul, offset_sum_rows, packed_trace_rows,
-                      shift_sum_rows, slot_trace, solution_count_multiset,
-                      solution_counts, trace)
+from conftest import (count_solutions, linear_trace_rows, literal_bilinear,
+                      literal_coefficients, literal_gram, literal_value, naive_mul,
+                      offset_sum_rows, packed_trace_rows, shift_sum_rows, slot_trace,
+                      solution_count_multiset, solution_counts, trace)
 
 from traceweight.admission import LINEAR_TRACE_BOUND, FieldSizeError
 from traceweight.codes import ConsistencyError
@@ -131,6 +132,46 @@ def test_big_T_against_naive_recount():
             counts[ctx.trace_q_to_p(value)] += 1
         assert counts[1] == counts[2]
         assert big_T(form) == counts[0] - counts[1]
+
+
+def test_big_T_holds_no_coordinate_long_temporary(monkeypatch):
+    """big_T tallies the labels a block at a time and sums the label counts
+    per residue: with blocks of 256 labels, its traced peak at n = 16,383
+    stays below n bytes, where one residue per coordinate takes 8n."""
+    from traceweight import quadforms
+    ctx = make_field(2, 1, 14)
+    form = FormSpace(ctx).form_at(12345)
+    residues = np.bincount(quadforms.trace_residues(ctx)[form.value_labels()], minlength=2)
+    monkeypatch.setattr(quadforms, "MATCH_WORDS", 256)
+    tracemalloc.start()
+    try:
+        t = big_T(form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t == residues[0] + 1 - residues[1]
+    assert peak < ctx.n
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 1, 3), (2, 1, 4), (2, 1, 5), (3, 1, 2), (3, 1, 3),
+                                   (2, 2, 2), (2, 2, 3), (3, 2, 1), (3, 2, 2), (3, 2, 3)])
+def test_coefficients_equal_the_digit_by_digit_construction(p, e, m):
+    """FormSpace.coefficients, one linear map per slot, equals the
+    coefficients built digit by digit: at both ends of the space, on both
+    sides of every slot boundary and at a spread of indices, in one call
+    (the half tables at p = 2 from 256 indices) and in short calls."""
+    space = FormSpace(make_field(p, e, 2 * m))
+    q, widths = p**e, [len(basis) for basis in space.slot_bases]
+    picks = {0, 1, space.num_forms - 1,
+             *range(0, space.num_forms, max(1, space.num_forms // 300))}
+    for j in range(1, len(widths)):
+        bound = q ** sum(widths[:j])  # the first index of slot j
+        picks |= {bound - 1, bound, bound + 1, 2 * bound - 1, bound * (bound + 1) - 1}
+    idx = sorted(i for i in picks if i < space.num_forms)
+    expected = [list(literal_coefficients(space, i)) for i in idx]
+    assert space.coefficients(np.array(idx)).tolist() == expected
+    assert space.coefficients(idx[-5:]).tolist() == expected[-5:]
+    assert space.coefficients(np.array([], dtype=np.int64)).shape == (0, len(widths))
 
 
 def test_integral_character_sum_rejects_irrational():
