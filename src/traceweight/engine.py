@@ -26,15 +26,17 @@ group has order e s n (q-1).  _form_orbits walks the slots from the most
 significant down: under the current stabilizer H it takes the zero
 value (which keeps H) and one value per H-orbit of the slot's nonzero
 values, and recurses with that value's stabilizer.  Once H fixes every
-value of every lower slot, the lower slots are free: it emits one
-contiguous form-index range of weight |G|/|H|, the orbit size of each of
-its forms.  H is held as the translations k allowed per (f, a), a coset
-of one subgroup d Z_n (or none), so no temporary grows with |G|.  A
-slot's value is solved only at the representative logs visited, from
-the pivot digits of pi^l (_slot_solver), so no map grows with n.  The
-ranges must cover all q^(m^2) forms with their weights before anything
-is counted; they are then flattened into one index array with one weight
-per form, which _enumerate cuts into contiguous slices.  Only which
+value of every lower slot, the lower slots are free: it emits one run of
+contiguous form indices of weight |G|/|H|, the orbit size of each of its
+forms; at slot 0 each value is a run of one form.  H is held as the
+translations k allowed per (f, a), a coset of one subgroup d Z_n (or
+none), so no temporary grows with |G|.  A visit solves its slot's values
+in one call, at the representative logs only, from the pivot digits of
+pi^l (_slot_solver), so no map grows with n.  The runs come back as
+int64 arrays (start, length, weight) in start order, and must cover all
+q^(m^2) forms with their weights, summed exactly, before anything is
+counted; they are then expanded into one index array, which _enumerate
+cuts into contiguous slices, with one weight per form.  Only which
 forms are counted changes, never how a form is counted, and every merge
 is a plain int64 sum of weight x histogram (brute) or weight x rank
 count (sweep), so results are bitwise identical for every worker count
@@ -62,11 +64,11 @@ Neither side evaluates Q through pow and trace at run time.
 
 Both oracles run through one function, _enumerate.  It admits or refuses
 the run, builds the oracle's plan (or reuses it: the epsilon check reads
-the sweep's), takes the orbit batch and sums the plan's counts over its
-slices.  With fewer than _POOL_MIN_FORMS forms the slices run
-in-process, whatever the worker count; else a pool runs them, and its
-workers receive the plan once, as they start (forked workers inherit it,
-spawned ones unpickle it).
+the sweep's), takes the orbit batch from the plan's FormSpace and sums
+the plan's counts over its slices.  With fewer than _POOL_MIN_FORMS
+forms the slices run in-process, whatever the worker count; else a pool
+runs them, and its workers receive the plan once, as they start (forked
+workers inherit it, spawned ones unpickle it).
 
 Work is accounted, and every run admitted or refused, by the admission
 module, from (q, m, family) alone: its one rule, _refusal, and
@@ -195,9 +197,9 @@ class _RankPlan:
         self.ctx = ctx
         p, e = ctx.p, ctx.e
         self.es = e * ctx.s
-        space = FormSpace(ctx)
-        self.p_digits = e * space.digit_count
-        digit_coeffs = space.coefficients([p**d for d in range(self.p_digits)])
+        self.space = FormSpace(ctx)
+        self.p_digits = e * self.space.digit_count
+        digit_coeffs = self.space.coefficients([p**d for d in range(self.p_digits)])
         # grams[d, a, b] = B_d(pi^a, pi^b) as an F_q label
         self.grams = gram_labels(ctx, form_values(ctx, digit_coeffs, gram_points(ctx)))
         # block[L, i, j] = Tr_{q/p}(g^(i+j) L) as a residue
@@ -296,10 +298,11 @@ def _slot_solver(space: FormSpace, j: int):
     return lambda logs: ctx.linear_image(ctx.exp_table()[logs], matrix)
 
 
-def _form_orbits(space: FormSpace) -> list[tuple[int, int, int]]:
-    """Form-index ranges (lo, hi, weight), ascending: the forms counted for
-    each orbit of the symmetry group, with the orbit size as weight (see
-    the module docstring).
+def _form_orbits(space: FormSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Runs of form indices as three int64 arrays (start, length, weight),
+    in ascending start order: the forms counted for each orbit of the
+    symmetry group, with the orbit size as weight (see the module
+    docstring).
 
     A stabilizer H is a pair (K, d): K[f, a] >= 0 when H holds elements
     (f, k, a), which are then those with k = K[f, a] mod d, and -1 when it
@@ -315,8 +318,9 @@ def _form_orbits(space: FormSpace) -> list[tuple[int, int, int]]:
     # below ends[j] belong to slots 0..j-1
     steps = [n // (q**w - 1) for w in widths]
     ends = [sum(widths[:j]) for j in range(len(widths) + 1)]
-    solvers, solved = {}, [{} for _ in widths]
-    ranges = []
+    solvers = [_slot_solver(space, j) for j in range(len(widths))]
+    free = []  # (start, length, weight) of each run whose lower slots are free
+    single_starts, single_weights = [], []  # each slot-0 visit's runs of length 1
 
     def fixes_slot(K, d, i):
         valid = K >= 0
@@ -362,44 +366,42 @@ def _form_orbits(space: FormSpace) -> list[tuple[int, int, int]]:
     def visit(j, base, K, d):
         weight = order // (np.count_nonzero(K >= 0) * (n // d))
         if all(fixes_slot(K, d, i) for i in range(j + 1)):
-            ranges.append((base, base + q ** ends[j + 1], weight))
+            free.append((base, q ** ends[j + 1], weight))
             return
         logs, sizes = orbits(K, d, j)
-        logs = logs.tolist()
-        # each log's value is solved once, the first time it is visited
-        if missing := [log for log in logs if log not in solved[j]]:
-            if j not in solvers:
-                solvers[j] = _slot_solver(space, j)
-            solved[j].update(zip(missing, solvers[j](np.array(missing)).tolist()))
-        values = [solved[j][log] for log in logs]
+        values = solvers[j](logs)
         if j == 0:
             # no slot is left below: each value's form is one orbit, of
-            # |G|/|H| times the value's H-orbit size
-            ranges.append((base, base + 1, weight))
-            ranges.extend((base + v, base + v + 1, weight * size)
-                          for v, size in zip(values, sizes.tolist()))
+            # |G|/|H| times the value's H-orbit size; the zero value first
+            single_starts.append(base + np.concatenate(([0], values)))
+            single_weights.append(weight * np.concatenate(([1], sizes)))
             return
         visit(j - 1, base, K, d)  # the zero coefficient keeps H
-        for log, v in zip(logs, values):
+        for log, v in zip(logs.tolist(), values.tolist()):
             visit(j - 1, base + v * q ** ends[j], *stabilizer(K, d, j, log))
 
     visit(len(widths) - 1, 0, np.zeros((degree, q - 1), dtype=np.int64), 1)
-    return sorted(ranges)
+    visit = None  # it refers to itself: the cycle kept the runs until a gc pass
+    free = np.array(free, dtype=np.int64).reshape(-1, 3)
+    starts = np.concatenate([free[:, 0], *single_starts])
+    weights = np.concatenate([free[:, 2], *single_weights])
+    lengths = np.concatenate([free[:, 1], np.ones(len(starts) - len(free), dtype=np.int64)])
+    ascending = np.argsort(starts)
+    return starts[ascending], lengths[ascending], weights[ascending]
 
 
 def _orbit_batch(space: FormSpace) -> tuple[np.ndarray, np.ndarray]:
     """The index of every counted form and its weight, in ascending index
-    order, after checking that the weighted ranges cover every form."""
-    ranges = _form_orbits(space)
-    covered = sum(weight * (hi - lo) for lo, hi, weight in ranges)
+    order, after checking that the weighted runs cover every form.  The
+    check sums Python ints, as q^(m^2) may exceed 2^63."""
+    starts, lengths, weights = _form_orbits(space)
+    covered = sum(w * size for w, size in zip(weights.tolist(), lengths.tolist()))
     if covered != space.num_forms:
         raise ConsistencyError(
-            f"orbit ranges cover {covered} forms, expected {space.num_forms}")
-    lo, hi, weight = (np.array(col, dtype=np.int64) for col in zip(*ranges))
-    sizes = hi - lo
-    starts = np.cumsum(sizes) - sizes
-    idx = np.arange(int(sizes.sum()), dtype=np.int64) + np.repeat(lo - starts, sizes)
-    return idx, np.repeat(weight, sizes)
+            f"orbit runs cover {covered} forms, expected {space.num_forms}")
+    offsets = np.cumsum(lengths) - lengths
+    idx = np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(starts - offsets, lengths)
+    return idx, np.repeat(weights, lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +438,7 @@ def _enumerate(kind: str, spec: CodeSpec, budget: int, workers: int,
     if refusal:
         raise refusal
     plan = _plan(kind, spec if kind == "brute" else spec.ctx)
-    idx, weights = _orbit_batch(FormSpace(spec.ctx))
+    idx, weights = _orbit_batch(plan.space)
     total = len(idx)
     n_chunks = max(min(-(-total // _MIN_CHUNK_FORMS), max(100, 4 * workers)),
                    -(-total // _BATCH_CAP))
@@ -490,10 +492,10 @@ def _epsilon_cross_check(ctx: FieldCtx):
     """Sample forms: the sweep's rank must be the radical rank, and the plain
     character sum must agree with it in magnitude and in the sign
     (-1)^(rank/2) that the sweep relies on."""
-    space = FormSpace(ctx)
-    sample = _spread(space.num_forms)
-    ranks = _plan("rank_sweep", ctx).ranks(np.array(sample, dtype=np.int64))
-    for index, form, r_sweep in zip(sample, space.forms(sample), ranks):
+    plan = _plan("rank_sweep", ctx)
+    sample = _spread(plan.space.num_forms)
+    ranks = plan.ranks(np.array(sample, dtype=np.int64))
+    for index, form, r_sweep in zip(sample, plan.space.forms(sample), ranks):
         if form.rank != r_sweep:
             raise ConsistencyError(
                 f"sweep rank {r_sweep} != radical rank {form.rank} at {index}")

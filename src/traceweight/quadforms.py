@@ -184,9 +184,6 @@ class FormSpace:
                 form._value_labels = values
                 yield form
 
-    def form_at(self, index: int) -> QuadForm:
-        return next(self.forms([index]))
-
 
 def all_forms(ctx: FieldCtx):
     """Every form at (q, m), in canonical index order."""

@@ -334,6 +334,11 @@ def literal_coefficients(space, index):
     return tuple(coeffs)
 
 
+def form_at(space, index):
+    """The form at one index, through FormSpace.forms."""
+    return next(space.forms([index]))
+
+
 def full_map_slot_solver(space, j):
     """The orbit layer's slot values through a full map, the reference for
     engine._slot_solver: every nonzero value v of slot j, at the log of

@@ -100,8 +100,8 @@ def test_criterion_3_exponential_sum_suite():
         space = FormSpace(ctx42)
         sampled = range(0, space.num_forms, 2)  # 128 >= 100 forms
         assert len(sampled) >= 100
-        for index in sampled:
-            _check_form_sums(ctx42, space.form_at(index))
+        for form in space.forms(sampled):
+            _check_form_sums(ctx42, form)
 
 
 def test_criterion_4_hermitian_witness():

@@ -1,11 +1,14 @@
 """Enumeration engine: oracle agreement, budgets, determinism."""
 
+import gc
+import hashlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import (codeword, full_map_slot_solver, literal_coefficients, literal_gram,
-                      literal_value, parameter_slots, weight)
+from conftest import (codeword, form_at, full_map_slot_solver, literal_coefficients,
+                      literal_gram, literal_value, parameter_slots, weight)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -276,7 +279,7 @@ def test_forms_equal_form_at_one_index_at_a_time(monkeypatch, match_words):
     for p, e, m in [(2, 1, 3), (3, 1, 2), (2, 2, 2), (2, 1, 4)]:
         space = FormSpace(make_field(p, e, 2 * m))
         indices = list(range(0, space.num_forms, max(1, space.num_forms // 300)))
-        alone = [space.form_at(i) for i in indices]
+        alone = [form_at(space, i) for i in indices]
         monkeypatch.setattr(quadforms, "MATCH_WORDS", match_words)
         batch = list(space.forms(np.array(indices)))
         monkeypatch.undo()
@@ -335,15 +338,19 @@ def test_orbit_reduced_sweep_equals_full_sweep(p, e, m, modulus_rank):
 
 
 @pytest.mark.parametrize("modulus_rank", [0, 1])
-@pytest.mark.parametrize("p,e,m,forms,ranges", [
+@pytest.mark.parametrize("p,e,m,forms,runs", [
     (2, 2, 2, 3, 3), (3, 1, 3, 30, 30), (2, 1, 4, 109, 109), (2, 2, 3, 40, 40),
     (2, 1, 5, 9962, 383), (3, 1, 4, 3337, 3337)])
-def test_orbit_layer_pins_the_counted_form_count(p, e, m, forms, ranges, modulus_rank):
+def test_orbit_layer_pins_the_counted_form_count(p, e, m, forms, runs, modulus_rank):
     space = FormSpace(make_field(p, e, 2 * m, modulus_rank))
-    found = engine._form_orbits(space)
-    assert (sum(hi - lo for lo, hi, _ in found), len(found)) == (forms, ranges)
-    assert sum(w * (hi - lo) for lo, hi, w in found) == space.num_forms
-    assert found[0] == (0, 1, 1)  # the zero form is its own orbit
+    starts, lengths, weights = engine._form_orbits(space)
+    assert all(col.dtype == np.int64 for col in (starts, lengths, weights))
+    assert (int(lengths.sum()), len(starts)) == (forms, runs)
+    assert sum(w * size for w, size in zip(weights.tolist(), lengths.tolist())) == \
+        space.num_forms
+    assert (starts[1:] >= starts[:-1] + lengths[:-1]).all()  # ascending, disjoint
+    # the zero form is its own orbit
+    assert (starts[0], lengths[0], weights[0]) == (0, 1, 1)
     idx, weights = engine._orbit_batch(space)
     assert len(idx) == forms and idx.tolist() == sorted(set(idx.tolist()))
     assert int(weights.sum()) == space.num_forms
@@ -358,18 +365,65 @@ _ORBIT_SIZES = sorted({(p, e, m) for p, e, m, _ in _ORBIT_CASES} | set(_SWEEP_CA
 @pytest.mark.parametrize("p,e,m", _ORBIT_SIZES)
 def test_orbit_ranges_equal_the_full_map_reference(monkeypatch, p, e, m, modulus_rank):
     """The slot values solved at the representative logs only give the
-    ranges and weights that the full map of every slot value gives."""
+    runs and weights that the full map of every slot value gives."""
     space = FormSpace(make_field(p, e, 2 * m, modulus_rank))
     solved = engine._form_orbits(space)
     monkeypatch.setattr(engine, "_slot_solver", full_map_slot_solver)
-    assert solved == engine._form_orbits(space)
+    reference = engine._form_orbits(space)
+    assert len(solved) == len(reference) == 3
+    assert all(np.array_equal(col, ref) for col, ref in zip(solved, reference))
+
+
+def test_form_orbits_holds_nothing_but_its_result():
+    """With the cyclic collector off, what _form_orbits leaves allocated
+    after it returns is its result: the walk's closures hold no cycle."""
+    space = FormSpace(make_field(2, 2, 8))
+    engine._form_orbits(space)  # the field tables the walk reads are built
+    gc.disable()
+    try:
+        tracemalloc.start()
+        runs = engine._form_orbits(space)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held <= sum(col.nbytes for col in runs) + 200_000
+
+
+# SHA-1 of idx.tobytes() + weights.tobytes() from _orbit_batch at (q, m)
+# = (2,5), (3,4), (4,4), (2,6)
+@pytest.mark.parametrize("p,e,m,digest", [
+    (2, 1, 5, "d2bc7324869618a5448c7e3942e60b78932e604f"),
+    (3, 1, 4, "f4e97146aa69b459d44d3676ced807f68f19d338"),
+    (2, 2, 4, "e5227c1a1ffdd8d1784a6d07dc3b14fb671485ef"),
+    (2, 1, 6, "4bce58f12e6315404a0d911ced827bc0b9e613bb")])
+def test_orbit_batch_is_pinned_bit_for_bit(p, e, m, digest):
+    idx, weights = engine._orbit_batch(FormSpace(make_field(p, e, 2 * m)))
+    assert hashlib.sha1(idx.tobytes() + weights.tobytes()).hexdigest() == digest
+
+
+def test_an_oracle_run_builds_one_form_space(monkeypatch):
+    """The plan keeps the FormSpace it builds, and the orbit layer and the
+    epsilon check read it there."""
+    built = []
+
+    def spy(ctx):
+        built.append(ctx)
+        return FormSpace(ctx)
+    monkeypatch.setattr(engine, "FormSpace", spy)
+    spec = build_code(make_field(2, 1, 6), "D")
+    for oracle in (brute_distribution, rank_sweep):
+        engine._plan.cache_clear()
+        built.clear()
+        assert oracle(spec).counts == predict(2, 3, "D").counts
+        assert built == [spec.ctx]
 
 
 def test_brute_refuses_ranges_that_miss_forms_before_counting(monkeypatch):
     form_orbits = engine._form_orbits
 
     def no_zero_form(space):
-        return form_orbits(space)[1:]
+        return tuple(col[1:] for col in form_orbits(space))
 
     def no_counting(*args, **kwargs):
         raise AssertionError("counted before the coverage check")
@@ -423,7 +477,7 @@ def test_per_digit_grams_equal_the_literal_bilinear_gram(p, e, m):
     space = FormSpace(ctx)
     assert len(plan.grams) == e * m * m
     for d, gram in enumerate(plan.grams):
-        form = space.form_at(p**d)  # base-p digit d alone
+        form = form_at(space, p**d)  # base-p digit d alone
         assert gram.tolist() == literal_gram(form), d
 
 
@@ -432,7 +486,7 @@ def test_batched_ranks_equal_form_rank_on_every_form(p, e):
     plan = _rank_plan(p, e, 2)
     space = FormSpace(plan.ctx)
     assert plan.ranks(np.arange(space.num_forms)).tolist() == \
-        [space.form_at(i).rank for i in range(space.num_forms)]
+        [form_at(space, i).rank for i in range(space.num_forms)]
 
 
 @pytest.mark.parametrize("p,e,m", [(2, 1, 3), (3, 1, 2), (2, 2, 2)])

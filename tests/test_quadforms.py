@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import (count_solutions, linear_trace_rows, literal_bilinear,
+from conftest import (count_solutions, form_at, linear_trace_rows, literal_bilinear,
                       literal_coefficients, literal_gram, literal_value, naive_mul,
                       offset_sum_rows, packed_trace_rows, shift_sum_rows, slot_trace,
                       solution_count_multiset, solution_counts, trace)
@@ -35,7 +35,7 @@ def test_form_space_sizes():
 
 def test_zero_form_everywhere_zero():
     ctx = make_field(2, 1, 4)
-    zero = FormSpace(ctx).form_at(0)
+    zero = form_at(FormSpace(ctx), 0)
     assert all(literal_value(zero, x) == 0 for x in range(16))
 
 
@@ -66,7 +66,7 @@ def test_rank_against_brute_radical():
     ctx32 = make_field(3, 1, 4)
     space = FormSpace(ctx32)
     for index in range(0, space.num_forms, 7):
-        form = space.form_at(index)
+        form = form_at(space, index)
         assert brute_radical_size(form) == 3 ** (4 - form.rank)
 
 
@@ -93,7 +93,7 @@ def test_rank_counts(p, e, m, expected):
 def test_big_T_zero_form():
     for p, e, m in [(2, 1, 2), (3, 1, 2)]:
         ctx = make_field(p, e, 2 * m)
-        assert big_T(FormSpace(ctx).form_at(0)) == ctx.size
+        assert big_T(form_at(FormSpace(ctx), 0)) == ctx.size
 
 
 def test_big_T_values_and_multiplicities():
@@ -114,7 +114,7 @@ def test_big_T_frozen_examples():
             assert big_T(form) == -8
     ctx32 = make_field(3, 1, 4)
     space = FormSpace(ctx32)
-    seen_rank4 = [space.form_at(i) for i in range(0, 81, 11)]
+    seen_rank4 = [form_at(space, i) for i in range(0, 81, 11)]
     for form in seen_rank4:
         if form.rank == 4:
             assert big_T(form) == 9
@@ -125,7 +125,7 @@ def test_big_T_against_naive_recount():
     ctx = make_field(3, 1, 4)
     space = FormSpace(ctx)
     for index in (1, 17):
-        form = space.form_at(index)
+        form = form_at(space, index)
         counts = [0, 0, 0]
         for x in range(81):
             value = literal_value(form, x)
@@ -140,7 +140,7 @@ def test_big_T_holds_no_coordinate_long_temporary(monkeypatch):
     stays below n bytes, where one residue per coordinate takes 8n."""
     from traceweight import quadforms
     ctx = make_field(2, 1, 14)
-    form = FormSpace(ctx).form_at(12345)
+    form = form_at(FormSpace(ctx), 12345)
     residues = np.bincount(quadforms.trace_residues(ctx)[form.value_labels()], minlength=2)
     monkeypatch.setattr(quadforms, "MATCH_WORDS", 256)
     tracemalloc.start()
@@ -183,7 +183,7 @@ def test_integral_character_sum_rejects_irrational():
 
 def test_epsilon_values():
     ctx = make_field(2, 1, 4)
-    zero = FormSpace(ctx).form_at(0)
+    zero = form_at(FormSpace(ctx), 0)
     assert zero.epsilon == 1
     for form in all_forms(ctx):
         assert form.epsilon == (-1) ** (form.rank // 2)
@@ -197,7 +197,7 @@ def test_epsilon_values():
 
 def test_count_solutions_trivial_cases():
     ctx = make_field(3, 1, 4)
-    zero = FormSpace(ctx).form_at(0)
+    zero = form_at(FormSpace(ctx), 0)
     assert count_solutions(zero, 0, 0) == 81
     assert count_solutions(zero, 5, 0) == 27
     assert count_solutions(zero, 5, 1) == 27
@@ -208,7 +208,7 @@ def test_count_solutions_sums_to_field_size():
     space = FormSpace(ctx)
     sub = ctx.subfield(3)
     for index in (0, 1, 13, 44):
-        form = space.form_at(index)
+        form = form_at(space, index)
         for beta in (0, 7, 50):
             total = sum(count_solutions(form, beta, sub.from_label(z))
                         for z in range(3))
@@ -233,7 +233,7 @@ def test_solution_counts_match_two_case_pattern(p, e, m):
 
 def test_s_histogram_zero_form():
     ctx = make_field(3, 1, 4)
-    zero = FormSpace(ctx).form_at(0)
+    zero = form_at(FormSpace(ctx), 0)
     assert s_histogram(zero) == {2 * 81: 1, 0: 80}
 
 
@@ -248,7 +248,7 @@ def test_s_histogram_frozen_22():
 
 def test_r_histogram_zero_form_and_b_validation():
     ctx = make_field(3, 1, 4)
-    zero = FormSpace(ctx).form_at(0)
+    zero = form_at(FormSpace(ctx), 0)
     assert r_histogram(zero, 1) == {-81: 1, 0: 80}
     with pytest.raises(ValueError):
         r_histogram(zero, 0)
@@ -317,7 +317,7 @@ def test_coordinate_tables_match_literal_definitions(p, e, m, stride):
     sub = ctx.subfield(ctx.q)
     coords = [ctx.pow(ctx.pi, i) for i in range(ctx.n)]
     space = FormSpace(ctx)
-    forms = [space.form_at(i) for i in range(0, space.num_forms, stride)]
+    forms = [form_at(space, i) for i in range(0, space.num_forms, stride)]
     for form in forms:
         literal = [literal_value(form, x) for x in coords]
         assert form.value_labels().tolist() == [sub.label_of(v) for v in literal]
@@ -351,7 +351,7 @@ def test_plane_matches_equal_literal_counts(p, e, m):
     sub = ctx.subfield(ctx.q)
     # at 4096 x 4095 bytes a target, one nonzero form only
     picks = [space.num_forms // 3] + ([0, 1, space.num_forms - 1] if ctx.size < 4096 else [])
-    forms = [space.form_at(i) for i in picks]
+    forms = [form_at(space, i) for i in picks]
     batch = coordinate_matches(ctx, np.stack([f.value_labels() for f in forms]),
                                range(ctx.q))
     assert batch.shape == (ctx.q, len(forms), ctx.size)
@@ -389,7 +389,7 @@ def test_linear_trace_planes_refuse_fields_above_the_bound():
 
 def test_count_solutions_validates_beta_and_zeta():
     ctx = make_field(2, 1, 4)
-    form = FormSpace(ctx).form_at(5)
+    form = form_at(FormSpace(ctx), 5)
     assert count_solutions(form, ctx.size - 1, 0) >= 0
     for beta in (-1, ctx.size):
         with pytest.raises(ValueError):
