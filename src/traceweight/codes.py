@@ -132,8 +132,8 @@ def build_code(ctx: FieldCtx, family: str) -> CodeSpec:
         for v, h_v in minimal_polys.items():
             if u < v and h_u == h_v:
                 raise ConsistencyError(f"h_{u} and h_{v} coincide")
-    h = Poly(ctx, (1,))
-    for h_u in minimal_polys.values():
+    h, *rest = minimal_polys.values()  # C, D and E have one factor at least
+    for h_u in rest:
         h = h * h_u
     if family == "E":
         h = h * Poly(ctx, (ctx.neg(1), 1))

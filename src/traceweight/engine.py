@@ -28,19 +28,21 @@ value (which keeps H) and one value per H-orbit of the slot's nonzero
 values, and recurses with that value's stabilizer.  Once H fixes every
 value of every lower slot, the lower slots are free: it emits one run of
 contiguous form indices of weight |G|/|H|, the orbit size of each of its
-forms; at slot 0 each value is a run of one form.  H is held as the
-translations k allowed per (f, a), a coset of one subgroup d Z_n (or
-none), so no temporary grows with |G|.  A visit solves its slot's values
-in one call, at the representative logs only, from the pivot digits of
-pi^l (_slot_solver), so no map grows with n.  The runs come back as
-int64 arrays (start, length, weight) in start order, and must cover all
-q^(m^2) forms with their weights, summed exactly, before anything is
-counted; they are then expanded into one index array, which _enumerate
-cuts into contiguous slices, with one weight per form.  Only which
-forms are counted changes, never how a form is counted, and every merge
-is a plain int64 sum of weight x histogram (brute) or weight x rank
-count (sweep), so results are bitwise identical for every worker count
-and chunking.
+forms; at slot 0 each value is a run of one form.  H is held as a dict
+from each (f, a) it holds to the translations k allowed with it, a
+coset of one subgroup d Z_n, so no temporary grows with |G|.  H has at
+most e s (q-1) entries, so its tests and updates run on Python ints;
+only a slot's residues and values are numpy arrays.  A visit solves its
+slot's values in one call, at the representative logs only, from the
+pivot digits of pi^l (_slot_solver), so no map grows with n.  The runs
+come back as int64 arrays (start, length, weight) in start order, and
+must cover all q^(m^2) forms with their weights, summed exactly, before
+anything is counted; they are then expanded into one index array, which
+_enumerate cuts into contiguous slices, with one weight per form.  Only
+which forms are counted changes, never how a form is counted, and every
+merge is a plain int64 sum of weight x histogram (brute) or weight x
+rank count (sweep), so results are bitwise identical for every worker
+count and chunking.
 
 rank_sweep instead measures the radical rank of each form and converts
 the measured rank multiplicities into the weight distribution through
@@ -304,14 +306,14 @@ def _form_orbits(space: FormSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     symmetry group, with the orbit size as weight (see the module
     docstring).
 
-    A stabilizer H is a pair (K, d): K[f, a] >= 0 when H holds elements
-    (f, k, a), which are then those with k = K[f, a] mod d, and -1 when it
-    holds none.  So |H| = |{K >= 0}| n / d."""
+    A stabilizer H is a pair (K, d): K maps each (f, a) for which H holds
+    elements (f, k, a) to a k, and those elements are the k = K[f, a]
+    mod d.  So |H| = len(K) n / d."""
     ctx = space.ctx
     p, q, n, degree = ctx.p, ctx.q, ctx.n, ctx.degree
     order = degree * (q - 1) * n
-    p_pow = np.array([pow(p, f, n) for f in range(degree)], dtype=np.int64)
-    scalar = np.arange(q - 1, dtype=np.int64) * (n // (q - 1))
+    p_pow = [pow(p, f, n) for f in range(degree)]
+    scalar = [a * (n // (q - 1)) for a in range(q - 1)]
     us = [u % n for u in space.exponents]
     widths = [len(b) for b in space.slot_bases]
     # slot j's coefficient logs are the multiples of steps[j]; digits
@@ -323,48 +325,53 @@ def _form_orbits(space: FormSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     single_starts, single_weights = [], []  # each slot-0 visit's runs of length 1
 
     def fixes_slot(K, d, i):
-        valid = K >= 0
-        moved = (K * us[i] + scalar) % n
-        frob = p_pow[valid.any(axis=1)] - 1
-        return (d * us[i] % n == 0 and not np.any(moved[valid])
-                and not np.any(frob * steps[i] % n))
+        u, step = us[i], steps[i]
+        return d * u % n == 0 and all(
+            (k * u + scalar[a]) % n == 0 and (p_pow[f] - 1) * step % n == 0
+            for (f, a), k in K.items())
 
     def stabilizer(K, d, j, log):
         """(K, d) of the elements of H that fix log in slot j: each (f, a)
         solves k u_j = log - p^f log - a n/(q-1) over k = K[f, a] + d y."""
-        g = math.gcd(d * us[j], n)
+        u = us[j]
+        g = math.gcd(d * u, n)
         m = n // g
-        rhs = (log - p_pow[:, None] * log - scalar[None, :] - K * us[j]) % n
-        y = rhs // g * pow(d * us[j] // g, -1, m) % m
-        fixed = (K >= 0) & (rhs % g == 0)
-        return np.where(fixed, (K + d * y) % (d * m), -1), d * m
+        inv = pow(d * u // g, -1, m)
+        fixed = {}
+        for (f, a), k in K.items():
+            rhs = (log - p_pow[f] * log - scalar[a] - k * u) % n
+            if rhs % g == 0:
+                fixed[f, a] = (k + d * (rhs // g * inv % m)) % (d * m)
+        return fixed, d * m
 
     def orbits(K, d, j):
         """One log per H-orbit of slot j's nonzero coefficients, and the
         orbit's size.  The f = 0 elements of H translate logs by the
         multiples of g, and the smallest positive f in H permutes the
         residues mod g in cycles whose lengths divide degree / f."""
-        valid = K >= 0
-        g = int(np.gcd.reduce([n, d * us[j] % n,
-                               *((K[0] * us[j] + scalar) % n)[valid[0]]]))
+        u = us[j]
+        g = math.gcd(n, d * u % n, *((k * u + scalar[a]) % n for (f, a), k in K.items()
+                                     if f == 0))
         residues = np.arange(0, g, steps[j], dtype=np.int64)
         # powers of that element: how many, and how many fix each residue
         smallest, fixing, powers = residues, np.ones_like(residues), 1
-        frobs = np.flatnonzero(valid.any(axis=1))
+        frobs = sorted({f for f, _ in K})
         if len(frobs) > 1:
             f = frobs[1]
-            a = np.flatnonzero(valid[f])[0]
-            shift = (K[f, a] * us[j] + scalar[a]) % g
-            image, powers = residues, degree // f
-            for _ in range(powers - 1):
-                image = (image * p_pow[f] + shift) % g
-                smallest = np.minimum(smallest, image)
+            a = min(a for h, a in K if h == f)
+            shift = (K[f, a] * u + scalar[a]) % g
+            image, smallest, powers = residues.copy(), residues.copy(), degree // f
+            for _ in range(powers - 1):  # in place: at (7,4) a slot holds n residues
+                image *= p_pow[f]
+                image += shift
+                image %= g
+                np.minimum(smallest, image, out=smallest)
                 fixing += image == residues
         first = smallest == residues
         return residues[first], powers // fixing[first] * (n // g)
 
     def visit(j, base, K, d):
-        weight = order // (np.count_nonzero(K >= 0) * (n // d))
+        weight = order // (len(K) * (n // d))
         if all(fixes_slot(K, d, i) for i in range(j + 1)):
             free.append((base, q ** ends[j + 1], weight))
             return
@@ -380,7 +387,7 @@ def _form_orbits(space: FormSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for log, v in zip(logs.tolist(), values.tolist()):
             visit(j - 1, base + v * q ** ends[j], *stabilizer(K, d, j, log))
 
-    visit(len(widths) - 1, 0, np.zeros((degree, q - 1), dtype=np.int64), 1)
+    visit(len(widths) - 1, 0, dict.fromkeys(np.ndindex(degree, q - 1), 0), 1)
     visit = None  # it refers to itself: the cycle kept the runs until a gc pass
     free = np.array(free, dtype=np.int64).reshape(-1, 3)
     starts = np.concatenate([free[:, 0], *single_starts])

@@ -309,6 +309,16 @@ class FieldCtx:
             return 0
         if self._log is not None:
             return int(self._exp[(int(self._log[a]) + int(self._log[b])) % self.n])
+        p = self.p
+        if a < p or b < p:
+            # an F_p scalar c scales each digit of the other operand x (at
+            # p = 2, c is 1); c (p - 1) fits a slot, as it stays below p^2
+            c, x = (a, b) if a < p else (b, a)
+            if c == 1:
+                return x
+            if x < p:
+                return c * x % p
+            return self._from_slots(c * self._spread(x))
         return self._mul_poly(a, b)
 
     def _mul_poly(self, a: int, b: int) -> int:

@@ -41,10 +41,12 @@ coordinate_matches, the one match kernel, counts per beta and target
 the coordinates where Tr(beta x) + Q(x) hits the target: the wanted
 labels target - Q(x) become bit planes too, and a row's mismatches are
 the popcount of the OR over planes of row XOR wanted, so every
-coordinate is still compared.  The S(beta) and R_b(beta) histograms
-are one bincount of those match counts, the x = 0 term folded into the
-keys.  A QuadForm caches its rank, its sign epsilon and T (big_T), so
-the epsilon check and a later big_T tally the residues once.
+coordinate is still compared.  A QuadForm caches its beta table, every
+target's match counts from one call; S(beta) and R_b(beta) are one
+bincount of its row 0 and of row label(-b), the x = 0 term folded into
+the keys.  It caches its rank (from the Gram FormSpace.forms reads for
+its block), its sign epsilon and T (big_T), so the epsilon check and a
+later big_T tally the residues once.
 """
 
 from __future__ import annotations
@@ -93,6 +95,8 @@ class QuadForm:
         self._epsilon: int | None = None
         self._big_t: int | None = None  # filled by big_T
         self._value_labels: np.ndarray | None = None
+        self._gram: np.ndarray | None = None  # handed over by FormSpace.forms
+        self._beta_table: np.ndarray | None = None
 
     @property
     def rank(self) -> int:
@@ -100,7 +104,9 @@ class QuadForm:
         that gram_labels reads off the value table at the Gram points."""
         if self._rank is None:
             ctx = self.ctx
-            gram = gram_labels(ctx, self.value_labels()[gram_points(ctx)])
+            gram = self._gram
+            if gram is None:
+                gram = gram_labels(ctx, self.value_labels()[gram_points(ctx)])
             r = label_matrix_rank(ctx.subfield(ctx.q), gram.tolist())
             if r % 2:
                 raise ConsistencyError(f"odd radical rank {r} for {self.coeffs}")
@@ -129,6 +135,13 @@ class QuadForm:
         if self._value_labels is None:
             self._value_labels = form_values(self.ctx, [self.coeffs])[0]
         return self._value_labels
+
+    def beta_table(self) -> np.ndarray:
+        """coordinate_matches for every target t = 0..q-1, (q, size)."""
+        if self._beta_table is None:
+            self._beta_table = coordinate_matches(self.ctx, self.value_labels(),
+                                                  range(self.ctx.q))
+        return self._beta_table
 
 
 class FormSpace:
@@ -174,14 +187,17 @@ class FormSpace:
 
     def forms(self, indices):
         """The forms at the sequence of indices, in order, each block of
-        max(1, MATCH_WORDS // n) with its tables from one form_values call."""
+        max(1, MATCH_WORDS // n) with its tables from one form_values call
+        and its Grams from one gram_labels call."""
         ctx = self.ctx
         step = max(1, MATCH_WORDS // ctx.n)
         for lo in range(0, len(indices), step):
             coeffs = self.coefficients(indices[lo:lo + step])
-            for c, values in zip(coeffs.tolist(), form_values(ctx, coeffs)):
+            tables = form_values(ctx, coeffs)
+            grams = gram_labels(ctx, tables[:, gram_points(ctx)])
+            for c, values, gram in zip(coeffs.tolist(), tables, grams):
                 form = QuadForm(ctx, c)
-                form._value_labels = values
+                form._value_labels, form._gram = values, gram
                 yield form
 
 
@@ -384,11 +400,11 @@ def big_T(form: QuadForm) -> int:
 def _beta_histogram(form: QuadForm, target: int) -> dict[int, int]:
     """Value distribution over beta of q*N_beta - q^s, where N_beta counts
     the x in F_{q^s} with Q(x) + Tr(beta x) equal to the target label.
-    One bincount over the coordinate match counts gives the distribution;
-    x = 0 (a solution iff the target is 0) shifts every key by the same
-    q*(target == 0), so it is folded into the keys."""
+    One bincount over the target's row of the form's beta table gives the
+    distribution; x = 0 (a solution iff the target is 0) shifts every key
+    by the same q*(target == 0), so it is folded into the keys."""
     ctx = form.ctx
-    freqs = np.bincount(coordinate_matches(ctx, form.value_labels(), [target])[0])
+    freqs = np.bincount(form.beta_table()[target])
     shift = ctx.q * (target == 0) - ctx.size
     return {ctx.q * c + shift: f for c, f in enumerate(freqs.tolist()) if f}
 

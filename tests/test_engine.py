@@ -391,12 +391,13 @@ def test_form_orbits_holds_nothing_but_its_result():
 
 
 # SHA-1 of idx.tobytes() + weights.tobytes() from _orbit_batch at (q, m)
-# = (2,5), (3,4), (4,4), (2,6)
+# = (2,5), (3,4), (4,4), (2,6), (3,5)
 @pytest.mark.parametrize("p,e,m,digest", [
     (2, 1, 5, "d2bc7324869618a5448c7e3942e60b78932e604f"),
     (3, 1, 4, "f4e97146aa69b459d44d3676ced807f68f19d338"),
     (2, 2, 4, "e5227c1a1ffdd8d1784a6d07dc3b14fb671485ef"),
-    (2, 1, 6, "4bce58f12e6315404a0d911ced827bc0b9e613bb")])
+    (2, 1, 6, "4bce58f12e6315404a0d911ced827bc0b9e613bb"),
+    (3, 1, 5, "f6d2a69f7786330b8fe194323535ee5a4976ce48")])
 def test_orbit_batch_is_pinned_bit_for_bit(p, e, m, digest):
     idx, weights = engine._orbit_batch(FormSpace(make_field(p, e, 2 * m)))
     assert hashlib.sha1(idx.tobytes() + weights.tobytes()).hexdigest() == digest

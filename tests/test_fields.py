@@ -201,6 +201,21 @@ def test_table_free_mul_on_random_pairs(field, data):
     assert ctx._mul_poly(a, b) == naive_mul(ctx, a, b)
 
 
+@pytest.mark.parametrize("p,s", [(2, 8), (3, 6), (5, 4), (1021, 2)])
+def test_table_free_mul_by_a_scalar_equals_the_full_product(p, s):
+    """Without tables, mul takes an F_p scalar digit by digit; it gives what
+    the full product gives for every scalar, on either side, times a
+    spread of elements (size - 1 has every digit p - 1)."""
+    ref = make_field(p, 1, s)
+    ctx = FieldCtx(p, 1, s, ref.modulus)  # a fresh context holds no tables
+    elements = sorted({*range(0, ctx.size, max(1, ctx.size // 40)), 1, p - 1, ctx.pi,
+                       ctx.size - 1})
+    for c in range(p):
+        for x in elements:
+            assert ctx.mul(c, x) == ctx.mul(x, c) == ctx._mul_poly(c, x), (c, x)
+    assert ctx._log is None
+
+
 def _square_and_multiply(ctx, a, k):
     """a^k by left-to-right square and multiply of the table-free product."""
     out = 1

@@ -13,10 +13,10 @@ from conftest import (count_solutions, form_at, linear_trace_rows, literal_bilin
 from traceweight.admission import LINEAR_TRACE_BOUND, FieldSizeError
 from traceweight.codes import ConsistencyError
 from traceweight.fields import label_matrix_rank, make_field
-from traceweight.quadforms import (FormSpace, QuadForm, all_forms, big_T,
-                                   coordinate_matches, form_values,
-                                   integral_character_sum, linear_trace_planes,
-                                   r_histogram, s_histogram)
+from traceweight.quadforms import (MATCH_WORDS, FormSpace, QuadForm, all_forms, big_T,
+                                   coordinate_matches, form_values, gram_labels,
+                                   gram_points, integral_character_sum,
+                                   linear_trace_planes, r_histogram, s_histogram)
 from traceweight.spectra import frequencies
 
 
@@ -309,6 +309,45 @@ def test_epsilon_then_big_T_tallies_the_residues_once(monkeypatch):
         eps = form.epsilon
         assert big_T(form) == eps * 3 ** (4 - form.rank // 2)
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 1, 2), (3, 1, 2), (2, 2, 2)])
+def test_s_and_every_r_histogram_of_a_form_cost_one_match_call(monkeypatch, p, e, m):
+    """S and each R_b read their rows off one beta table per form, which
+    one coordinate_matches call fills for every target."""
+    from traceweight import quadforms
+    calls = []
+
+    def counted(ctx, values, targets):
+        calls.append(list(targets))
+        return coordinate_matches(ctx, values, targets)
+    monkeypatch.setattr(quadforms, "coordinate_matches", counted)
+    ctx = make_field(p, e, 2 * m)
+    sub = ctx.subfield(ctx.q)
+    space = FormSpace(ctx)
+    for form in space.forms(range(0, space.num_forms, max(1, space.num_forms // 20))):
+        calls.clear()
+        s_histogram(form)
+        for b in sub.elements_by_label[1:]:
+            r_histogram(form, b)
+        s_histogram(form)
+        assert calls == [list(range(ctx.q))]
+
+
+@pytest.mark.parametrize("match_words", [MATCH_WORDS, 64])
+@pytest.mark.parametrize("p,e,m", [(2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 2), (3, 2, 1)])
+def test_form_space_grams_equal_each_forms_own(monkeypatch, p, e, m, match_words):
+    """The Grams FormSpace.forms reads for a block of forms at once, in
+    blocks of many forms or of a few, are gram_labels of each form's own
+    table at the Gram points."""
+    from traceweight import quadforms
+    monkeypatch.setattr(quadforms, "MATCH_WORDS", match_words)
+    ctx = make_field(p, e, 2 * m)
+    space = FormSpace(ctx)
+    for form in space.forms(range(space.num_forms)):
+        own = gram_labels(ctx, form.value_labels()[gram_points(ctx)])
+        assert form._gram is not None and np.array_equal(form._gram, own)
+
 
 @pytest.mark.parametrize("p,e,m,stride", [(2, 1, 2, 1), (3, 1, 2, 1), (2, 1, 3, 1),
                                           (2, 2, 2, 17)])
