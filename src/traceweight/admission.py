@@ -106,15 +106,17 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
-def check_modulus_rank(p: int, degree: int, rank: int):
+def check_modulus_rank(p: int, degree: int, rank: int) -> dict[int, int]:
     """ModulusRankError unless rank is below phi(p^degree - 1)/degree, the
-    number of primitive polynomials of the degree over F_p."""
+    number of primitive polynomials of the degree over F_p; else the
+    factorization of p^degree - 1, which the modulus search reuses."""
     factors = factorize(p**degree - 1)
     count = math.prod((r - 1) * r ** (k - 1) for r, k in factors.items()) // degree
     if rank >= count:
         raise ModulusRankError(
             f"modulus rank {rank} is out of range: there are {count} primitive "
             f"polynomials of degree {degree} over F_{p}")
+    return factors
 
 
 def split_prime_power(q: int) -> tuple[int, int]:

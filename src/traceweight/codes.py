@@ -93,24 +93,28 @@ def gamma_roots(ctx: FieldCtx) -> dict[int, int]:
     """pi^(-u) for every u in Gamma, in increasing u, without pow.  pi^(-1)
     is read off the modulus f: x (f_1 + f_2 x + ... + x^(D-1)) = -f_0.
     Every other u is q^j + 1, so pi^(-u) = pi^(-1) (pi^(-1))^(q^j), where
-    the second factor is j applications of the F_p-linear Frobenius."""
-    p, q, f = ctx.p, ctx.q, ctx.modulus
-    scale = -pow(f[0], -1, p)
-    inv_pi = sum(scale * c % p * p**i for i, c in enumerate(f[1:]))
-    roots, conjugate, j = {1: inv_pi}, inv_pi, 0
-    for u in sorted(build_gamma(q, ctx.m))[1:]:
-        while q**j + 1 < u:
-            conjugate, j = ctx.frobenius_q(conjugate), j + 1
-        roots[u] = ctx.mul(inv_pi, conjugate)
-    return roots
+    the second factor is j applications of the F_p-linear Frobenius.
+    Computed once per context and kept there, as the minimal polynomials
+    are, so C, D and E share them; each call returns its own copy."""
+    if ctx._gamma_roots is None:
+        p, q, f = ctx.p, ctx.q, ctx.modulus
+        scale = -pow(f[0], -1, p)
+        inv_pi = sum(scale * c % p * p**i for i, c in enumerate(f[1:]))
+        roots, conjugate, j = {1: inv_pi}, inv_pi, 0
+        for u in sorted(build_gamma(q, ctx.m))[1:]:
+            while q**j + 1 < u:
+                conjugate, j = ctx.frobenius_q(conjugate), j + 1
+            roots[u] = ctx.mul(inv_pi, conjugate)
+        ctx._gamma_roots = roots
+    return dict(ctx._gamma_roots)
 
 
 def build_code(ctx: FieldCtx, family: str) -> CodeSpec:
     """Assemble the parity-check polynomial for one family over ctx and
-    validate the dimension against the closed form.  The minimal
-    polynomials come from the context's cache (fields.minimal_polynomial),
-    so the families built on one context share them; the coincidence,
-    degree and vanishing checks run on every build."""
+    validate the dimension against the closed form.  The roots and the
+    minimal polynomials come from the context's caches (gamma_roots,
+    fields.minimal_polynomial), so the families built on one context share
+    them; the coincidence, degree and vanishing checks run on every build."""
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
     q, m, n = ctx.q, ctx.m, ctx.n

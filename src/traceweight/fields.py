@@ -3,15 +3,17 @@
 A field context describes F_{q^s} with q = p^e and s = 2m, built as
 F_p[x]/(modulus) where the modulus is the lexicographically smallest
 primitive polynomial of degree e*s over F_p (coefficients compared
-low-to-high as base-p digits).  The search for it skips the binomials
-x^d + c, which are never primitive, so the modulus is the same as that
-of a scan from the first candidate.  It tests primitivity by Lidl and
-Niederreiter's Thm 3.18: (-1)^d f(0) generates F_p^*, a filter read off
-a table over F_p before any power, and r = (p^d - 1)/(p - 1) is the
-least t with x^t in F_p, checked by one pass for x^r over a block of
-candidates and one stacked pass, a column per (survivor, r/l) for the
-primes l | r, for the cofactors.  Elements are plain Python ints: the
-polynomial a_0 + a_1 x + a_2 x^2 + ... packs to the integer
+low-to-high as base-p digits).  The search for it scans one candidate at
+a time in index order, past the binomials x^d + c, which are never
+primitive, so the modulus is the same as that of a scan from the first
+candidate.  It tests primitivity by Lidl and Niederreiter's Thm 3.18.
+Cheap filters come first: f(1) and f(-1) are nonzero, and (-1)^d f(0)
+generates F_p^* (a pow test per residue, cached per search).  Only the
+survivors get x^r, r = (p^d - 1)/(p - 1), and then the cofactors
+x^(r/l), by square and multiply on packed ints with the same product
+helpers as a context's table-free mul.  The cost: at odd p a high rank
+scans many candidates, each one on its own.  Elements are plain Python ints:
+the polynomial a_0 + a_1 x + a_2 x^2 + ... packs to the integer
 a_0 + a_1 p + a_2 p^2 + ...  The residue class of x is a multiplicative
 generator by construction, exposed as ctx.pi.
 
@@ -30,15 +32,15 @@ and every input at odd p, go through one float64 matmul of the digits.
 
 Every field has at most 2^26 elements, admission's one field-size
 rule, so its exp/log tables fit; they are built lazily.  Until then a
-product is taken on the packed ints: at p = 2 a carry-less
-shift-and-XOR product, reduced by XOR-ing in shifted copies of the
-modulus bits; at odd p the operands' digits are spread into slots wide
-enough never to carry, one integer product gives every coefficient of
-the polynomial product (Kronecker substitution), and the high slots
-fold back through x^(D+t) mod the modulus, precomputed per context.
-The Frobenius a -> a^q is F_p-linear, so without tables it is a sum of
-the images (x^i)^q, computed once per context, weighted by the digits
-of a: an XOR of rows at p = 2, a sum of slot-spread rows at odd p.
+product is taken on the packed ints: at p = 2 a carry-less product,
+reduced by XOR-ing in shifted copies of the modulus bits; at odd p one
+integer product of the digits spread into slots gives every coefficient
+of the polynomial product (Kronecker substitution), and Barrett's
+reduction on polynomials takes it mod the modulus in two more, each slot
+reduced mod p at once.  The Frobenius a -> a^q is F_p-linear, so
+without tables it is a sum of the images (x^i)^q, computed once per
+context, weighted by the digits of a: an XOR of rows at p = 2, a sum of
+slot rows at odd p.
 
 Everything on a context is a pure function of its inputs; contexts are
 immutable after construction apart from idempotent lazy caches, so they
@@ -49,92 +51,100 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .admission import (MAX_LABEL_Q, FieldSizeError, check_modulus_rank, factorize,
-                        field_size_refusal, is_prime,
-                        split_prime_power)  # noqa: F401 - split_prime_power re-exported
+from .admission import (MAX_LABEL_Q, FieldSizeError, check_modulus_rank, field_size_refusal,
+                        is_prime, split_prime_power)  # noqa: F401 - split_prime_power re-exported
 
 
 # ---------------------------------------------------------------------------
-# F_p[x] modulo a block of candidate moduli (used only to find the modulus)
+# products on packed ints, shared by the modulus search and FieldCtx
 #
-# A block holds B monic candidates f of degree d, one per column: a residue
-# mod each f is a (d, B) int64 array with the constant coefficients in row
-# 0, and the reduction rows, a (d-1, d, B) array, hold x^(d+t) mod f in row
-# t.  Coefficients are reduced to 0..p-1 after every step, so every sum
-# taken below stays under d * p^2 <= 2^52, as p^d <= 2^26 for every field.
-
-# The cap on B * d^2 for the B columns of one power pass, a block's
-# candidates in the x^r pass and survivors x cofactors in the stacked pass:
-# the temporaries stay < 1 MB.
-_BLOCK_ELEMENTS = 1 << 14
+# At p = 2 a residue mod f is an int whose bit i is the coefficient of x^i,
+# and a product is carry-less.  At odd p it is in Kronecker slots: digit i
+# in slot i of w bits.  One integer product of two residues with digits
+# below p holds every coefficient of the polynomial product, one per slot,
+# as a sum of at most D products below p^2, so no slot carries.
 
 
-def _block_coefficients(start: int, count: int, p: int, d: int) -> np.ndarray:
-    """Non-leading coefficients of the candidates with packed indices start
-    .. start+count-1, one per column, constant term in row 0: the base-p
-    digits of the indices."""
-    return np.arange(start, start + count) // p ** np.arange(d)[:, None] % p
+def _clmul(a: int, b: int) -> int:
+    """The carry-less product of a and b: a copy of a shifted to each set
+    bit of b, XOR-ed.  A square spreads the bits, bit i to bit 2i, which is
+    what reading a's binary digits in base 4 does."""
+    if a == b:
+        return int(f"{a:b}", 4)
+    prod = 0
+    while b:
+        low = b & -b
+        prod ^= a * low
+        b ^= low
+    return prod
 
 
-def _generator_table(p: int) -> np.ndarray:
-    """Which residues generate F_p^*: the nonzero ones that are no l-th power
-    for any prime l dividing p - 1 (at p = 2 every nonzero one)."""
-    table = np.ones(p, dtype=bool)
-    table[0] = False
-    for ell in factorize(p - 1):
-        power, base, k = np.ones(p - 1, dtype=np.int64), np.arange(1, p), ell
-        while k:
-            if k & 1:
-                power = power * base % p
-            base = base * base % p
-            k >>= 1
-        table[power] = False
-    return table
+def _clreduce(prod: int, f: int, D: int) -> int:
+    """prod mod f at p = 2, f the modulus bits (degree D): XOR in a copy of
+    f under the top bit until the degree is below D."""
+    while (shift := prod.bit_length() - 1 - D) >= 0:
+        prod ^= f << shift
+    return prod
 
 
-def _times_x(acc: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
-    """acc * x mod f: shift up one place and fold the top coefficient back
-    through x^d mod f."""
-    out = acc[-1] * rows[0]
-    out[1:] += acc[:-1]
-    return out % p
+class _Slots(NamedTuple):
+    """Residues mod a degree-D modulus at odd p in slots of w bits: room for
+    the n bits of a coefficient, 2^n > 2 D (p-1)^2, and for a Barrett
+    quotient, so that one pass takes every slot below 2^n mod p at once:
+    v * M >> k is v // p for v < 2^n, as M p - 2^k < p <= 2^(k - n), and
+    keep holds bits k .. w-1 of each of 2D slots."""
+    p: int
+    w: int
+    D: int
+    M: int
+    k: int
+    keep: int
+
+    @staticmethod
+    def make(p: int, D: int) -> _Slots:
+        n = (2 * D * (p - 1) ** 2).bit_length()
+        k = n + p.bit_length()
+        M = -(-(1 << k) // p)
+        w = n + M.bit_length()
+        return _Slots(p, w, D, M, k, sum((1 << w) - (1 << k) << w * i for i in range(2 * D)))
 
 
-def _square(acc: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
-    """acc^2 mod f.  The products acc_i * acc_j fill d rows of width 2d;
-    re-cut into rows of width 2d-1, row i starts i places further right, so
-    the column sums are the coefficients of x^(i+j).  The top d-1 of them
-    are folded back through the reduction rows."""
-    d, B = acc.shape
-    skew = np.zeros((d, 2 * d, B), dtype=np.int64)
-    np.multiply(acc[:, None], acc[None], out=skew[:, :d])
-    prod = skew.reshape(-1)[:d * (2 * d - 1) * B].reshape(d, 2 * d - 1, B).sum(axis=0) % p
-    return (prod[:d] + (prod[d:, None] * rows[:d - 1]).sum(axis=0)) % p
+def _modulus_slots(coeffs, p: int, w: int) -> tuple[int, int]:
+    """(g, mu) in slots for f monic with the given D non-leading
+    coefficients: g = -f mod x^D and mu = x^(2D) // f, by long division
+    from the top, where c x^(D+t) - c f x^t leaves c g x^t."""
+    D, mask = len(coeffs), (1 << w) - 1
+    g = sum(-c % p << w * i for i, c in enumerate(coeffs))
+    rem, mu = 1 << w * 2 * D, 0
+    for t in range(D, -1, -1):
+        if c := (rem >> w * (D + t) & mask) % p:
+            mu |= c << w * t
+            rem += c * g << w * t
+    return g, mu
 
 
-def _x_power_in_fp(rows: np.ndarray, exponents: list[int], p: int) -> np.ndarray:
-    """Which columns have x^k in F_p mod f, where the columns form
-    len(exponents) equal groups and group j takes k = exponents[j]: one
-    left-to-right square and multiply over the longest exponent, in which a
-    shorter one's leading zero bits square 1 to 1 and x multiplies in only
-    the groups whose bit is set."""
-    d, B = rows.shape[1:]
-    acc = np.zeros((d, B), dtype=np.int64)
-    acc[0] = 1
-    top = max(exponents).bit_length()
-    for bit in reversed(range(top)):
-        if bit < top - 1:  # acc is still 1 at the top bit
-            acc = _square(acc, rows, p)
-        odd = [k >> bit & 1 for k in exponents]
-        if all(odd):
-            acc = _times_x(acc, rows, p)
-        elif any(odd):
-            acc = np.where(np.repeat(odd, B // len(exponents)) == 1,
-                           _times_x(acc, rows, p), acc)
-    return ~acc[1:].any(axis=0)
+def _mod_slots(prod: int, g: int, mu: int, slots: _Slots) -> int:
+    """prod mod f in slots, each reduced mod p, for a product of degree
+    below 2D at odd p, by Barrett's reduction on polynomials, which is exact
+    there: with prod = a x^D + b, the quotient is (a mu) // x^D and the rest
+    is b + (quotient * g mod x^D).  Every slot stays below 2^n."""
+    p, w, D, M, k, keep = slots
+    wD, low = w * D, (1 << w * D) - 1
+    prod -= p * ((prod * M & keep) >> k)
+    quotient = (prod >> wD) * mu
+    quotient = (quotient - p * ((quotient * M & keep) >> k)) >> wD
+    rest = (prod & low) + (quotient * g & low)
+    return rest - p * ((rest * M & keep) >> k)
+
+
+def _generates(c: int, p: int, primes) -> bool:
+    """Whether the residue c generates F_p^*: it is nonzero and no l-th
+    power for any of the primes l of p - 1."""
+    return c % p != 0 and all(pow(c, (p - 1) // ell, p) != 1 for ell in primes)
 
 
 def find_primitive_modulus(p: int, degree: int, rank: int = 0) -> tuple[int, ...]:
@@ -148,57 +158,74 @@ def find_primitive_modulus(p: int, degree: int, rank: int = 0) -> tuple[int, ...
     Niederreiter, Finite Fields, Thm 3.18).  The packed indices below p
     are the binomials x^d + c, and none of them is primitive: x^d = -c
     gives x^(d(p-1)) = 1 with d(p-1) < p^d - 1.  So the scan starts at
-    index p, which leaves the answer unchanged.  Candidates are tested a
-    block at a time in index order (64 first, doubling up to the
-    temporaries' cap).  A table of the generators of F_p^* drops every
-    candidate whose (-1)^d f(0) is not one before any power; the rest get
-    x^r, and only those where it lies in F_p go on to the cofactors: one
-    stacked pass, a column per (candidate, r/l) for the primes l | r,
-    rejects every candidate with some x^(r/l) in F_p.  A field over the
-    size bound (p^d > 2^26) raises FieldSizeError before any
-    factorization, so the arithmetic is exact in int64.  There are
-    phi(p^d - 1)/d primitive polynomials of degree d; a rank not below
-    that count raises ModulusRankError before the scan."""
+    index p, which leaves the answer unchanged, and tests one candidate at
+    a time in index order.  Two filters come before any power: f(1) and
+    f(-1) are nonzero, as a root is a linear factor and d >= 2 (at p = 2
+    an even number of terms is a root at 1), and (-1)^d f(0) generates
+    F_p^*.  The rest get x^r and then the cofactors x^(r/l) for the primes
+    l | r.  A field over the size bound (p^d > 2^26) raises FieldSizeError
+    before any factorization.  There are phi(p^d - 1)/d primitive
+    polynomials of degree d; a rank not below that count raises
+    ModulusRankError before the scan, and the factorization of p^d - 1
+    behind that count gives the primes of r and of p - 1."""
     if degree < 2:
         raise ValueError(f"modulus degree {degree} is below 2")
     if rank < 0:
         raise ValueError(f"modulus rank {rank} is negative")
     if refusal := field_size_refusal(p**degree, f"F_{p}^{degree}"):
         raise refusal
-    check_modulus_rank(p, degree, rank)
+    primes = check_modulus_rank(p, degree, rank)
     # no x^t in F_p for 0 < t < r puts 1, x, .., x^(r-1) on r distinct lines
     # through 0, all the lines of F_p^d: every nonzero residue is then c x^t,
     # a unit, so F_p[x]/(f) is a field, x^r is the norm (-1)^d f(0) of x, and
     # x has order r (p - 1) when that norm generates F_p^*
-    size = p**degree
-    r = (size - 1) // (p - 1)
-    cofactors = [r // ell for ell in factorize(r)]
-    generates = _generator_table(p)
-    cap = _BLOCK_ELEMENTS // degree**2
-    each = cap // len(cofactors)  # survivors per stacked pass
-    found, start, block = 0, p, 64
-    while start < size:
-        count = min(block, cap, size - start)
-        coeffs = _block_coefficients(start, count, p, degree)
-        keep = np.flatnonzero(generates[(-1) ** degree * coeffs[0] % p])
-        rows = np.empty((degree - 1, degree, len(keep)), dtype=np.int64)
-        rows[0] = -coeffs[:, keep] % p
-        for t in range(1, degree - 1):
-            rows[t] = _times_x(rows[t - 1], rows, p)
-        passed = _x_power_in_fp(rows, [r], p)
-        keep, rows = keep[passed], rows[:, :, passed]
-        # one column per (survivor, cofactor), at most `cap` columns a pass
-        rejected = np.zeros(len(keep), dtype=bool)
-        for lo in range(0, len(keep), each):
-            in_fp = _x_power_in_fp(np.tile(rows[:, :, lo:lo + each], len(cofactors)),
-                                   cofactors, p)
-            rejected[lo:lo + each] = in_fp.reshape(len(cofactors), -1).any(axis=0)
-        keep = keep[~rejected]
-        if found + len(keep) > rank:
-            return tuple(int(c) for c in coeffs[:, keep[rank - found]]) + (1,)
-        found += len(keep)
-        start += count
-        block *= 2
+    r = (p**degree - 1) // (p - 1)
+    # x^(r/2), the cofactor of l = 2 when r is even, is x^r's last step but one
+    cofactors = [r // ell for ell in primes if r % ell == 0 and ell != 2]
+    fp_primes = [ell for ell in primes if (p - 1) % ell == 0]
+    sign, found, generates = (-1) ** degree, 0, {}
+    if p > 2:
+        slots = _Slots.make(p, degree)
+    w = 1 if p == 2 else slots.w  # x is 1 << w, and F_p the residues below it
+
+    def x_power(t: int, f) -> tuple[int, int]:
+        """x^(t >> 1) and x^t mod f, by left-to-right square and multiply,
+        a multiplication by x shifted into the square before it is reduced:
+        f is the modulus bits at p = 2 and (g, mu) at odd p, where residues
+        are in slots, each reduced mod p."""
+        last, acc = 1, 1 << w
+        for bit in bin(t)[3:]:
+            last = acc
+            if p == 2:
+                acc = _clreduce(_clmul(acc, acc) << (bit == "1"), f, degree)
+            else:
+                acc = _mod_slots(acc * acc << w * (bit == "1"), *f, slots)
+        return last, acc
+
+    for upper in range(1, p ** (degree - 1)):
+        digits = [upper // p**i % p for i in range(degree - 1)]
+        at_one = 1 + sum(digits)  # f(1) and f(-1) less the constant term c0
+        at_minus_one = sign + sum(c if i % 2 else -c for i, c in enumerate(digits))
+        for c0 in range(p):
+            if (at_one + c0) % p == 0 or (at_minus_one + c0) % p == 0:
+                continue
+            norm = sign * c0 % p
+            if norm not in generates:
+                generates[norm] = _generates(norm, p, fp_primes)
+            if not generates[norm]:
+                continue
+            coeffs = (c0, *digits)
+            if p == 2:
+                f = sum(c << i for i, c in enumerate(coeffs)) | 1 << degree
+            else:
+                f = _modulus_slots(coeffs, p, w)
+            half, full = x_power(r, f)
+            if r % 2 == 0 and half >> w == 0 or full >> w or \
+                    any(x_power(t, f)[1] >> w == 0 for t in cofactors):
+                continue
+            if found == rank:
+                return coeffs + (1,)
+            found += 1
     raise ArithmeticError(
         f"found {found} primitive polynomials of degree {degree} over F_{p}, too few")
 
@@ -246,29 +273,19 @@ class FieldCtx:
         self.modulus = modulus
         self.pi = p  # residue class of x (degree is always >= 2)
         self._ppow = [p**i for i in range(self.degree + 1)]
-        # x^degree = -(low part of modulus), precomputed as digits
-        self._top_reduction = [(-c) % p for c in modulus[:-1]]
         if p == 2:
             self._modulus_bits = sum(c << i for i, c in enumerate(modulus))
         else:
-            D = self.degree
-            # a product slot sums at most D digit products and the folds add
-            # D - 1 more, so slots of w bits with 2^w > 2 D (p-1)^2 never carry
-            w = self._slot_bits = (2 * D * (p - 1) ** 2).bit_length()
-            self._low_slots = (1 << w * D) - 1
-            # slot ints of x^(D+t) mod f, t = 0 .. D-2
-            self._folds = []
-            r = self._top_reduction
-            for _ in range(D - 1):
-                self._folds.append(sum(c << w * i for i, c in enumerate(r)))
-                r = [(low + r[-1] * top) % p
-                     for low, top in zip([0] + r[:-1], self._top_reduction)]
+            self._slots = _Slots.make(p, self.degree)
+            self._slot_bits = self._slots.w
+            self._g_mu = _modulus_slots(modulus[:-1], p, self._slot_bits)
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
         self._frob_rows: list[int] | None = None
         self._subfields: dict[int, SubfieldView] = {}
         self._trace_labels: dict[int, np.ndarray] = {}
         self._minimal_polys: dict[int, Poly] = {}
+        self._gamma_roots: dict[int, int] | None = None  # codes.gamma_roots
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, e={self.e}, s={self.s}, size={self.size})"
@@ -322,34 +339,15 @@ class FieldCtx:
         return self._mul_poly(a, b)
 
     def _mul_poly(self, a: int, b: int) -> int:
-        """a * b mod the modulus on packed ints, without tables."""
-        D = self.degree
+        """a * b mod the modulus on packed ints, without tables, by the
+        modulus search's products: _clmul and _clreduce at p = 2, at odd p
+        a Kronecker product of the digit-spread operands and _mod_slots."""
         if self.p == 2:
-            # carry-less product: XOR a copy of a shifted to each set bit of
-            # b (low is that bit alone, so a * low is a shift)
-            prod = 0
-            while b:
-                low = b & -b
-                prod ^= a * low
-                b ^= low
-            f = self._modulus_bits
-            while (shift := prod.bit_length() - 1 - D) >= 0:
-                prod ^= f << shift
-            return prod
-        # Kronecker substitution: one integer product of the digit-spread
-        # operands holds every coefficient of the polynomial product
-        p, w = self.p, self._slot_bits
-        slot = (1 << w) - 1
+            return _clreduce(_clmul(a, b), self._modulus_bits, self.degree)
         spread_a = self._spread(a)
         prod = spread_a * (spread_a if b == a else self._spread(b))
-        low, high = prod & self._low_slots, prod >> w * D
-        for fold in self._folds:
-            if not high:
-                break
-            if c := (high & slot) % p:
-                low += c * fold
-            high >>= w
-        return self._from_slots(low)
+        return self._from_slots(
+            _mod_slots(prod, *self._g_mu, self._slots))
 
     def _spread(self, a: int) -> int:
         """The base-p digits of a, one per slot of _slot_bits bits."""

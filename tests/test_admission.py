@@ -67,12 +67,11 @@ def test_witness_over_the_field_size_bound_is_refused_at_once(tmp_path, capsys,
     doc = json.loads("\n".join(report))
     assert doc["refused"] is True and "exp/log" in doc["message"]
 
-    from traceweight import admission, cli, fields
+    from traceweight import admission, cli
 
-    def no_factorize(n):
+    def no_factorize(n):  # the one factorization, which the modulus search reuses
         raise AssertionError("factorized before the field-size check")
     monkeypatch.setattr(admission, "factorize", no_factorize)
-    monkeypatch.setattr(fields, "factorize", no_factorize)
     start = time.monotonic()
     assert cli.main(argv) == 3
     assert time.monotonic() - start < 1.0

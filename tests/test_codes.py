@@ -7,8 +7,8 @@ from conftest import (annihilated_by, codeword, literal_value, naive_pow, parame
                       poly_divides, prime_powers_up_to, square_multiply_pow, trace, weight,
                       x_power_minus_one, zero_params)
 
-from traceweight.codes import FAMILIES, build_code, build_gamma, gamma_roots
-from traceweight.fields import make_field, split_prime_power
+from traceweight.codes import FAMILIES, ConsistencyError, build_code, build_gamma, gamma_roots
+from traceweight.fields import FieldCtx, find_primitive_modulus, make_field, split_prime_power
 from traceweight.quadforms import QuadForm
 
 
@@ -62,6 +62,20 @@ def test_gamma_roots_are_inverse_powers_of_pi(rank):
                 assert root == square_multiply_pow(ctx, ctx.pi, ctx.n - u), (q, m, u)
                 if ctx.n < 1 << 10:
                     assert root == naive_pow(ctx, ctx.pi, ctx.n - u), (q, m, u)
+
+
+def test_gamma_roots_are_kept_per_field_and_checked_on_every_build(monkeypatch):
+    ctx = FieldCtx(3, 1, 4, find_primitive_modulus(3, 4))  # not make_field's cached one
+    roots = gamma_roots(ctx)
+    roots[1] = 0  # the caller's own copy
+    with monkeypatch.context() as patch:
+        patch.setattr(ctx, "frobenius_q", None)  # a second call computes nothing
+        assert gamma_roots(ctx) == {1: ctx.inv(ctx.pi), 4: ctx.inv(ctx.pow(ctx.pi, 4))}
+    assert [build_code(ctx, f).k for f in FAMILIES] == [4, 8, 9]
+    # a wrong root in the cache fails the next build's degree check
+    ctx._gamma_roots[4] = 1
+    with pytest.raises(ConsistencyError, match="parity-check degree"):
+        build_code(ctx, "D")
 
 
 # the parity checks as build_code gave them when it took each root by pow

@@ -1,5 +1,6 @@
 """Field tower: modulus selection, traces, minimal polynomials, cosets."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -67,8 +68,9 @@ def test_modulus_degree_below_2_is_refused(p, degree):
 def test_high_degree_fields_are_refused_before_factorizing(p, degree, monkeypatch):
     def no_factorize(n):
         raise AssertionError("factorized before the field-size check")
+    # the modulus search takes its primes from check_modulus_rank's one
+    # factorization, so admission.factorize is the only one to guard
     monkeypatch.setattr(admission, "factorize", no_factorize)
-    monkeypatch.setattr(fields, "factorize", no_factorize)
     with pytest.raises(FieldSizeError):
         find_primitive_modulus(p, degree)
 
@@ -91,7 +93,9 @@ def test_generator_table_marks_the_residues_of_order_p_minus_1():
             while power != 1:
                 power, order = power * g % p, order + 1
             orders.append(order)
-        assert fields._generator_table(p).tolist() == [o == p - 1 for o in orders], p
+        primes = admission.factorize(p - 1)
+        assert [fields._generates(g, p, primes) for g in range(p)] == \
+            [o == p - 1 for o in orders], p
 
 
 def test_no_primitive_modulus_fails_the_constant_term_filter():
@@ -102,6 +106,52 @@ def test_no_primitive_modulus_fails_the_constant_term_filter():
                 coeffs = [packed // p**i % p for i in range(d)] + [1]
                 if (-1) ** d * coeffs[0] % p not in generators:
                     assert step_order_of_x(p, coeffs) != p**d - 1, (p, coeffs)
+
+
+def test_no_primitive_modulus_has_a_root_at_one_or_minus_one():
+    # the search drops f when f(1) or f(-1) is 0, on this lemma: a root is a
+    # linear factor, so f is reducible at every degree d >= 2
+    for p in (2, 3, 5, 7, 11):
+        for d in range(2, 6):
+            if p**d <= 1 << 11:
+                for packed in range(p**d):
+                    coeffs = [packed // p**i % p for i in range(d)] + [1]
+                    if sum(coeffs) % p == 0 or \
+                            sum(c * (-1) ** i for i, c in enumerate(coeffs)) % p == 0:
+                        assert step_order_of_x(p, coeffs) != p**d - 1, (p, coeffs)
+
+
+def test_modulus_search_pins_every_grid_field_at_ranks_0_to_3():
+    # the moduli at every (p, e * 2m) of the criterion-5 grid, q^(2m) <= 2^20,
+    # at each rank below 4 that the degree has, as the numpy block search
+    # gave them
+    fields_of_grid = sorted({(split_prime_power(q)[0], 2 * split_prime_power(q)[1] * m)
+                             for q in prime_powers_up_to(1 << 10) for m in range(1, 11)
+                             if q ** (2 * m) <= 1 << 20})
+    assert len(fields_of_grid) == 198
+    moduli = []
+    for p, degree in fields_of_grid:
+        for rank in range(4):
+            try:
+                moduli.append((p, degree, rank, find_primitive_modulus(p, degree, rank)))
+            except ModulusRankError:
+                break
+    assert len(moduli) == 785
+    digest = hashlib.sha1(repr(moduli).encode()).hexdigest()
+    assert digest == "524e78802c978f54d598da85184128672184306b"
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"the modulus search used np.{name}")
+
+
+@pytest.mark.parametrize("p,degree,rank", [(2, 2, 0), (2, 9, 3), (2, 20, 1), (3, 5, 2),
+                                           (7, 3, 1), (1021, 2, 3)])
+def test_modulus_search_runs_without_numpy(p, degree, rank, monkeypatch):
+    expected = find_primitive_modulus(p, degree, rank)
+    monkeypatch.setattr(fields, "np", _NoNumpy())
+    assert find_primitive_modulus(p, degree, rank) == expected
 
 
 # the outputs of the search that scanned the binomials too; p^degree is
@@ -117,7 +167,8 @@ def test_block_search_pins_ranks_0_to_3(p, degree, expected):
 
 
 def test_block_search_refuses_sums_beyond_int64():
-    # prime, 2 * p^2 < 2^63 < 3 * p^2; p^3 is far over the field-size bound
+    # prime, 2 * p^2 < 2^63 < 3 * p^2; p^3 is far over the field-size bound,
+    # so the search refuses it before any arithmetic
     p = 2**31 - 1
     with pytest.raises(FieldSizeError):
         find_primitive_modulus(p, 3)
