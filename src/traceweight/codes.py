@@ -57,13 +57,12 @@ def form_exponents(q: int, m: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """One concrete code: family, parameters, parity check, parameter layout."""
+    """One concrete code: family, length n, dimension k and parity check."""
 
     family: str
     ctx: FieldCtx
     n: int
     k: int
-    gamma: tuple[int, ...]
     parity_check: Poly
 
     @property
@@ -118,7 +117,6 @@ def build_code(ctx: FieldCtx, family: str) -> CodeSpec:
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
     q, m, n = ctx.q, ctx.m, ctx.n
-    gamma = sorted(build_gamma(q, m))
     if family == "E" and (q**m + 1) % n == 0:
         # q^m + 1 = 0 mod n happens only at (q, m) = (2, 1), where the
         # u = q^m + 1 factor of h is already (x - 1) and appending another
@@ -148,4 +146,4 @@ def build_code(ctx: FieldCtx, family: str) -> CodeSpec:
     for u, root in roots.items():
         if h(root) != 0:
             raise ConsistencyError(f"parity check does not vanish at pi^(-{u})")
-    return CodeSpec(family, ctx, n, k, tuple(gamma), h)
+    return CodeSpec(family, ctx, n, k, h)

@@ -33,16 +33,16 @@ from each (f, a) it holds to the translations k allowed with it, a
 coset of one subgroup d Z_n, so no temporary grows with |G|.  H has at
 most e s (q-1) entries, so its tests and updates run on Python ints;
 only a slot's residues and values are numpy arrays.  A visit solves its
-slot's values in one call, at the representative logs only, from the
-pivot digits of pi^l (_slot_solver), so no map grows with n.  The runs
-come back as int64 arrays (start, length, weight) in start order, and
-must cover all q^(m^2) forms with their weights, summed exactly, before
-anything is counted; they are then expanded into one index array, which
-_enumerate cuts into contiguous slices, with one weight per form.  Only
-which forms are counted changes, never how a form is counted, and every
-merge is a plain int64 sum of weight x histogram (brute) or weight x
-rank count (sweep), so results are bitwise identical for every worker
-count and chunking.
+slot's values in one call, at the representative logs only, through
+the inverse of the slot's map (FormSpace.local_values), so no map grows
+with n.  The runs come back as int64 arrays (start, length, weight) in
+start order, and must cover all q^(m^2) forms with their weights, summed
+exactly, before anything is counted; they are then expanded into one
+index array, which _enumerate cuts into contiguous slices, with one
+weight per form.  Only which forms are counted changes, never how a form
+is counted, and every merge is a plain int64 sum of weight x histogram
+(brute) or weight x rank count (sweep), so results are bitwise identical
+for every worker count and chunking.
 
 rank_sweep instead measures the radical rank of each form and converts
 the measured rank multiplicities into the weight distribution through
@@ -91,7 +91,7 @@ import numpy as np
 from .admission import (TIER_BUDGETS, _refusal, brute_work, choose_oracle,
                         rank_sweep_work, split_prime_power)
 from .codes import CodeSpec, ConsistencyError, build_code
-from .fields import FieldCtx, coordinate_inverse, make_field
+from .fields import FieldCtx, make_field
 from .quadforms import (MATCH_WORDS, FormSpace, coordinate_matches, form_values,
                         gram_labels, gram_points, linear_trace_planes, trace_residues)
 from .spectra import WeightDistribution, assemble_distribution, predict
@@ -283,23 +283,6 @@ def _batched_fp_rank(mats: np.ndarray, p: int) -> np.ndarray:
 # the orbit layer
 
 
-def _slot_solver(space: FormSpace, j: int):
-    """The function from an int64 array of logs l of nonzero slot-j
-    coefficients to the slot's local values v.  The coefficient pi^l is
-    F_p-linear in v's base-p digits through the slot's digit rows,
-    FormSpace.slot_rows, which FormSpace.coefficients maps forward, so v
-    is linear in pi^l's digits, through the inverse of those rows
-    (fields.coordinate_inverse)."""
-    ctx = space.ctx
-    rows = space.slot_rows[j]
-    if np.array_equal(rows, np.eye(ctx.degree)):
-        # q = p and basis pi^0..pi^(s-1): v is pi^l, and a gather costs less
-        # than the elimination and a linear_image call per visit
-        return ctx.exp_table().take
-    matrix = coordinate_inverse(rows.tolist(), ctx.p)
-    return lambda logs: ctx.linear_image(ctx.exp_table()[logs], matrix)
-
-
 def _form_orbits(space: FormSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Runs of form indices as three int64 arrays (start, length, weight),
     in ascending start order: the forms counted for each orbit of the
@@ -320,7 +303,6 @@ def _form_orbits(space: FormSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # below ends[j] belong to slots 0..j-1
     steps = [n // (q**w - 1) for w in widths]
     ends = [sum(widths[:j]) for j in range(len(widths) + 1)]
-    solvers = [_slot_solver(space, j) for j in range(len(widths))]
     free = []  # (start, length, weight) of each run whose lower slots are free
     single_starts, single_weights = [], []  # each slot-0 visit's runs of length 1
 
@@ -376,7 +358,7 @@ def _form_orbits(space: FormSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             free.append((base, q ** ends[j + 1], weight))
             return
         logs, sizes = orbits(K, d, j)
-        values = solvers[j](logs)
+        values = space.local_values(j, logs)
         if j == 0:
             # no slot is left below: each value's form is one orbit, of
             # |G|/|H| times the value's H-orbit size; the zero value first

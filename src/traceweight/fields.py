@@ -24,7 +24,8 @@ labelling) so inner loops can work on small numpy arrays instead of
 packed values; trace_labels holds the traces to F_q by log, likewise.
 
 F_p-linear maps on packed elements (the exp table's doubling steps, the
-trace labels, the orbit layer's slot values) go through linear_image.
+subfield labels, the trace labels, the form coefficients and the orbit
+layer's slot values) go through linear_image.
 At p = 2 an input of a few hundred values or more is mapped through two
 tables, the images of every pattern of the low ceil(D/2) bits and of
 the high ones, so an image is two lookups and an XOR.  Shorter inputs,
@@ -615,17 +616,12 @@ class SubfieldView:
         self.order = order
         self.ext_deg = k
         self.gen = ctx.pow(ctx.pi, ctx.n // (order - 1))
-        basis = [ctx.pow(self.gen, i) for i in range(k)]
-        elems = [0] * order
-        p = ctx.p
-        for lbl in range(order):
-            v, rem = 0, lbl
-            for b in basis:
-                c = rem % p
-                rem //= p
-                if c:  # the prime-field element c packs to the digit c
-                    v = ctx.add(v, ctx.mul(c, b))
-            elems[lbl] = v
+        # a label's base-p digits are its coordinates on the basis g^i, so
+        # every label's element is one linear_image through the basis's
+        # digit rows
+        rows = np.zeros((ctx.degree, ctx.degree))
+        rows[:k] = [ctx.digits(ctx.pow(self.gen, i)) for i in range(k)]
+        elems = ctx.linear_image(np.arange(order), rows).tolist()
         self.elements_by_label = tuple(elems)
         self._label_of = {v: i for i, v in enumerate(elems)}
         if len(self._label_of) != order:

@@ -20,13 +20,14 @@ those of F_p^N, y -> w_p^(y.x), indexed by the same digits: a Cayley
 graph's spectrum is the multiset of its connection set's character sums,
 however the characters are named.
 
-Each matrix is built and ranked once per field; that one enumeration is
-also where the witness's budget is checked, by
+Each matrix is built and ranked once per field; that one enumeration,
+enumerate_hermitian, is also where the witness's budget is checked, by
 admission.check_witness_budget, which needs (q, m) alone.  The
 embedding is checked as one F_p-linear map, each image's base-p digits
 against its coordinates times the basis images' digits; for odd m, the
 leading coordinate's membership in F_{q^m} (an F_p-subspace) on the
-basis.
+basis.  The connection set is read off the exp table, one gather per
+exponent.
 """
 
 from __future__ import annotations
@@ -61,30 +62,22 @@ def hermitian_at(ctx: FieldCtx, index: int) -> Matrix:
     return tuple(tuple(r) for r in rows)
 
 
-def enumerate_hermitian(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND):
-    """All q^(m^2) Hermitian matrices, in deterministic index order."""
-    check_witness_budget(ctx.q, ctx.m, budget)
-    for index in range(ctx.q ** (ctx.m * ctx.m)):
-        yield hermitian_at(ctx, index)
-
-
-def matrix_rank(ctx: FieldCtx, h: Matrix) -> int:
-    fq2 = ctx.subfield(ctx.q * ctx.q)
-    return label_matrix_rank(fq2, [[fq2.label_of(v) for v in row] for row in h])
-
-
 @functools.lru_cache(maxsize=8)
-def _matrices(ctx: FieldCtx, budget: int) -> tuple[Matrix, ...]:
-    """All Hermitian matrices, cached so the witness builds each once and
-    checks its budget once."""
-    return tuple(enumerate_hermitian(ctx, budget))
+def enumerate_hermitian(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND
+                        ) -> tuple[Matrix, ...]:
+    """All q^(m^2) Hermitian matrices, in deterministic index order, once
+    the budget admits them; cached, so the witness builds each matrix once
+    and checks its budget once."""
+    check_witness_budget(ctx.q, ctx.m, budget)
+    return tuple(hermitian_at(ctx, index) for index in range(ctx.q ** (ctx.m * ctx.m)))
 
 
 @functools.lru_cache(maxsize=8)
 def rank1_indices(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND) -> tuple[int, ...]:
     """Indices of the rank-1 matrices, cached so the witness ranks once."""
-    return tuple(i for i, h in enumerate(_matrices(ctx, budget))
-                 if matrix_rank(ctx, h) == 1)
+    fq2 = ctx.subfield(ctx.q * ctx.q)
+    return tuple(i for i, h in enumerate(enumerate_hermitian(ctx, budget))
+                 if label_matrix_rank(fq2, [[fq2.label_of(v) for v in row] for row in h]) == 1)
 
 
 def rank1_count(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND) -> int:
@@ -172,7 +165,8 @@ def verify_isomorphism(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND) -> Is
     alpha_rows = [[ctx.pow(a, c) for a in alpha] for c in powers]
 
     count = q ** (m * m)
-    images = [_embedding_image(ctx, alpha, alpha_rows, h) for h in _matrices(ctx, budget)]
+    images = [_embedding_image(ctx, alpha, alpha_rows, h)
+              for h in enumerate_hermitian(ctx, budget)]
     digits = np.array([[d for x in img for d in ctx.digits(x)] for img in images])
     basis = [p**i for i in range(ctx.e * m * m)]
     # additivity, completely: digits = F_p coordinates @ the basis images' digits
@@ -188,11 +182,9 @@ def verify_isomorphism(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND) -> Is
     if not injective_ok:
         notes.append("image tuples collide")
 
-    steps = [ctx.pow(ctx.pi, c + 1) for c in powers]  # (pi^i)^(c+1) as running products
-    connection, point = set(), tuple([1] * len(steps))
-    for _ in range(ctx.n):
-        connection.add(point)
-        point = tuple(ctx.mul(x, u) for x, u in zip(point, steps))
+    # (pi^i)^(c+1) = pi^(i (c+1) mod n), one exp-table gather per exponent
+    n, at = ctx.n, np.arange(ctx.n, dtype=np.int64)
+    connection = set(zip(*(ctx.exp_table()[at * ((c + 1) % n) % n].tolist() for c in powers)))
     image_of_rank1 = {images[i] for i in rank1_indices(ctx, budget)}
     matches = image_of_rank1 == connection
     if not matches:

@@ -9,7 +9,9 @@ enumeration: an index's base-q digits are F_q labels of the coefficient
 coordinates with respect to the power bases, least-significant digit
 first; the engine relies on this exact order for partitioning.
 FormSpace.coefficients maps indices to coefficients, one F_p-linear
-map per slot, checked by the tests against a digit-by-digit build.
+map per slot, checked by the tests against a digit-by-digit build, and
+FormSpace.local_values maps a slot's coefficients back to its digits,
+through the inverse of the same map.
 
 Everything here works on the coordinates x = pi^i, i = 0..n-1, the
 nonzero elements in the order of a codeword's positions; sums over all
@@ -58,7 +60,7 @@ import numpy as np
 
 from .admission import LINEAR_TRACE_BOUND, FieldSizeError
 from .codes import ConsistencyError, form_exponents
-from .fields import FieldCtx, label_matrix_rank
+from .fields import FieldCtx, coordinate_inverse, label_matrix_rank
 
 # The most XOR words one group of coordinate_matches holds; the brute
 # oracle and FormSpace.forms size their blocks of forms by it too, and
@@ -162,28 +164,39 @@ class FormSpace:
         self.num_forms = q**self.digit_count
         if self.digit_count != m * m:
             raise ConsistencyError("parameter space dimension is not m^2")
-        # slot_rows[j][e * d + i] holds the base-p digits of slot j's
-        # coefficient at its local index p^(e * d + i): the F_q label p^i
-        # (the F_q basis element g^i) times basis element d
+        # slot j's local index is F_p-linear in its base-p digits: digit
+        # e * d + i scales the F_q label p^i (the F_q basis element g^i)
+        # times basis element d.  The digit rows of those products, padded
+        # to D rows, map local indices forward to coefficients; their
+        # inverse (fields.coordinate_inverse) maps coefficients back
         p, e, sub = ctx.p, ctx.e, ctx.subfield(q)
-        self.slot_rows = [np.array([ctx.digits(ctx.mul(sub.from_label(p**i), b))
-                                    for b in basis for i in range(e)], dtype=np.int64)
-                          for basis in self.slot_bases]
+        self._forward, self._inverse = [], []
+        for basis in self.slot_bases:
+            rows = [ctx.digits(ctx.mul(sub.from_label(p**i), b)) for b in basis for i in range(e)]
+            forward = np.zeros((ctx.degree, ctx.degree))
+            forward[:len(rows)] = rows
+            self._forward.append(forward)
+            self._inverse.append(coordinate_inverse(rows, p).astype(np.float64))
 
     def coefficients(self, indices) -> np.ndarray:
         """(len(indices), slots) int64: the packed coefficients of the forms
         at the indices.  Slot j's local index, the index's base-q digits
-        that belong to the slot, is F_p-linear in its base-p digits through
-        slot_rows[j], so each slot is one FieldCtx.linear_image."""
+        that belong to the slot, maps to its coefficient through one
+        FieldCtx.linear_image of the slot's forward rows."""
         ctx = self.ctx
         rest = np.asarray(indices, dtype=np.int64)
-        coeffs = np.empty((len(rest), len(self.slot_rows)), dtype=np.int64)
-        for j, rows in enumerate(self.slot_rows):
+        coeffs = np.empty((len(rest), len(self._forward)), dtype=np.int64)
+        for j, forward in enumerate(self._forward):
             rest, local = np.divmod(rest, ctx.q ** len(self.slot_bases[j]))
-            matrix = np.zeros((ctx.degree, ctx.degree))
-            matrix[:len(rows)] = rows
-            ctx.linear_image(local, matrix, out=coeffs[:, j])
+            ctx.linear_image(local, forward, out=coeffs[:, j])
         return coeffs
+
+    def local_values(self, j: int, logs: np.ndarray) -> np.ndarray:
+        """Slot j's local index of the nonzero coefficient pi^l at each log
+        l of the int64 array logs: coefficients inverted, one
+        FieldCtx.linear_image of pi^l through the slot's inverse rows."""
+        ctx = self.ctx
+        return ctx.linear_image(ctx.exp_table()[logs], self._inverse[j])
 
     def forms(self, indices):
         """The forms at the sequence of indices, in order, each block of

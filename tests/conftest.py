@@ -339,15 +339,21 @@ def form_at(space, index):
     return next(space.forms([index]))
 
 
-def full_map_slot_solver(space, j):
-    """The orbit layer's slot values through a full map, the reference for
-    engine._slot_solver: every nonzero value v of slot j, at the log of
-    its coefficient as literal_coefficients builds it."""
+@lru_cache(maxsize=8)
+def _full_slot_map(space, j):
+    """Every nonzero value v of slot j, keyed by the log of its coefficient
+    as literal_coefficients builds it."""
     ctx = space.ctx
     below = sum(len(basis) for basis in space.slot_bases[:j])
-    value_at = {ctx.log(literal_coefficients(space, v * ctx.q**below)[j]): v
-                for v in range(1, ctx.q ** len(space.slot_bases[j]))}
-    return lambda logs: np.array([value_at[int(log)] for log in logs], dtype=np.int64)
+    return {ctx.log(literal_coefficients(space, v * ctx.q**below)[j]): v
+            for v in range(1, ctx.q ** len(space.slot_bases[j]))}
+
+
+def full_map_local_values(space, j, logs):
+    """The orbit layer's slot values through a full map, the reference for
+    FormSpace.local_values, with its signature."""
+    value_at = _full_slot_map(space, j)
+    return np.array([value_at[int(log)] for log in logs], dtype=np.int64)
 
 
 def literal_value(form, x):
@@ -378,6 +384,18 @@ def literal_gram(form):
     sub = ctx.subfield(ctx.q)
     basis = [ctx.pow(ctx.pi, i) for i in range(ctx.s)]
     return [[sub.label_of(literal_bilinear(form, a, b)) for b in basis] for a in basis]
+
+
+def literal_subfield_element(sub, lbl):
+    """The element of a subfield label, digit by digit, the reference for
+    SubfieldView.elements_by_label: the label's base-p digits, least
+    first, scale the powers g^0, g^1, .. of the subfield's generator."""
+    ctx, v = sub.ctx, 0
+    for i in range(sub.ext_deg):
+        lbl, c = divmod(lbl, ctx.p)
+        if c:  # the prime-field element c packs to the digit c
+            v = ctx.add(v, ctx.mul(c, ctx.pow(sub.gen, i)))
+    return v
 
 
 def literal_label_rank(sub, rows):

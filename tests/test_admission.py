@@ -85,6 +85,15 @@ def test_admission_imports_only_the_standard_library():
     assert json.loads(out) == ["traceweight", "traceweight.admission"]
 
 
+def test_every_public_name_resolves_from_its_home_module():
+    """The package's lazy names: each in __all__ is the attribute of the
+    module its _HOMES entry names."""
+    from importlib import import_module
+    for name in traceweight.__all__:
+        home = import_module(f"traceweight.{traceweight._MODULE_OF[name]}")
+        assert getattr(traceweight, name) is getattr(home, name)
+
+
 def test_choose_oracle_prefers_brute_then_the_sweep():
     assert choose_oracle(2, 4, "D", "standard", TIER_BUDGETS["standard"]) == "brute"
     assert choose_oracle(2, 5, "D", "extended", TIER_BUDGETS["extended"]) == "rank_sweep"

@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import (codeword, form_at, full_map_slot_solver, literal_coefficients,
+from conftest import (codeword, form_at, full_map_local_values, literal_coefficients,
                       literal_gram, literal_value, parameter_slots, weight)
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -368,7 +368,7 @@ def test_orbit_ranges_equal_the_full_map_reference(monkeypatch, p, e, m, modulus
     runs and weights that the full map of every slot value gives."""
     space = FormSpace(make_field(p, e, 2 * m, modulus_rank))
     solved = engine._form_orbits(space)
-    monkeypatch.setattr(engine, "_slot_solver", full_map_slot_solver)
+    monkeypatch.setattr(FormSpace, "local_values", full_map_local_values)
     reference = engine._form_orbits(space)
     assert len(solved) == len(reference) == 3
     assert all(np.array_equal(col, ref) for col, ref in zip(solved, reference))

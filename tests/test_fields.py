@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from conftest import (coset_size, element_order, frobenius_sum, lex_primitive_moduli,
                       lex_primitive_modulus, literal_label_rank, literal_linear_image,
-                      naive_add, naive_mul, poly_divides, poly_divmod, prime_powers_up_to,
-                      step_order_of_x, trace)
+                      literal_subfield_element, naive_add, naive_mul, poly_divides,
+                      poly_divmod, prime_powers_up_to, step_order_of_x, trace)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -544,6 +544,26 @@ def test_split_prime_power_of_large_primes_and_powers():
     assert split_prime_power(3**40) == (3, 40)
     with pytest.raises(ValueError):
         split_prime_power(m31 * m61)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25])
+def test_subfield_elements_equal_the_digit_by_digit_construction(q):
+    """elements_by_label, one linear_image of the labels, equals the
+    elements built digit by digit, at orders q and q^2 inside F_{q^4}."""
+    p, e = split_prime_power(q)
+    ctx = make_field(p, e, 4)
+    for order in (q, q * q):
+        sub = fields.SubfieldView(ctx, order)
+        assert list(sub.elements_by_label) == \
+            [literal_subfield_element(sub, lbl) for lbl in range(order)]
+
+
+def test_subfield_elements_of_the_largest_labelled_field():
+    """A spread of 1,000 labels of F_65536, the largest order with labels."""
+    sub = fields.SubfieldView(make_field(2, 8, 2), 2**16)
+    labels = np.linspace(0, 2**16 - 1, 1000).astype(np.int64).tolist()
+    assert [sub.elements_by_label[lbl] for lbl in labels] == \
+        [literal_subfield_element(sub, lbl) for lbl in labels]
 
 
 def test_subfield_labels_are_additive():

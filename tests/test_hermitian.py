@@ -5,9 +5,8 @@ import pytest
 from traceweight import cli, fields, hermitian
 from traceweight.admission import BudgetExceeded
 from traceweight.fields import FieldCtx, make_field
-from traceweight.hermitian import (cayley_spectrum, enumerate_hermitian,
-                                   hermitian_at, matrix_rank, rank1_count,
-                                   verify_isomorphism)
+from traceweight.hermitian import (cayley_spectrum, enumerate_hermitian, hermitian_at,
+                                   rank1_count, rank1_indices, verify_isomorphism)
 from traceweight.spectra import eigenvalues, frequencies
 
 CASES = [(2, 1, 1), (2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 1), (2, 2, 2), (3, 2, 1)]
@@ -87,20 +86,20 @@ def test_zero_matrix_maps_to_zero():
 
 @pytest.fixture
 def fresh_rank1_cache():
-    hermitian._matrices.cache_clear()
+    hermitian.enumerate_hermitian.cache_clear()
     hermitian.rank1_indices.cache_clear()
     yield
-    hermitian._matrices.cache_clear()
+    hermitian.enumerate_hermitian.cache_clear()
     hermitian.rank1_indices.cache_clear()
 
 
 def test_witness_ranks_each_matrix_once(monkeypatch, capsys, fresh_rank1_cache):
     built, ranked = [], []
-    real_at, real_rank = hermitian.hermitian_at, hermitian.matrix_rank
+    real_at, real_rank = hermitian.hermitian_at, hermitian.label_matrix_rank
     monkeypatch.setattr(hermitian, "hermitian_at",
                         lambda ctx, i: built.append(i) or real_at(ctx, i))
-    monkeypatch.setattr(hermitian, "matrix_rank",
-                        lambda ctx, h: ranked.append(h) or real_rank(ctx, h))
+    monkeypatch.setattr(hermitian, "label_matrix_rank",
+                        lambda sub, rows: ranked.append(rows) or real_rank(sub, rows))
     assert cli.main(["witness", "--q", "2", "--m", "2"]) == 0
     assert built == list(range(2 ** (2 * 2)))
     assert len(ranked) == 2 ** (2 * 2)
@@ -139,12 +138,12 @@ def test_constant_embedding_is_reported(monkeypatch, fresh_rank1_cache):
     assert not report.ok
 
 
-def test_matrix_rank_basics():
+def test_matrix_rank_basics(fresh_rank1_cache):
     ctx = make_field(2, 1, 4)
-    zero = hermitian_at(ctx, 0)
-    assert matrix_rank(ctx, zero) == 0
-    full = tuple(tuple(1 if i == j else 0 for j in range(2)) for i in range(2))
-    assert matrix_rank(ctx, full) == 2
+    # index 1 is diag(1, 0), index 3 the identity: the diagonal digits come first
+    assert hermitian_at(ctx, 3) == ((1, 0), (0, 1))
+    ranks1 = rank1_indices(ctx)
+    assert 0 not in ranks1 and 1 in ranks1 and 3 not in ranks1
 
 
 def test_budget_refusal():

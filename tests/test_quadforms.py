@@ -174,6 +174,22 @@ def test_coefficients_equal_the_digit_by_digit_construction(p, e, m):
     assert space.coefficients(np.array([], dtype=np.int64)).shape == (0, len(widths))
 
 
+@pytest.mark.parametrize("modulus_rank", [0, 1])
+@pytest.mark.parametrize("p,e,m", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3), (3, 2, 1),
+                                   (2, 2, 3)])
+def test_local_values_invert_the_coefficients(p, e, m, modulus_rank):
+    """FormSpace.local_values recovers every nonzero value of every slot
+    from the log of the coefficient that FormSpace.coefficients gives it."""
+    space = FormSpace(make_field(p, e, 2 * m, modulus_rank))
+    ctx, below = space.ctx, 0
+    for j, basis in enumerate(space.slot_bases):
+        values = np.arange(1, ctx.q ** len(basis), dtype=np.int64)
+        coeffs = space.coefficients(values * ctx.q**below)[:, j]
+        assert coeffs.all()
+        assert space.local_values(j, ctx.log_table()[coeffs]).tolist() == values.tolist()
+        below += len(basis)
+
+
 def test_integral_character_sum_rejects_irrational():
     with pytest.raises(ConsistencyError):
         integral_character_sum([5, 3, 1], 3)
