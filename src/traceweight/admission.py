@@ -1,7 +1,10 @@
 """Admission: which oracle may run at (q, m, family), or why none may.
 
 Every budget and size refusal is decided here from (q, m, family) alone,
-by exact integer arithmetic, before any field, code or plan is built.
+before any field, code or plan is built, and decided exactly: a work
+model is compared with the budget by log2 first, and formed as an exact
+int only where the bit lengths tie or it has at most about 1,000
+decimal digits, so a refusal at large m costs no exact q^(m^2).
 The module imports only the standard library, so the command line can
 refuse a request, or reject its usage, without loading numpy or the
 rest of the package.
@@ -23,6 +26,7 @@ witness has its own work model, check_witness_budget.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 
@@ -157,41 +161,93 @@ def rank_sweep_work(q: int, m: int) -> int:
     return q ** (m * m) * (2 * m) ** 3
 
 
+# An estimate is formed as an exact int up to about 1,000 decimal digits
+# (log2 at most ESTIMATE_LOG2_BOUND).  Above that it is known by its log2
+# alone, as forming q^(m^2) and printing it take time that grows faster
+# than m^2: the refusal's message shows ~2^x and its estimate is None.
+ESTIMATE_LOG2_BOUND = 1000 * math.log2(10)
+
+
+def _estimate(log2: float, exact) -> int | None:
+    """exact(), the int of about 2^log2, where it has at most about 1,000
+    decimal digits, else None."""
+    return exact() if log2 <= ESTIMATE_LOG2_BOUND else None
+
+
+def _exceeds(log2: float, estimate: int | None, exact, budget: int) -> bool:
+    """Whether the work exceeds the budget.  log2 is the work's own log2 or
+    at most a bit above it, and estimate the exact work where formed.
+    Unformed work is compared by bit lengths, and formed by exact() only
+    where they lie within two bits of each other."""
+    if estimate is None and abs(log2 - budget.bit_length()) > 2:
+        return log2 > budget.bit_length()
+    return (exact() if estimate is None else estimate) > budget
+
+
+def _shown(value: int | None, log2: float | None = None) -> str:
+    """The value in decimal, or ~2^log2 where it was not formed or has
+    more than about 1,000 digits (a budget may)."""
+    if value is not None and value.bit_length() <= ESTIMATE_LOG2_BOUND:
+        return str(value)
+    return f"~2^{math.log2(value) if log2 is None else log2:.1f}"
+
+
+def _field_size(q: int, m: int) -> int:
+    """q^(2m), or a stand-in over DEFAULT_TABLE_BOUND where 2m exceeds its
+    bit length: the field, at least 2^(2m), then exceeds every size bound,
+    and no q^(2m) of a large m is formed."""
+    return q ** min(2 * m, DEFAULT_TABLE_BOUND.bit_length())
+
+
 def _refusal(kind: str, q: int, m: int, family: str,
              budget: int) -> BudgetExceeded | None:
     """Why the oracle kind ("brute" or "rank_sweep") may not run at
     (q, m, family) under budget, or None when it may: q over the byte-label
     cap, the work model over the budget, brute D and E over the
-    linear-trace table bound, or either oracle over the exp/log-table bound."""
+    linear-trace table bound, or either oracle over the exp/log-table bound.
+    The work is compared by its log2 first (_exceeds), so no exact power
+    of a large m is formed."""
     brute = kind == "brute"
     name = "brute enumeration" if brute else "rank sweep"
-    work = brute_work(q, m, family) if brute else rank_sweep_work(q, m)
+    if brute:
+        # forms x (size - 1), times size for D and E
+        log2 = (m * m + 2 * m * (1 if family == "C" else 2)) * math.log2(q)
+        exact = functools.partial(brute_work, q, m, family)
+    else:
+        log2 = m * m * math.log2(q) + 3 * math.log2(2 * m)
+        exact = functools.partial(rank_sweep_work, q, m)
+    work = _estimate(log2, exact)
 
     def refuse(error, needs):
         return error(f"{name} needs {needs}", estimate=work, budget=budget)
     if q > MAX_LABEL_Q:
         return refuse(FieldSizeError, f"F_q labels that fit a byte; q = {q} exceeds {MAX_LABEL_Q}")
-    if work > budget:
-        return refuse(BudgetExceeded, f"~{work} elementary operations (budget {budget})")
-    if brute and family != "C" and q ** (2 * m) > LINEAR_TRACE_BOUND:
+    if _exceeds(log2, work, exact, budget):
+        return refuse(BudgetExceeded,
+                      f"{_shown(work, log2)} elementary operations "
+                      f"(budget {_shown(budget)})")
+    size = _field_size(q, m)
+    if brute and family != "C" and size > LINEAR_TRACE_BOUND:
         return refuse(FieldSizeError, f"the linear-trace table, refused above "
                                       f"{LINEAR_TRACE_BOUND} field elements")
-    return field_size_refusal(q ** (2 * m), name, work, budget)
+    return field_size_refusal(size, name, work, budget)
 
 
 def choose_oracle(q: int, m: int, family: str, tier: str, budget: int) -> str:
     """The strongest oracle the budget affords at (q, m, family): "brute"
     if the rule admits it, else "rank_sweep".  When neither is admitted,
     raises FieldSizeError if both refusals are size refusals, else
-    BudgetExceeded, with the smaller estimate attached."""
+    BudgetExceeded, with the smaller estimate attached (None where
+    neither was formed)."""
     refusals = {kind: _refusal(kind, q, m, family, budget)
                 for kind in ("brute", "rank_sweep")}
     kind = next((k for k, refusal in refusals.items() if refusal is None), None)
     if kind is None:
         size_only = all(isinstance(r, FieldSizeError) for r in refusals.values())
+        formed = [r.estimate for r in refusals.values() if r.estimate is not None]
         raise (FieldSizeError if size_only else BudgetExceeded)(
             f"no oracle fits tier {tier!r}: " + "; ".join(map(str, refusals.values())),
-            estimate=min(r.estimate for r in refusals.values()), budget=budget)
+            estimate=min(formed, default=None), budget=budget)
     return kind
 
 
@@ -200,18 +256,27 @@ def check_witness_budget(q: int, m: int, budget: int):
     each of the q^(m^2) characters, one per Hermitian matrix of order m,
     with each of the (q^(2m)-1)/(q+1) rank-1 matrices.  q above MAX_LABEL_Q
     is refused first, as the F_{q^2} label tables would not fit, a field
-    over the size bound last.  Needs (q, m) alone, so callers check first."""
-    matrices, rank1 = q ** (m * m), (q ** (2 * m) - 1) // (q + 1)
-    work = matrices * rank1
+    over the size bound last.  Needs (q, m) alone, so callers check first;
+    the work is compared by its log2 first, as _refusal compares it."""
+    matrices_log2 = m * m * math.log2(q)
+    rank1_log2 = 2 * m * math.log2(q) - math.log2(q + 1)
+    log2 = matrices_log2 + rank1_log2
+
+    def exact():
+        return q ** (m * m) * ((q ** (2 * m) - 1) // (q + 1))
+    work = _estimate(log2, exact)
     if q > MAX_LABEL_Q:
         raise FieldSizeError(
             f"F_{{q^2}} label tables are capped at {MAX_LABEL_Q**2} elements; "
             f"q = {q} exceeds {MAX_LABEL_Q}", estimate=work, budget=budget)
-    if work > budget:
+    if _exceeds(log2, work, exact, budget):
+        matrices = _estimate(matrices_log2, lambda: q ** (m * m))
+        rank1 = _estimate(rank1_log2, lambda: (q ** (2 * m) - 1) // (q + 1))
         raise BudgetExceeded(
-            f"{matrices} Hermitian matrices x {rank1} rank-1 matrices exceed "
-            f"the witness budget {budget}", estimate=work, budget=budget)
-    if refusal := field_size_refusal(q ** (2 * m), "the witness", work, budget):
+            f"{_shown(matrices, matrices_log2)} Hermitian matrices x "
+            f"{_shown(rank1, rank1_log2)} rank-1 matrices exceed the witness "
+            f"budget {_shown(budget)}", estimate=work, budget=budget)
+    if refusal := field_size_refusal(_field_size(q, m), "the witness", work, budget):
         raise refusal
 
 

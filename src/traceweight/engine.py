@@ -61,7 +61,8 @@ form's own Gram over F_q (fields.label_matrix_rank, forward elimination
 through F_q's own multiplication and subtraction tables, built from the
 field's mul and sub and shared with no kernel here): two eliminations
 over two fields must agree.  It also checks the sign convention against
-the plain character sum T, which the form caches.
+the plain character sum T, tallied for all sampled forms of a block at
+once.
 Neither side evaluates Q through pow and trace at run time.
 
 Both oracles run through one function, _enumerate.  It admits or refuses
@@ -93,7 +94,8 @@ from .admission import (TIER_BUDGETS, _refusal, brute_work, choose_oracle,
 from .codes import CodeSpec, ConsistencyError, build_code
 from .fields import FieldCtx, make_field
 from .quadforms import (MATCH_WORDS, FormSpace, coordinate_matches, form_values,
-                        gram_labels, gram_points, linear_trace_planes, trace_residues)
+                        gram_labels, gram_points, linear_trace_planes, match_block,
+                        trace_residues)
 from .spectra import WeightDistribution, assemble_distribution, predict
 
 DEFAULT_BUDGET = 2**36
@@ -124,7 +126,8 @@ class _CountPlan:
     MATCH_WORDS // n forms a call.  Each match block of a batch is then
     matched against the linear-trace rows by coordinate_matches; it holds
     as many forms as keep the match's temporaries under MATCH_WORDS
-    words, so a chunk of 2^16 forms of 4,095 labels is never held at
+    words (quadforms.match_block, which sizes a form block's beta-table
+    calls too), so a chunk of 2^16 forms of 4,095 labels is never held at
     once.  A batch is a whole number of match blocks: one form_values
     call per match block, 3 forms at D(2,5), made the brute pass there
     30-90 % slower (0.57-0.60 s against 0.76-1.13 s in one process on a
@@ -140,10 +143,7 @@ class _CountPlan:
         per_batch = max(1, MATCH_WORDS // ctx.n)
         self.block = per_batch
         if spec.family != "C":
-            # one target's XOR words, W per packed beta, and every target's
-            # int64 match counts
-            targets = ctx.q if spec.family == "E" else 1
-            self.block = max(1, MATCH_WORDS // ((-(-ctx.n // 64) + targets) * ctx.size))
+            self.block = match_block(ctx, ctx.q if spec.family == "E" else 1, MATCH_WORDS)
             # built now, so that a field over the table bound is refused
             # before the orbit layer and forked workers inherit the planes
             linear_trace_planes(ctx)

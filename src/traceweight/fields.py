@@ -325,18 +325,22 @@ class FieldCtx:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._log is not None:
-            return int(self._exp[(int(self._log[a]) + int(self._log[b])) % self.n])
         p = self.p
         if a < p or b < p:
-            # an F_p scalar c scales each digit of the other operand x (at
-            # p = 2, c is 1); c (p - 1) fits a slot, as it stays below p^2
+            # an F_p scalar c: 1 and a product of two scalars are read off
+            # at once, tables or not
             c, x = (a, b) if a < p else (b, a)
             if c == 1:
                 return x
             if x < p:
                 return c * x % p
-            return self._from_slots(c * self._spread(x))
+            if self._log is None:
+                # c scales each digit of x; c (p - 1) fits a slot, as it
+                # stays below p^2.  With tables the exp/log read is faster
+                # (about 0.5 against 1.5-3.8 us at D = 4-12)
+                return self._from_slots(c * self._spread(x))
+        if self._log is not None:
+            return int(self._exp[(int(self._log[a]) + int(self._log[b])) % self.n])
         return self._mul_poly(a, b)
 
     def _mul_poly(self, a: int, b: int) -> int:

@@ -43,12 +43,19 @@ coordinate_matches, the one match kernel, counts per beta and target
 the coordinates where Tr(beta x) + Q(x) hits the target: the wanted
 labels target - Q(x) become bit planes too, and a row's mismatches are
 the popcount of the OR over planes of row XOR wanted, so every
-coordinate is still compared.  A QuadForm caches its beta table, every
-target's match counts from one call; S(beta) and R_b(beta) are one
-bincount of its row 0 and of row label(-b), the x = 0 term folded into
-the keys.  It caches its rank (from the Gram FormSpace.forms reads for
-its block), its sign epsilon and T (big_T), so the epsilon check and a
-later big_T tally the residues once.
+coordinate is still compared.
+
+A block of FormSpace.forms (_FormBlock) owns the tables of its forms:
+their value tables and Grams, built with the block, and their beta
+tables (every target's match counts) and plain sums T (big_T), each
+filled for the whole block on the first request for any one form.  The
+beta tables take one coordinate_matches call per match_block of forms,
+the rule the brute oracle sizes its match blocks by, and the T sums one
+blocked bincount of the block's labels with a per-form offset.  A
+standalone QuadForm(ctx, coeffs) is a block of one.  S(beta) and
+R_b(beta) are one bincount of row 0 and of row label(-b) of the form's
+beta table, the x = 0 term folded into the keys.  A form caches its
+rank, its own elimination of its Gram, and its sign epsilon.
 """
 
 from __future__ import annotations
@@ -68,6 +75,14 @@ from .fields import FieldCtx, coordinate_inverse, label_matrix_rank
 MATCH_WORDS = 1 << 16
 
 
+def match_block(ctx: FieldCtx, targets: int, words: int) -> int:
+    """Forms per coordinate_matches call over the given number of targets:
+    as many as keep one target's XOR words, W = ceil(n / 64) per packed
+    beta, and every target's match counts within words.  The brute
+    oracle's match blocks and a form block's beta tables take this size."""
+    return max(1, words // ((-(-ctx.n // 64) + targets) * ctx.size))
+
+
 def integral_character_sum(residue_counts, p: int) -> int:
     """Contract sum_k counts[k] * w^k (w a primitive p-th root of unity)
     to a rational integer; raises if the sum is not one."""
@@ -80,36 +95,38 @@ def integral_character_sum(residue_counts, p: int) -> int:
 
 
 class QuadForm:
-    """Handle for one form: coefficients plus lazily cached rank, sign and
-    plain character sum T."""
+    """Handle for one form of a block of forms (_FormBlock): its
+    coefficients, its tables read off the block's, and its rank and sign,
+    cached once read.  QuadForm(ctx, coeffs) builds a block of one."""
 
     def __init__(self, ctx: FieldCtx, coeffs):
         coeffs = tuple(coeffs)
-        self.ctx = ctx
-        self.exponents = form_exponents(ctx.q, ctx.m)
-        if len(coeffs) != len(self.exponents):
-            raise ValueError(
-                f"expected {len(self.exponents)} coefficients, got {len(coeffs)}")
+        expected = len(form_exponents(ctx.q, ctx.m))
+        if len(coeffs) != expected:
+            raise ValueError(f"expected {expected} coefficients, got {len(coeffs)}")
         if ctx.m % 2 and ctx.pow(coeffs[0], ctx.q**ctx.m) != coeffs[0]:
             raise ValueError("leading coefficient is not in the embedded F_{q^m}")
-        self.coeffs = coeffs
+        self._join(_FormBlock(ctx, [coeffs]), 0, coeffs)
+
+    def _join(self, block: _FormBlock, at: int, coeffs: tuple[int, ...]):
+        """Make this the form at row at of the block."""
+        self.ctx, self.coeffs = block.ctx, coeffs
+        self._block, self._at = block, at
         self._rank: int | None = None
         self._epsilon: int | None = None
-        self._big_t: int | None = None  # filled by big_T
-        self._value_labels: np.ndarray | None = None
-        self._gram: np.ndarray | None = None  # handed over by FormSpace.forms
-        self._beta_table: np.ndarray | None = None
+
+    @property
+    def exponents(self) -> tuple[int, ...]:
+        """The exponent u_j of each slot's term Tr(c_j x^(u_j))."""
+        return form_exponents(self.ctx.q, self.ctx.m)
 
     @property
     def rank(self) -> int:
         """s minus the F_q-dimension of the radical of B, from the Gram
-        that gram_labels reads off the value table at the Gram points."""
+        that gram_labels read off the value table at the Gram points."""
         if self._rank is None:
             ctx = self.ctx
-            gram = self._gram
-            if gram is None:
-                gram = gram_labels(ctx, self.value_labels()[gram_points(ctx)])
-            r = label_matrix_rank(ctx.subfield(ctx.q), gram.tolist())
+            r = label_matrix_rank(ctx.subfield(ctx.q), self._block.grams[self._at].tolist())
             if r % 2:
                 raise ConsistencyError(f"odd radical rank {r} for {self.coeffs}")
             self._rank = r
@@ -134,16 +151,60 @@ class QuadForm:
 
     def value_labels(self) -> np.ndarray:
         """F_q labels of Q(pi^i) at every coordinate i = 0..n-1, as uint8."""
-        if self._value_labels is None:
-            self._value_labels = form_values(self.ctx, [self.coeffs])[0]
-        return self._value_labels
+        return self._block.values[self._at]
 
     def beta_table(self) -> np.ndarray:
         """coordinate_matches for every target t = 0..q-1, (q, size)."""
-        if self._beta_table is None:
-            self._beta_table = coordinate_matches(self.ctx, self.value_labels(),
-                                                  range(self.ctx.q))
-        return self._beta_table
+        return self._block.beta_tables()[:, self._at]
+
+
+class _FormBlock:
+    """The tables of a block of forms, one row per form, which the block's
+    QuadForms read: value tables and Grams, built at once, and the beta
+    tables and plain sums T, each filled for every form of the block on
+    the first request for any one of them."""
+
+    def __init__(self, ctx: FieldCtx, coeffs):
+        self.ctx = ctx
+        self.values = form_values(ctx, coeffs)
+        self.grams = gram_labels(ctx, self.values[:, gram_points(ctx)])
+        self._beta_tables: np.ndarray | None = None
+        self._big_ts: list[int] | None = None
+
+    def beta_tables(self) -> np.ndarray:
+        """(q, forms, size) uint16: coordinate_matches of every form for
+        every target, from one call per match_block of forms."""
+        if self._beta_tables is None:
+            ctx, forms = self.ctx, len(self.values)
+            tables = np.empty((ctx.q, forms, ctx.size), dtype=np.uint16)
+            step = match_block(ctx, ctx.q, MATCH_WORDS)
+            for lo in range(0, forms, step):
+                tables[:, lo:lo + step] = coordinate_matches(
+                    ctx, self.values[lo:lo + step], range(ctx.q))
+            self._beta_tables = tables
+        return self._beta_tables
+
+    def big_ts(self) -> list[int]:
+        """Every form's plain sum T.  The block's labels are tallied in one
+        bincount, each form's keys offset by q times its row, a block of
+        MATCH_WORDS labels at a time, as bincount copies its input to intp;
+        each form's q label counts are then summed per residue and
+        contracted."""
+        if self._big_ts is None:
+            ctx, (forms, n) = self.ctx, self.values.shape
+            labels = self.values.reshape(-1)
+            label_counts = np.zeros(forms * ctx.q, dtype=np.int64)
+            for lo in range(0, len(labels), MATCH_WORDS):
+                keys = np.arange(lo, min(lo + MATCH_WORDS, len(labels)), dtype=np.int64)
+                keys //= n
+                keys *= ctx.q
+                keys += labels[lo:lo + MATCH_WORDS]
+                label_counts += np.bincount(keys, minlength=len(label_counts))
+            per_residue = trace_residues(ctx)[:, None] == np.arange(ctx.p)
+            counts = label_counts.reshape(forms, ctx.q) @ per_residue.astype(np.int64)
+            counts[:, 0] += 1  # x = 0, where Q vanishes
+            self._big_ts = [integral_character_sum(c, ctx.p) for c in counts.tolist()]
+        return self._big_ts
 
 
 class FormSpace:
@@ -199,18 +260,18 @@ class FormSpace:
         return ctx.linear_image(ctx.exp_table()[logs], self._inverse[j])
 
     def forms(self, indices):
-        """The forms at the sequence of indices, in order, each block of
-        max(1, MATCH_WORDS // n) with its tables from one form_values call
-        and its Grams from one gram_labels call."""
+        """The forms at the sequence of indices, in order, in blocks
+        (_FormBlock) of max(1, MATCH_WORDS // n) forms: a block's tables
+        come from one form_values call and its Grams from one gram_labels
+        call."""
         ctx = self.ctx
         step = max(1, MATCH_WORDS // ctx.n)
         for lo in range(0, len(indices), step):
             coeffs = self.coefficients(indices[lo:lo + step])
-            tables = form_values(ctx, coeffs)
-            grams = gram_labels(ctx, tables[:, gram_points(ctx)])
-            for c, values, gram in zip(coeffs.tolist(), tables, grams):
-                form = QuadForm(ctx, c)
-                form._value_labels, form._gram = values, gram
+            block = _FormBlock(ctx, coeffs)
+            for at, c in enumerate(coeffs.tolist()):
+                form = QuadForm.__new__(QuadForm)
+                form._join(block, at, tuple(c))
                 yield form
 
 
@@ -338,14 +399,18 @@ def gram_labels(ctx: FieldCtx, values: np.ndarray) -> np.ndarray:
     return gram * (gram_points(ctx)[s:] >= 0).reshape(s, s)
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _match_work(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """coordinate_matches's work arrays for groups of the given shape, kept
     between calls.  A call writes every element it reads and returns
     none of them, and the package runs no threads, so one set serves
     every call.  Arrays this large are mapped afresh by the allocator and
     page-faulted on each call otherwise, which doubled the brute oracle's
-    time at D(2,5), where a call holds a group of 3 pairs."""
+    time at D(2,5), where a call holds a group of 3 pairs.  The shape
+    depends on the field alone, and only the latest field's set is kept:
+    a form block's beta-table calls touch up to a whole set, about 1 MB,
+    and a process that goes through several fields (the set-up
+    benchmark's exponential sums) would keep an earlier field's set too."""
     return (np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64),
             np.empty(shape, dtype=np.uint8))
 
@@ -394,20 +459,9 @@ def trace_residues(ctx: FieldCtx) -> np.ndarray:
 
 def big_T(form: QuadForm) -> int:
     """The plain character sum over all of F_{q^s}: the exact integer
-    sum of w_p^(Tr_{q/p}(Q(x))), tallied once per form and cached on it."""
-    if form._big_t is None:
-        ctx, labels = form.ctx, form.value_labels()
-        # the labels are tallied in blocks, as bincount copies its input to
-        # intp, and the q label counts then summed per residue (in float64,
-        # exact below 2^53)
-        label_counts = np.bincount(labels[:MATCH_WORDS], minlength=ctx.q)
-        for lo in range(MATCH_WORDS, len(labels), MATCH_WORDS):
-            label_counts += np.bincount(labels[lo:lo + MATCH_WORDS], minlength=ctx.q)
-        counts = np.bincount(trace_residues(ctx), weights=label_counts,
-                             minlength=ctx.p).astype(np.int64)
-        counts[0] += 1  # x = 0, where Q vanishes
-        form._big_t = integral_character_sum(counts.tolist(), ctx.p)
-    return form._big_t
+    sum of w_p^(Tr_{q/p}(Q(x))), tallied for the form's whole block on
+    the first call for any of its forms (_FormBlock.big_ts)."""
+    return form._block.big_ts()[form._at]
 
 
 def _beta_histogram(form: QuadForm, target: int) -> dict[int, int]:

@@ -8,6 +8,7 @@ paths are checked against something that cannot share their bugs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -17,7 +18,8 @@ import numpy as np
 from traceweight.admission import LINEAR_TRACE_BOUND, FieldSizeError, factorize
 from traceweight.codes import form_exponents
 from traceweight.fields import Poly
-from traceweight.quadforms import _packed
+from traceweight.quadforms import (_packed, coordinate_matches, form_values,
+                                   integral_character_sum, trace_residues)
 
 
 def naive_mul(ctx, a, b):
@@ -317,6 +319,28 @@ def solution_counts(form, zeta):
         raise ValueError("zeta is not in the embedded F_q")
     wanted = sub.sub_table()[sub.label_of(zeta), form.value_labels()]
     return np.count_nonzero(_trace_rows(ctx) == wanted, axis=1) + (zeta == 0)
+
+
+def per_form_tables(form):
+    """The form's value table, beta table and plain sum T by the per-form
+    path, from its coefficients alone: one form_values call, one
+    coordinate_matches call for every target, and the labels' trace
+    residues tallied and contracted.  The reference for the tables that
+    a block of forms fills for all its forms at once."""
+    ctx = form.ctx
+    values = form_values(ctx, [form.coeffs])[0]
+    table = coordinate_matches(ctx, values, range(ctx.q))
+    counts = np.bincount(trace_residues(ctx)[values], minlength=ctx.p)
+    counts[0] += 1  # x = 0, where Q vanishes
+    return values, table, integral_character_sum(counts.tolist(), ctx.p)
+
+
+def per_form_histogram(ctx, table, target):
+    """The distribution over beta of q * N_beta - q^s, N_beta the solutions
+    of Q(x) + Tr(beta x) = target, from the target's row of a per-form
+    beta table, with x = 0 counted where the target is 0."""
+    counts = Counter(table[target].tolist())
+    return {ctx.q * (c + (target == 0)) - ctx.size: f for c, f in counts.items()}
 
 
 def literal_coefficients(space, index):

@@ -12,7 +12,8 @@ import pytest
 
 import traceweight
 from traceweight.admission import (TIER_BUDGETS, BudgetExceeded, FieldSizeError,
-                                   choose_oracle, default_workers)
+                                   brute_work, check_witness_budget, choose_oracle,
+                                   default_workers, rank_sweep_work)
 
 # the directory traceweight is imported from, for the fresh interpreters
 IMPORT_ROOT = str(Path(traceweight.__file__).resolve().parents[1])
@@ -103,6 +104,76 @@ def test_choose_oracle_prefers_brute_then_the_sweep():
     # both oracles over the exp/log-table bound: a size refusal
     with pytest.raises(FieldSizeError):
         choose_oracle(128, 2, "D", "extended", 2**90)
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default int-to-str digit limit, 4300, which a
+    caller that has not lifted it (the command line lifts it) runs under."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit to apply
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("m", [93, 300, 1000, 10000])
+def test_large_m_is_refused_without_forming_the_estimate(default_digit_limit, m):
+    """At large m both admission checks refuse at once, with only their own
+    exception types: the work is compared by its log2, the estimate of
+    more than about 1,000 digits is None and the message shows ~2^x.  The
+    budgets include one whose bit length ties the work's (2^8835 against
+    2^8649 (2^186 - 1) forms x coordinates of C(2,93)), which forms the
+    exact power, and one of more than 4,300 digits."""
+    start = time.monotonic()
+    for q in (2, 3, 256, 257):
+        for budget in (TIER_BUDGETS["quick"], TIER_BUDGETS["extended"], 2**8835, 2**20000):
+            for family in "CDE":
+                with pytest.raises(BudgetExceeded) as err:
+                    choose_oracle(q, m, family, "quick", budget)
+                # a size refusal (the byte-label cap, or the field where the
+                # budget affords the work) prints no work
+                assert err.value.estimate is None
+                assert type(err.value) is FieldSizeError or "~2^" in str(err.value)
+                assert err.value.budget == budget
+            with pytest.raises(BudgetExceeded) as err:
+                check_witness_budget(q, m, budget)
+            assert err.value.estimate is None
+            str(err.value)
+    assert time.monotonic() - start < 2.0
+
+
+def test_estimates_stay_exact_up_to_about_a_thousand_digits(default_digit_limit):
+    """Below the digit bound a refusal carries the exact work model and
+    prints it in full, and admission agrees with the exact comparison."""
+    for q, m in [(2, 5), (3, 4), (2, 40), (3, 45), (257, 2), (4, 28)]:
+        for family in "CDE":
+            exact = min(brute_work(q, m, family), rank_sweep_work(q, m))
+            with pytest.raises(BudgetExceeded) as err:
+                choose_oracle(q, m, family, "quick", TIER_BUDGETS["quick"])
+            assert err.value.estimate == exact and len(str(exact)) <= 1000
+        # the sweep's work at the budget is admitted, one more is refused
+        work = rank_sweep_work(q, m)
+        if q <= 256 and 2 * m <= 26:
+            assert choose_oracle(q, m, "C", "x", work) in ("brute", "rank_sweep")
+    with pytest.raises(BudgetExceeded) as err:
+        choose_oracle(2, 40, "D", "x", rank_sweep_work(2, 40) - 1)
+    assert type(err.value) is BudgetExceeded
+    assert err.value.estimate == rank_sweep_work(2, 40)
+
+
+def test_verify_at_m_10000_is_refused_at_once(capsys):
+    from traceweight import cli
+    start = time.monotonic()
+    assert cli.main(["verify", "--q", "3", "--m", "10000", "--family", "D"]) == 3
+    assert time.monotonic() - start < 0.5
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["refused"] is True and doc["work_estimate"] is None
+    assert doc["budget"] == TIER_BUDGETS["quick"] and "~2^" in doc["message"]
 
 
 def test_default_workers_counts_the_cpus_the_process_may_run_on(monkeypatch):

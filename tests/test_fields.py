@@ -267,6 +267,24 @@ def test_table_free_mul_by_a_scalar_equals_the_full_product(p, s):
     assert ctx._log is None
 
 
+# F_16 and F_81, and F_{4^2} and F_{9^2}: p = 2, 3 at e = 1 and e = 2
+@pytest.mark.parametrize("p,e,s", [(2, 1, 4), (3, 1, 4), (2, 2, 2), (3, 2, 2)])
+def test_mul_by_a_scalar_is_the_same_with_and_without_tables(p, e, s):
+    """mul takes an F_p scalar's shortcut before the exp/log tables where it
+    is one read (1, or a product of two scalars): every c < p times every
+    element, on either side, gives the same with and without tables, and
+    what the full product gives."""
+    ctx = FieldCtx(p, e, s, find_primitive_modulus(p, e * s))
+    pairs = [(c, x) for c in range(p) for x in range(ctx.size)]
+    without = [ctx.mul(c, x) for c, x in pairs]
+    assert [ctx.mul(x, c) for c, x in pairs] == without
+    assert without == [ctx._mul_poly(c, x) for c, x in pairs]
+    assert ctx._log is None
+    ctx.require_tables()
+    assert [ctx.mul(c, x) for c, x in pairs] == without
+    assert [ctx.mul(x, c) for c, x in pairs] == without
+
+
 def _square_and_multiply(ctx, a, k):
     """a^k by left-to-right square and multiply of the table-free product."""
     out = 1

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from conftest import (count_solutions, form_at, linear_trace_rows, literal_bilinear,
                       literal_coefficients, literal_gram, literal_value, naive_mul,
-                      offset_sum_rows, packed_trace_rows, shift_sum_rows, slot_trace,
-                      solution_count_multiset, solution_counts, trace)
+                      offset_sum_rows, packed_trace_rows, per_form_histogram,
+                      per_form_tables, shift_sum_rows, slot_trace, solution_count_multiset,
+                      solution_counts, trace)
 
 from traceweight.admission import LINEAR_TRACE_BOUND, FieldSizeError
 from traceweight.codes import ConsistencyError
@@ -16,7 +17,8 @@ from traceweight.fields import label_matrix_rank, make_field
 from traceweight.quadforms import (MATCH_WORDS, FormSpace, QuadForm, all_forms, big_T,
                                    coordinate_matches, form_values, gram_labels,
                                    gram_points, integral_character_sum,
-                                   linear_trace_planes, r_histogram, s_histogram)
+                                   linear_trace_planes, match_block, r_histogram,
+                                   s_histogram)
 from traceweight.spectra import frequencies
 
 
@@ -313,6 +315,10 @@ def test_histograms_equal_the_counter_of_solution_counts(p, e, m):
 
 
 def test_epsilon_then_big_T_tallies_the_residues_once(monkeypatch):
+    """The first epsilon or big_T of a form contracts the residues of every
+    form of its block, one integral_character_sum call each, and no later
+    epsilon or big_T of the block calls it again: in one block of all 81
+    forms and in blocks of 3."""
     from traceweight import quadforms
     calls = []
 
@@ -320,34 +326,82 @@ def test_epsilon_then_big_T_tallies_the_residues_once(monkeypatch):
         calls.append(p)
         return integral_character_sum(counts, p)
     monkeypatch.setattr(quadforms, "integral_character_sum", counted)
-    for form in all_forms(make_field(3, 1, 4)):
+    ctx = make_field(3, 1, 4)
+    for block_forms in (81, 3):
+        monkeypatch.setattr(quadforms, "MATCH_WORDS", block_forms * ctx.n)
         calls.clear()
-        eps = form.epsilon
-        assert big_T(form) == eps * 3 ** (4 - form.rank // 2)
-        assert len(calls) == 1
+        for i, form in enumerate(FormSpace(ctx).forms(range(81))):
+            eps = form.epsilon
+            assert big_T(form) == eps * 3 ** (4 - form.rank // 2)
+            assert len(calls) == (i // block_forms + 1) * block_forms
 
 
 @pytest.mark.parametrize("p,e,m", [(2, 1, 2), (3, 1, 2), (2, 2, 2)])
 def test_s_and_every_r_histogram_of_a_form_cost_one_match_call(monkeypatch, p, e, m):
-    """S and each R_b read their rows off one beta table per form, which
-    one coordinate_matches call fills for every target."""
+    """Over a whole forms() pass, the first histogram of a block's first
+    form fills the beta tables of the whole block, one coordinate_matches
+    call for every target per match_block of forms; S and each R_b of
+    every form then read their rows and never call it again.  In blocks
+    of the default size and of 3 forms."""
     from traceweight import quadforms
     calls = []
 
     def counted(ctx, values, targets):
-        calls.append(list(targets))
+        calls.append((len(values), list(targets)))
         return coordinate_matches(ctx, values, targets)
     monkeypatch.setattr(quadforms, "coordinate_matches", counted)
     ctx = make_field(p, e, 2 * m)
     sub = ctx.subfield(ctx.q)
     space = FormSpace(ctx)
-    for form in space.forms(range(0, space.num_forms, max(1, space.num_forms // 20))):
+    for words in (MATCH_WORDS, 3 * ctx.n):
+        monkeypatch.setattr(quadforms, "MATCH_WORDS", words)
+        block, step = max(1, words // ctx.n), match_block(ctx, ctx.q, words)
+        expected = []
+        for lo in range(0, space.num_forms, block):
+            size = min(block, space.num_forms - lo)
+            expected += [(min(step, size - at), list(range(ctx.q)))
+                         for at in range(0, size, step)]
         calls.clear()
-        s_histogram(form)
+        forms = []
+        for i, form in enumerate(space.forms(range(space.num_forms))):
+            s_histogram(form)
+            for b in sub.elements_by_label[1:]:
+                r_histogram(form, b)
+            # the block's calls, made at its first form
+            assert len(calls) == sum(-(-min(block, space.num_forms - lo) // step)
+                                     for lo in range(0, i + 1, block))
+            forms.append(form)
+        assert calls == expected
+        for form in forms:
+            s_histogram(form)
+            for b in sub.elements_by_label[1:]:
+                r_histogram(form, b)
+        assert calls == expected
+
+
+@pytest.mark.parametrize("block_forms", [0, 1, 3])
+@pytest.mark.parametrize("p,e,m", [(2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 2), (3, 2, 1)])
+def test_block_tables_equal_the_per_form_path(monkeypatch, p, e, m, block_forms):
+    """Every form's beta table, T, S histogram and R_b histograms, read off
+    its block's tables, equal the per-form path on the form's own value
+    table (conftest's per_form_tables), in blocks of the default size
+    (block_forms 0) and of 1 and of 3 forms."""
+    from traceweight import quadforms
+    ctx = make_field(p, e, 2 * m)
+    if block_forms:
+        monkeypatch.setattr(quadforms, "MATCH_WORDS", block_forms * ctx.n)
+    sub = ctx.subfield(ctx.q)
+    space = FormSpace(ctx)
+    for form in space.forms(range(space.num_forms)):
+        values, table, t = per_form_tables(form)
+        assert np.array_equal(form.value_labels(), values)
+        assert form.beta_table().shape == table.shape
+        assert np.array_equal(form.beta_table(), table)
+        assert big_T(form) == t
+        assert s_histogram(form) == per_form_histogram(ctx, table, 0)
         for b in sub.elements_by_label[1:]:
-            r_histogram(form, b)
-        s_histogram(form)
-        assert calls == [list(range(ctx.q))]
+            assert r_histogram(form, b) == \
+                per_form_histogram(ctx, table, sub.label_of(ctx.neg(b)))
 
 
 @pytest.mark.parametrize("match_words", [MATCH_WORDS, 64])
@@ -362,7 +416,7 @@ def test_form_space_grams_equal_each_forms_own(monkeypatch, p, e, m, match_words
     space = FormSpace(ctx)
     for form in space.forms(range(space.num_forms)):
         own = gram_labels(ctx, form.value_labels()[gram_points(ctx)])
-        assert form._gram is not None and np.array_equal(form._gram, own)
+        assert np.array_equal(form._block.grams[form._at], own)
 
 
 @pytest.mark.parametrize("p,e,m,stride", [(2, 1, 2, 1), (3, 1, 2, 1), (2, 1, 3, 1),
