@@ -27,26 +27,22 @@ from .admission import (DEFAULT_WITNESS_BOUND, TIER_BUDGETS, BudgetExceeded,
                         choose_oracle, default_workers, split_prime_power)
 
 # The numpy-side names the commands call (and build_code, which benchmark
-# tracing wraps here too), and their modules.  _load binds them as module
-# globals, and the commands call them through those globals, so a name
-# replaced from outside (a test's stub, a tracing wrapper) before or
-# after the load is the one called.
-_LAZY = {
-    "build_code": "codes", "verify": "engine", "make_field": "fields",
-    "cayley_spectrum": "hermitian", "rank1_count": "hermitian",
-    "verify_isomorphism": "hermitian", "eigenvalues": "spectra",
-    "frequencies": "spectra", "predict": "spectra",
-}
+# tracing wraps here too); the package's _MODULE_OF names their modules.
+# _load binds them as module globals, and the commands call them through
+# those globals, so a name replaced from outside (a test's stub, a tracing
+# wrapper) before or after the load is the one called.
+_LAZY = ("build_code", "verify", "make_field", "cayley_spectrum", "rank1_count",
+         "verify_isomorphism", "eigenvalues", "frequencies", "predict")
 
 
 def _load():
     """Import the numpy-side modules, in the order the package has always
     imported them, and bind each name of _LAZY not bound already."""
-    from . import codes, engine, fields, hermitian, quadforms, spectra  # noqa: F401
+    from . import _MODULE_OF, codes, engine, fields, hermitian, quadforms, spectra  # noqa: F401
     namespace = globals()
-    for name, module in _LAZY.items():
+    for name in _LAZY:
         if name not in namespace:
-            namespace[name] = getattr(sys.modules[f"{__package__}.{module}"], name)
+            namespace[name] = getattr(sys.modules[f"{__package__}.{_MODULE_OF[name]}"], name)
 
 
 def __getattr__(name):
@@ -247,8 +243,19 @@ def cmd_witness(args, p: int, e: int, config: dict) -> int:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # exact counts of any length
-        sys.set_int_max_str_digits(0)
+    """Run one command, with the int-to-str digit limit lifted for the call
+    only, so that counts of any length print exactly."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit to lift
+        return _main(argv)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _main(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

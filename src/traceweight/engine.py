@@ -2,13 +2,15 @@
 
 brute_distribution counts codewords a block of forms (the quadratic part
 of the parameters) at a time, by literal match counting.  It never
-materializes codewords.  A block's value tables (the n-vector of F_q
-labels of Q(pi^i) in coordinate order, per form) come from the one
-implementation of form values, quadforms.form_values, on the forms'
-coefficients, FormSpace.coefficients; the tests check both against
-literal references (Q(x) through pow and trace, and the coefficients
-built digit by digit).  Each table is matched against every
-linear-trace row by quadforms.coordinate_matches, over bit planes: a
+materializes codewords.  quadforms owns the blocks, their tables and
+their sizes: FormSpace.blocks builds a block's value tables (the
+n-vector of F_q labels of Q(pi^i) in coordinate order, per form) with
+the one implementation of form values, quadforms.form_values, on the
+forms' coefficients, FormSpace.coefficients; the tests check both
+against literal references (Q(x) through pow and trace, and the
+coefficients built digit by digit).  _FormBlock.matches matches the
+tables against every linear-trace row, one
+quadforms.coordinate_matches call per match block, over bit planes: a
 codeword b + Tr(beta x) + Q(x) vanishes where Tr(beta x) equals
 -b - Q(x), and every coordinate is compared, 64 to a machine word.
 Family E uses one bin per constant shift; family C has no beta and
@@ -93,9 +95,8 @@ from .admission import (TIER_BUDGETS, _refusal, brute_work, choose_oracle,
                         rank_sweep_work, split_prime_power)
 from .codes import CodeSpec, ConsistencyError, build_code
 from .fields import FieldCtx, make_field
-from .quadforms import (MATCH_WORDS, FormSpace, coordinate_matches, form_values,
-                        gram_labels, gram_points, linear_trace_planes, match_block,
-                        trace_residues)
+from .quadforms import (FormSpace, form_values, gram_labels, gram_points,
+                        linear_trace_planes, trace_residues)
 from .spectra import WeightDistribution, assemble_distribution, predict
 
 DEFAULT_BUDGET = 2**36
@@ -118,20 +119,16 @@ _BATCH_CAP = 1 << 16
 
 
 class _CountPlan:
-    """The histogram of codeword weights a worker fills, a block of counted
-    forms at a time.
+    """The histogram of codeword weights a worker fills, a match block of
+    counted forms at a time.
 
-    The counted forms' value tables come from quadforms.form_values on
-    their coefficients (FormSpace.coefficients), a batch of about
-    MATCH_WORDS // n forms a call.  Each match block of a batch is then
-    matched against the linear-trace rows by coordinate_matches; it holds
-    as many forms as keep the match's temporaries under MATCH_WORDS
-    words (quadforms.match_block, which sizes a form block's beta-table
-    calls too), so a chunk of 2^16 forms of 4,095 labels is never held at
-    once.  A batch is a whole number of match blocks: one form_values
-    call per match block, 3 forms at D(2,5), made the brute pass there
-    30-90 % slower (0.57-0.60 s against 0.76-1.13 s in one process on a
-    2-vCPU VM).
+    The counted forms go through FormSpace.blocks, whose value tables come
+    from quadforms.form_values on their coefficients, and each block is
+    matched against the linear-trace rows by _FormBlock.matches, one
+    coordinate_matches call per match block of forms.  quadforms sizes
+    both, so a chunk of 2^16 forms of 4,095 labels is never held at once,
+    and each match block's counts are histogrammed before the next is
+    matched.
     """
 
     def __init__(self, spec: CodeSpec):
@@ -140,14 +137,10 @@ class _CountPlan:
         self.spec = spec
         self.ctx = ctx
         self.space = FormSpace(ctx)
-        per_batch = max(1, MATCH_WORDS // ctx.n)
-        self.block = per_batch
         if spec.family != "C":
-            self.block = match_block(ctx, ctx.q if spec.family == "E" else 1, MATCH_WORDS)
             # built now, so that a field over the table bound is refused
             # before the orbit layer and forked workers inherit the planes
             linear_trace_planes(ctx)
-        self.batch = max(1, per_batch // self.block) * self.block
 
     def counts(self, idx: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Weighted histogram of codeword weights over the forms at the
@@ -155,24 +148,21 @@ class _CountPlan:
         ctx, family = self.ctx, self.spec.family
         q, n = ctx.q, ctx.n
         hist = np.zeros(n + 1, dtype=np.int64)
-        for lo in range(0, len(idx), self.batch):
-            tables = form_values(ctx, self.space.coefficients(idx[lo:lo + self.batch]))
-            for at in range(0, len(tables), self.block):
-                values = tables[at:at + self.block]
-                if family == "C":
-                    # no beta: the codeword Q(x) has weight |{x : Q(x) != 0}|
-                    cw_weights = np.count_nonzero(values, axis=1)[:, None]
-                else:
-                    # codeword b + Tr(beta x) + Q(x) vanishes where
-                    # Tr(beta x) + Q(x) = -b; E's last target takes the rest
-                    matches = coordinate_matches(
-                        ctx, values, range(q - 1 if family == "E" else 1)).astype(np.int64)
-                    if family == "E":
-                        matches = np.concatenate([matches, n - matches.sum(axis=0)[None]])
-                    cw_weights = n - matches
-                forms = len(values)
+        for lo, block in self.space.blocks(idx):
+            if family == "C":
+                # no beta: the codeword Q(x) vanishes at the zeros of Q
+                per_block = [(0, n - np.count_nonzero(block.values, axis=1)[:, None])]
+            else:
+                # codeword b + Tr(beta x) + Q(x) vanishes where
+                # Tr(beta x) + Q(x) = -b; E's last target takes the rest
+                per_block = block.matches(range(q - 1 if family == "E" else 1))
+            for at, matches in per_block:
+                matches = matches.astype(np.int64)
+                if family == "E":
+                    matches = np.concatenate([matches, n - matches.sum(axis=0)[None]])
+                forms = matches.shape[-2]
                 offsets = (n + 1) * np.arange(forms, dtype=np.int64)[:, None]
-                per_form = np.bincount((cw_weights + offsets).ravel(),
+                per_form = np.bincount((n - matches + offsets).ravel(),
                                        minlength=forms * (n + 1)).reshape(forms, n + 1)
                 hist += weights[lo + at:lo + at + forms] @ per_form
         return hist

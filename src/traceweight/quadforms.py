@@ -45,13 +45,14 @@ labels target - Q(x) become bit planes too, and a row's mismatches are
 the popcount of the OR over planes of row XOR wanted, so every
 coordinate is still compared.
 
-A block of FormSpace.forms (_FormBlock) owns the tables of its forms:
-their value tables and Grams, built with the block, and their beta
-tables (every target's match counts) and plain sums T (big_T), each
-filled for the whole block on the first request for any one form.  The
-beta tables take one coordinate_matches call per match_block of forms,
-the rule the brute oracle sizes its match blocks by, and the T sums one
-blocked bincount of the block's labels with a per-form offset.  A
+A block of forms (_FormBlock) owns every per-form table, the engine's
+brute oracle's included.  FormSpace.blocks cuts indices into blocks of
+max(1, MATCH_WORDS // n) forms with their value tables, FormSpace.forms
+hands out a QuadForm per row, and _FormBlock.matches makes one
+coordinate_matches call per match_block of forms.  The Grams, the beta
+tables (the matches of all q targets) and the plain sums T (big_T, one
+blocked bincount of the block's labels with a per-form offset) are each
+built for the whole block on the first request for any one form.  A
 standalone QuadForm(ctx, coeffs) is a block of one.  S(beta) and
 R_b(beta) are one bincount of row 0 and of row label(-b) of the form's
 beta table, the x = 0 term folded into the keys.  A form caches its
@@ -61,7 +62,7 @@ rank, its own elimination of its Gram, and its sign epsilon.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -69,18 +70,19 @@ from .admission import LINEAR_TRACE_BOUND, FieldSizeError
 from .codes import ConsistencyError, form_exponents
 from .fields import FieldCtx, coordinate_inverse, label_matrix_rank
 
-# The most XOR words one group of coordinate_matches holds; the brute
-# oracle and FormSpace.forms size their blocks of forms by it too, and
-# form_values and big_T their blocks of coordinates.
+# The most XOR words one group of coordinate_matches holds; FormSpace.blocks
+# and match_block size their blocks of forms by it too, and form_values and
+# _FormBlock.big_ts their blocks of coordinates.
 MATCH_WORDS = 1 << 16
 
 
-def match_block(ctx: FieldCtx, targets: int, words: int) -> int:
+def match_block(ctx: FieldCtx, targets: int) -> int:
     """Forms per coordinate_matches call over the given number of targets:
     as many as keep one target's XOR words, W = ceil(n / 64) per packed
-    beta, and every target's match counts within words.  The brute
-    oracle's match blocks and a form block's beta tables take this size."""
-    return max(1, words // ((-(-ctx.n // 64) + targets) * ctx.size))
+    beta, and every target's match counts within MATCH_WORDS.
+    _FormBlock.matches, which the brute oracle and the beta tables both
+    go through, takes this size."""
+    return max(1, MATCH_WORDS // ((-(-ctx.n // 64) + targets) * ctx.size))
 
 
 def integral_character_sum(residue_counts, p: int) -> int:
@@ -106,48 +108,42 @@ class QuadForm:
             raise ValueError(f"expected {expected} coefficients, got {len(coeffs)}")
         if ctx.m % 2 and ctx.pow(coeffs[0], ctx.q**ctx.m) != coeffs[0]:
             raise ValueError("leading coefficient is not in the embedded F_{q^m}")
-        self._join(_FormBlock(ctx, [coeffs]), 0, coeffs)
+        self._join(_FormBlock(ctx, np.array([coeffs], dtype=np.int64)), 0, coeffs)
 
     def _join(self, block: _FormBlock, at: int, coeffs: tuple[int, ...]):
         """Make this the form at row at of the block."""
         self.ctx, self.coeffs = block.ctx, coeffs
         self._block, self._at = block, at
-        self._rank: int | None = None
-        self._epsilon: int | None = None
 
     @property
     def exponents(self) -> tuple[int, ...]:
         """The exponent u_j of each slot's term Tr(c_j x^(u_j))."""
         return form_exponents(self.ctx.q, self.ctx.m)
 
-    @property
+    @cached_property
     def rank(self) -> int:
         """s minus the F_q-dimension of the radical of B, from the Gram
         that gram_labels read off the value table at the Gram points."""
-        if self._rank is None:
-            ctx = self.ctx
-            r = label_matrix_rank(ctx.subfield(ctx.q), self._block.grams[self._at].tolist())
-            if r % 2:
-                raise ConsistencyError(f"odd radical rank {r} for {self.coeffs}")
-            self._rank = r
-        return self._rank
+        ctx = self.ctx
+        r = label_matrix_rank(ctx.subfield(ctx.q), self._block.grams[self._at].tolist())
+        if r % 2:
+            raise ConsistencyError(f"odd radical rank {r} for {self.coeffs}")
+        return r
 
-    @property
+    @cached_property
     def epsilon(self) -> int:
         """Sign of the plain character sum T; +1 for the zero form, and
         always (-1)^(rank/2) for these families (asserted, with |T| checked
         against q^(s - rank/2))."""
-        if self._epsilon is None:
-            t, r = big_T(self), self.rank
-            if t == 0:
-                raise ConsistencyError("T = 0 cannot happen for these forms")
-            eps = 1 if t > 0 else -1
-            if abs(t) != self.ctx.q ** (self.ctx.s - r // 2):
-                raise ConsistencyError(f"|T| = {abs(t)} inconsistent with rank {r}")
-            if eps != (-1) ** (r // 2):
-                raise ConsistencyError(f"sign of T inconsistent with rank {r}")
-            self._epsilon = eps
-        return self._epsilon
+        t, r = big_T(self), self.rank
+        if t == 0:
+            raise ConsistencyError("T = 0 cannot happen for these forms")
+        eps = 1 if t > 0 else -1
+        if abs(t) != self.ctx.q ** (self.ctx.s - r // 2):
+            raise ConsistencyError(f"|T| = {abs(t)} inconsistent with rank {r}")
+        if eps != (-1) ** (r // 2):
+            raise ConsistencyError(f"sign of T inconsistent with rank {r}")
+        return eps
 
     def value_labels(self) -> np.ndarray:
         """F_q labels of Q(pi^i) at every coordinate i = 0..n-1, as uint8."""
@@ -155,56 +151,58 @@ class QuadForm:
 
     def beta_table(self) -> np.ndarray:
         """coordinate_matches for every target t = 0..q-1, (q, size)."""
-        return self._block.beta_tables()[:, self._at]
+        return self._block.beta_tables[:, self._at]
 
 
 class _FormBlock:
-    """The tables of a block of forms, one row per form, which the block's
-    QuadForms read: value tables and Grams, built at once, and the beta
-    tables and plain sums T, each filled for every form of the block on
-    the first request for any one of them."""
+    """The tables of a block of forms, one row per form: the int64
+    coefficients and value tables, built at once, and the Grams, beta
+    tables and plain sums T, each built for every form on the first
+    request for any one of them."""
 
-    def __init__(self, ctx: FieldCtx, coeffs):
-        self.ctx = ctx
+    def __init__(self, ctx: FieldCtx, coeffs: np.ndarray):
+        self.ctx, self.coeffs = ctx, coeffs
         self.values = form_values(ctx, coeffs)
-        self.grams = gram_labels(ctx, self.values[:, gram_points(ctx)])
-        self._beta_tables: np.ndarray | None = None
-        self._big_ts: list[int] | None = None
 
+    @cached_property
+    def grams(self) -> np.ndarray:
+        """(forms, s, s) F_q labels: every form's gram_labels, in one call."""
+        return gram_labels(self.ctx, self.values[:, gram_points(self.ctx)])
+
+    def matches(self, targets):
+        """(start, coordinate_matches of the forms from row start on) for
+        the sequence of targets, one call per match_block of forms."""
+        step = match_block(self.ctx, len(targets))
+        for lo in range(0, len(self.values), step):
+            yield lo, coordinate_matches(self.ctx, self.values[lo:lo + step], targets)
+
+    @cached_property
     def beta_tables(self) -> np.ndarray:
         """(q, forms, size) uint16: coordinate_matches of every form for
-        every target, from one call per match_block of forms."""
-        if self._beta_tables is None:
-            ctx, forms = self.ctx, len(self.values)
-            tables = np.empty((ctx.q, forms, ctx.size), dtype=np.uint16)
-            step = match_block(ctx, ctx.q, MATCH_WORDS)
-            for lo in range(0, forms, step):
-                tables[:, lo:lo + step] = coordinate_matches(
-                    ctx, self.values[lo:lo + step], range(ctx.q))
-            self._beta_tables = tables
-        return self._beta_tables
+        every target."""
+        return np.concatenate([counts for _, counts in self.matches(range(self.ctx.q))],
+                              axis=1)
 
+    @cached_property
     def big_ts(self) -> list[int]:
         """Every form's plain sum T.  The block's labels are tallied in one
         bincount, each form's keys offset by q times its row, a block of
         MATCH_WORDS labels at a time, as bincount copies its input to intp;
         each form's q label counts are then summed per residue and
         contracted."""
-        if self._big_ts is None:
-            ctx, (forms, n) = self.ctx, self.values.shape
-            labels = self.values.reshape(-1)
-            label_counts = np.zeros(forms * ctx.q, dtype=np.int64)
-            for lo in range(0, len(labels), MATCH_WORDS):
-                keys = np.arange(lo, min(lo + MATCH_WORDS, len(labels)), dtype=np.int64)
-                keys //= n
-                keys *= ctx.q
-                keys += labels[lo:lo + MATCH_WORDS]
-                label_counts += np.bincount(keys, minlength=len(label_counts))
-            per_residue = trace_residues(ctx)[:, None] == np.arange(ctx.p)
-            counts = label_counts.reshape(forms, ctx.q) @ per_residue.astype(np.int64)
-            counts[:, 0] += 1  # x = 0, where Q vanishes
-            self._big_ts = [integral_character_sum(c, ctx.p) for c in counts.tolist()]
-        return self._big_ts
+        ctx, (forms, n) = self.ctx, self.values.shape
+        labels = self.values.reshape(-1)
+        label_counts = np.zeros(forms * ctx.q, dtype=np.int64)
+        for lo in range(0, len(labels), MATCH_WORDS):
+            keys = np.arange(lo, min(lo + MATCH_WORDS, len(labels)), dtype=np.int64)
+            keys //= n
+            keys *= ctx.q
+            keys += labels[lo:lo + MATCH_WORDS]
+            label_counts += np.bincount(keys, minlength=len(label_counts))
+        per_residue = trace_residues(ctx)[:, None] == np.arange(ctx.p)
+        counts = label_counts.reshape(forms, ctx.q) @ per_residue.astype(np.int64)
+        counts[:, 0] += 1  # x = 0, where Q vanishes
+        return [integral_character_sum(c, ctx.p) for c in counts.tolist()]
 
 
 class FormSpace:
@@ -259,17 +257,20 @@ class FormSpace:
         ctx = self.ctx
         return ctx.linear_image(ctx.exp_table()[logs], self._inverse[j])
 
-    def forms(self, indices):
-        """The forms at the sequence of indices, in order, in blocks
-        (_FormBlock) of max(1, MATCH_WORDS // n) forms: a block's tables
-        come from one form_values call and its Grams from one gram_labels
-        call."""
-        ctx = self.ctx
-        step = max(1, MATCH_WORDS // ctx.n)
+    def blocks(self, indices):
+        """(start, _FormBlock) for the forms at the sequence of indices from
+        position start on, in blocks of max(1, MATCH_WORDS // n) forms, so
+        that one form_values call serves several match blocks: one call per
+        match block, 3 forms at D(2,5), made the brute pass there 30-90 %
+        slower (0.57-0.60 s against 0.76-1.13 s in one process, 2 vCPUs)."""
+        step = max(1, MATCH_WORDS // self.ctx.n)
         for lo in range(0, len(indices), step):
-            coeffs = self.coefficients(indices[lo:lo + step])
-            block = _FormBlock(ctx, coeffs)
-            for at, c in enumerate(coeffs.tolist()):
+            yield lo, _FormBlock(self.ctx, self.coefficients(indices[lo:lo + step]))
+
+    def forms(self, indices):
+        """The forms at the sequence of indices, in order, on their blocks."""
+        for _, block in self.blocks(indices):
+            for at, c in enumerate(block.coeffs.tolist()):
                 form = QuadForm.__new__(QuadForm)
                 form._join(block, at, tuple(c))
                 yield form
@@ -286,11 +287,10 @@ def form_values(ctx: FieldCtx, coeff_rows, logs=None) -> np.ndarray:
     coordinate l = 0..n-1 or at the given logs only.  Slot j's term is
     Tr(c_j pi^(u_j l)), entry (log c_j + u_j l) mod n of the trace labels
     from F_{q^m} (slot 0 at odd m, where c_0 lies) or from F_{q^s}: one
-    gather per slot for the whole batch, which FormSpace.forms and the
-    brute oracle keep to about MATCH_WORDS // n forms at full length.  At
-    every coordinate the term has period n / gcd(u_j, n) in l, at most
-    n / (q + 1) as q + 1 divides u_j and n, so one period is gathered and
-    repeated.  The logs and the repeats go in blocks of MATCH_WORDS, so
+    gather per slot for the whole batch, which FormSpace.blocks keeps to
+    max(1, MATCH_WORDS // n) forms at full length.  At every coordinate
+    the term has period n / gcd(u_j, n) in l, at most n / (q + 1) as
+    q + 1 divides u_j and n, so one period is gathered and repeated.  The logs and the repeats go in blocks of MATCH_WORDS, so
     no temporary grows with n beyond that batch.  A block's multiples
     u_j l are reduced mod n once; plus log c_j they stay below 2n, which
     the gather's wrap mode reduces.  The index stays int64, as numpy
@@ -461,7 +461,7 @@ def big_T(form: QuadForm) -> int:
     """The plain character sum over all of F_{q^s}: the exact integer
     sum of w_p^(Tr_{q/p}(Q(x))), tallied for the form's whole block on
     the first call for any of its forms (_FormBlock.big_ts)."""
-    return form._block.big_ts()[form._at]
+    return form._block.big_ts[form._at]
 
 
 def _beta_histogram(form: QuadForm, target: int) -> dict[int, int]:

@@ -8,12 +8,14 @@ paths are checked against something that cannot share their bugs.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+import pytest
 
 from traceweight.admission import LINEAR_TRACE_BOUND, FieldSizeError, factorize
 from traceweight.codes import form_exponents
@@ -577,3 +579,31 @@ def prime_powers_up_to(bound):
                 out.append(v)
                 v *= p
     return sorted(out)
+
+
+def _digit_limit(limit: int):
+    """Sets the interpreter's int-to-str digit limit for one test, and
+    restores the one it found."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit to apply
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default int-to-str digit limit, 4300, which a
+    caller that has not lifted it runs under."""
+    yield from _digit_limit(4300)
+
+
+@pytest.fixture
+def no_digit_limit():
+    """No int-to-str digit limit, for a test's own int() and str() of
+    counts of over 4,300 digits."""
+    yield from _digit_limit(0)

@@ -106,21 +106,6 @@ def test_choose_oracle_prefers_brute_then_the_sweep():
         choose_oracle(128, 2, "D", "extended", 2**90)
 
 
-@pytest.fixture
-def default_digit_limit():
-    """The interpreter's default int-to-str digit limit, 4300, which a
-    caller that has not lifted it (the command line lifts it) runs under."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # no limit to apply
-        yield
-        return
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
 @pytest.mark.parametrize("m", [93, 300, 1000, 10000])
 def test_large_m_is_refused_without_forming_the_estimate(default_digit_limit, m):
     """At large m both admission checks refuse at once, with only their own

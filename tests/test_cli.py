@@ -1,6 +1,7 @@
 """CLI contract: formats, exit statuses, config, output routing."""
 
 import json
+import sys
 
 import pytest
 
@@ -342,8 +343,9 @@ def test_sweep_over_the_threshold_prints_monotone_progress(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_predict_counts_beyond_the_int_string_digit_limit(capsys, fmt):
-    # D(2,120) has counts of over 4,300 decimal digits
+def test_predict_counts_beyond_the_int_string_digit_limit(capsys, no_digit_limit, fmt):
+    # D(2,120) has counts of over 4,300 decimal digits, which the test's
+    # own int() and str() read under no_digit_limit
     code, out, _ = run(capsys, "predict", "--q", "2", "--m", "120",
                        "--family", "D", "--format", fmt)
     assert code == 0
@@ -356,6 +358,15 @@ def test_predict_counts_beyond_the_int_string_digit_limit(capsys, fmt):
         counts = [int(line.split(",")[1]) for line in out.splitlines()[1:]]
     assert max(len(str(c)) for c in counts) > 4300
     assert sum(counts) == 2**k
+
+
+def test_main_lifts_the_digit_limit_for_its_call_only(capsys, default_digit_limit):
+    """Under the default 4,300-digit limit, predict prints D(3,100)'s
+    counts of 4,867 digits, and the limit is 4,300 again afterwards."""
+    code, out, _ = run(capsys, "predict", "--q", "3", "--m", "100", "--family", "D")
+    assert code == 0
+    assert max(len(c) for _, c in json.loads(out)["distribution"]) == 4867
+    assert getattr(sys, "get_int_max_str_digits", lambda: 4300)() == 4300
 
 
 @pytest.mark.parametrize("command", ["verify", "witness"])

@@ -301,27 +301,58 @@ def test_point_value_grams_equal_the_full_tables_grams(p, e, m):
 
 
 def test_brute_counts_equal_for_any_block_size(monkeypatch):
-    """Value batches of one form, matched one (target, form) pair a group
-    (64 words hold less than a pair's), and batches of several match
-    blocks count what the default batches count."""
+    """Blocks of one form, matched one (target, form) pair a group (a
+    MATCH_WORDS of 1 holds less than a pair's words), and blocks of several
+    match blocks, more than one block a run, count what the default blocks
+    count.  quadforms.MATCH_WORDS alone sizes the blocks, the match blocks
+    and the kernel's groups."""
     specs = [build_code(make_field(p, e, 2 * m), family)
              for p, e, m, family in [(2, 1, 4, "D"), (2, 2, 2, "E"), (3, 1, 3, "E"),
                                      (2, 2, 3, "C")]]
     every = [engine._orbit_batch(FormSpace(spec.ctx)) for spec in specs]
     default = [engine._CountPlan(spec).counts(*batch) for spec, batch in zip(specs, every)]
-    for plan_words, match_words in [(1, 64), (1 << 12, 1 << 12)]:
-        monkeypatch.setattr(engine, "MATCH_WORDS", plan_words)
-        monkeypatch.setattr(quadforms, "MATCH_WORDS", match_words)
+    blocks, matched, groups = [], [], []
+    real_values, real_matches = quadforms.form_values, quadforms.coordinate_matches
+    real_work = quadforms._match_work
+    monkeypatch.setattr(quadforms, "form_values",
+                        lambda ctx, coeffs: blocks.append(len(coeffs)) or real_values(ctx, coeffs))
+    monkeypatch.setattr(quadforms, "coordinate_matches", lambda ctx, values, targets:
+                        matched.append(len(values)) or real_matches(ctx, values, targets))
+    monkeypatch.setattr(quadforms, "_match_work",
+                        lambda shape: groups.append(shape[0]) or real_work(shape))
+    for words in (1, 1 << 12):
+        monkeypatch.setattr(quadforms, "MATCH_WORDS", words)
         shapes = []
         for spec, batch, counts in zip(specs, every, default):
-            plan = engine._CountPlan(spec)
-            assert plan.batch % plan.block == 0
-            shapes.append((plan.batch, plan.block, len(batch[0])))
-            assert (plan.counts(*batch) == counts).all()
-        if plan_words == 1:
-            assert all(batch == 1 for batch, _, _ in shapes)
-        else:  # a batch of several match blocks, and more than one batch
-            assert any(block < batch < forms for batch, block, forms in shapes)
+            for log in (blocks, matched, groups):
+                log.clear()
+            assert (engine._CountPlan(spec).counts(*batch) == counts).all()
+            assert sum(blocks) == len(batch[0])
+            shapes.append((blocks[:], matched[:], groups[:]))
+        if words == 1:
+            for sizes, forms_matched, pairs in shapes:
+                assert set(sizes) == {1} and set(forms_matched) <= {1} and set(pairs) <= {1}
+            assert shapes[0][1]  # C alone matches nothing
+        else:  # a block of several match blocks, and more than one block
+            assert any(forms_matched and len(sizes) > 1 and max(forms_matched) < max(sizes)
+                       for sizes, forms_matched, _ in shapes)
+
+
+def test_brute_builds_no_grams_and_no_beta_tables(monkeypatch):
+    """The brute oracle reads only its blocks' value tables and match
+    counts: a run at D(2,4) and E(2,4) calls gram_labels and
+    _FormBlock.beta_tables zero times."""
+    calls = []
+    real_grams = quadforms.gram_labels
+    for module in (quadforms, engine):
+        monkeypatch.setattr(module, "gram_labels", lambda ctx, values:
+                            calls.append("gram_labels") or real_grams(ctx, values))
+    monkeypatch.setattr(quadforms._FormBlock, "beta_tables",
+                        property(lambda block: calls.append("beta_tables")))
+    for family in "DE":
+        spec = build_code(make_field(2, 1, 8), family)
+        assert brute_distribution(spec).counts == predict(2, 4, family).counts
+    assert calls == []
 
 
 _SWEEP_CASES = [(2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 2), (5, 1, 2), (3, 1, 3),

@@ -355,7 +355,7 @@ def test_s_and_every_r_histogram_of_a_form_cost_one_match_call(monkeypatch, p, e
     space = FormSpace(ctx)
     for words in (MATCH_WORDS, 3 * ctx.n):
         monkeypatch.setattr(quadforms, "MATCH_WORDS", words)
-        block, step = max(1, words // ctx.n), match_block(ctx, ctx.q, words)
+        block, step = max(1, words // ctx.n), match_block(ctx, ctx.q)
         expected = []
         for lo in range(0, space.num_forms, block):
             size = min(block, space.num_forms - lo)
