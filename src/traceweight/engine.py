@@ -52,19 +52,20 @@ the exponential-sum value classes.  The Gram matrix of the polarized
 bilinear form B is F_p-linear in the form index, so a chunk's Grams are
 combined from per-digit Grams, which quadforms.gram_labels reads off the
 digit forms' values at the Gram points only, and eliminated at once over
-F_p: as bit-packed GF(2) rows at every even q, mod p otherwise.  The
-trace form of F_q/F_p is nondegenerate, so Tr_{q/p}(B) has F_p-rank e
-times the F_q-rank of B.  The rank plan, built once per field, serves
-every family and the epsilon check.  The sweep trusts the form values,
+F_p: as bit-packed GF(2) rows at every even q, mod p otherwise
+(fields.gf2_ranks and fields.fp_ranks).  The trace form of F_q/F_p is
+nondegenerate, so Tr_{q/p}(B) has F_p-rank e times the F_q-rank of B.
+The rank plan, built once per field, serves every family and the
+epsilon check.  The sweep trusts the form values,
 which the tests check against the literal Q(x), but not the closed-form
 rank frequencies, which it measures.  On a sample of forms the epsilon
-check compares its ranks with QuadForm.rank, which eliminates each
-form's own Gram over F_q (fields.label_matrix_rank, forward elimination
-through F_q's own multiplication and subtraction tables, built from the
-field's mul and sub and shared with no kernel here): two eliminations
-over two fields must agree.  It also checks the sign convention against
-the plain character sum T, tallied for all sampled forms of a block at
-once.
+check compares its ranks with QuadForm.rank, read off its block's
+ranks: one fields.label_ranks call eliminates every Gram of the block
+over F_q, through F_q's own multiplication and subtraction tables, built
+from the field's mul and sub, with no mod-p arithmetic.  Two
+eliminations over two fields must agree.  It also checks the sign
+convention against the plain character sum T, tallied for all sampled
+forms of a block at once.
 Neither side evaluates Q through pow and trace at run time.
 
 Both oracles run through one function, _enumerate.  It admits or refuses
@@ -94,7 +95,7 @@ import numpy as np
 from .admission import (TIER_BUDGETS, _refusal, brute_work, choose_oracle,
                         rank_sweep_work, split_prime_power)
 from .codes import CodeSpec, ConsistencyError, build_code
-from .fields import FieldCtx, make_field
+from .fields import FieldCtx, fp_ranks, gf2_ranks, make_field
 from .quadforms import (FormSpace, form_values, gram_labels, gram_points,
                         linear_trace_planes, trace_residues)
 from .spectra import WeightDistribution, assemble_distribution, predict
@@ -217,14 +218,14 @@ class _RankPlan:
             mats = np.zeros((len(idx), es), dtype=np.uint32)
             for d, rowbits in enumerate(self.gram_bits):
                 mats ^= ((idx >> d) & 1).astype(np.uint32)[:, None] * rowbits
-            fp_ranks = _batched_gf2_rank(mats, es)
+            ranks = gf2_ranks(mats, es)
         else:
             digits = (idx[:, None] // self.digit_powers % p).astype(np.float64)
             mats = (digits @ self.gram_coords).astype(np.uint32) % p
-            fp_ranks = _batched_fp_rank(mats.reshape(len(idx), es, es), p)
-        if np.any(fp_ranks % (2 * e)):
+            ranks = fp_ranks(mats.reshape(len(idx), es, es), p)
+        if np.any(ranks % (2 * e)):
             raise ConsistencyError(f"sweep F_p rank not a multiple of 2e = {2 * e}")
-        return fp_ranks // e
+        return ranks // e
 
     def counts(self, idx: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Weighted multiplicity of rank 2j, j = 0..m, over the indices idx,
@@ -232,41 +233,6 @@ class _RankPlan:
         counts = np.zeros(self.ctx.m + 1, dtype=np.int64)
         np.add.at(counts, self.ranks(idx) >> 1, weights)
         return counts
-
-
-def _batched_gf2_rank(mats: np.ndarray, cols: int) -> np.ndarray:
-    """Ranks over GF(2) of a (batch, rows) stack of cols-bit row words, by
-    _batched_fp_rank's elimination, XOR-ing the pivot row into the rows."""
-    batch = np.arange(mats.shape[0])
-    rank = np.zeros(mats.shape[0], dtype=np.int64)
-    for col in range(cols):
-        bit = (mats >> col) & 1
-        rank += bit.any(axis=1)
-        mats ^= bit * mats[batch, bit.argmax(axis=1)][:, None]
-    return rank
-
-
-def _batched_fp_rank(mats: np.ndarray, p: int) -> np.ndarray:
-    """Ranks over F_p of a (batch, rows, cols) stack of residue matrices.
-
-    One Gaussian elimination runs on the whole stack.  In each column every
-    matrix takes a row with a nonzero entry as pivot, scales it to 1 and
-    subtracts it from every row to clear the column, which is then
-    dropped.  That zeroes the pivot row too, so no row is picked twice; a
-    matrix whose column is zero subtracts nothing.  In uint16 no
-    intermediate reaches p^2, as q <= MAX_LABEL_Q."""
-    mats = mats.astype(np.uint16, copy=False)
-    inv = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.uint16)
-    batch = np.arange(mats.shape[0])
-    rank = np.zeros(mats.shape[0], dtype=np.int64)
-    while mats.shape[2]:
-        entries, rest = mats[:, :, 0], mats[:, :, 1:]
-        piv = entries.argmax(axis=1)
-        pivot = entries[batch, piv]
-        rank += pivot != 0
-        pivot_row = inv[pivot][:, None] * rest[batch, piv] % p
-        mats = (rest + (p - entries)[:, :, None] * pivot_row[:, None, :]) % p
-    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,12 @@ SubfieldView attaches dense label tables (labels 0..Q-1, F_p-linear
 labelling) so inner loops can work on small numpy arrays instead of
 packed values; trace_labels holds the traces to F_q by log, likewise.
 
+Every rank of a stack of matrices is taken here, by one forward
+elimination of the whole stack: label_ranks over a subfield's labels,
+through its mul and sub tables, and fp_ranks and gf2_ranks over F_p,
+on residues and on bit-packed rows.  label_ranks shares no code with
+the other two, so the epsilon check's two eliminations stay independent.
+
 F_p-linear maps on packed elements (the exp table's doubling steps, the
 subfield labels, the trace labels, the form coefficients and the orbit
 layer's slot values) go through linear_image.
@@ -390,11 +396,6 @@ class FieldCtx:
             k >>= 1
         return result
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 is not invertible")
-        return self.pow(a, self.n - 1)
-
     def frobenius_q(self, a: int) -> int:
         """The relative Frobenius a -> a^q whose fixed set is the embedded F_q.
 
@@ -603,9 +604,9 @@ class SubfieldView:
     Labels 0..Q-1 are packed F_p coordinates with respect to the basis
     {g^0, .., g^(k-1)} where g = pi^((q^s-1)/(Q-1)), so label addition is
     digitwise base-p (plain XOR when p = 2).  Label 0 is the zero element
-    and label 1 is the one element.  The uint8 op tables (add_table,
-    mul_table, sub_table) hold labels below 256 only and refuse a larger
-    Q with FieldSizeError; label_tables, nested lists, has no such bound.
+    and label 1 is the one element.  The op tables (add_table, mul_table,
+    sub_table) hold Q x Q labels, as uint8 up to MAX_LABEL_Q labels and as
+    uint16 above; each is built on first use.
     """
 
     def __init__(self, ctx: FieldCtx, order: int):
@@ -630,8 +631,6 @@ class SubfieldView:
         self._label_of = {v: i for i, v in enumerate(elems)}
         if len(self._label_of) != order:
             raise AssertionError("subfield labelling not injective")
-        self._inv_labels: dict[int, int] = {}
-        self._rows: dict[str, list[list[int]]] = {}
 
     def contains(self, a: int) -> bool:
         return a in self._label_of
@@ -642,24 +641,16 @@ class SubfieldView:
     def from_label(self, lbl: int) -> int:
         return self.elements_by_label[lbl]
 
-    def _op_rows(self, name, fn) -> list[list[int]]:
-        """Labels of fn on every pair of labels as rows of Python ints,
-        built once from the field's own fn: label_tables hands them to the
-        row elimination and _op_table copies them into a uint8 table."""
-        if name not in self._rows:
-            elems, label_of = self.elements_by_label, self._label_of
-            self._rows[name] = [[label_of[fn(a, b)] for b in elems] for a in elems]
-        return self._rows[name]
-
     def _op_table(self, name, fn):
-        """_op_rows as a Q x Q uint8 table, built once.  A label above 255
-        does not fit a byte, so an order above MAX_LABEL_Q raises
-        FieldSizeError before any entry is computed."""
+        """Labels of fn on every pair of labels as a Q x Q table, built once
+        from the field's own fn: uint8 up to MAX_LABEL_Q labels, uint16
+        above."""
         attr = f"_tab_{name}"
         if not hasattr(self, attr):
-            if self.order > MAX_LABEL_Q:
-                raise FieldSizeError(f"labels of F_{self.order} do not fit the uint8 table")
-            setattr(self, attr, np.array(self._op_rows(name, fn), dtype=np.uint8))
+            elems, label_of = self.elements_by_label, self._label_of
+            dtype = np.uint8 if self.order <= MAX_LABEL_Q else np.uint16
+            setattr(self, attr, np.array([[label_of[fn(a, b)] for b in elems] for a in elems],
+                                         dtype=dtype))
         return getattr(self, attr)
 
     def add_table(self) -> np.ndarray:
@@ -671,19 +662,6 @@ class SubfieldView:
     def sub_table(self) -> np.ndarray:
         return self._op_table("sub", self.ctx.sub)
 
-    def label_tables(self) -> tuple[list[list[int]], list[list[int]]]:
-        """The multiplication and subtraction tables as nested lists of
-        Python ints, for a row operation that reads them entry by entry
-        (a numpy scalar per read would cost more than the arithmetic).
-        Not bounded by the uint8 tables' MAX_LABEL_Q."""
-        return self._op_rows("mul", self.ctx.mul), self._op_rows("sub", self.ctx.sub)
-
-    def inv_label(self, lbl: int) -> int:
-        """The inverse's label, computed once per label."""
-        if lbl not in self._inv_labels:
-            self._inv_labels[lbl] = self.label_of(self.ctx.inv(self.from_label(lbl)))
-        return self._inv_labels[lbl]
-
     def add_labels(self, a, b):
         """Label addition, vectorized: digitwise base-p on label ints.  The
         prime-field sum is taken in int16, so p up to 251 cannot wrap."""
@@ -694,40 +672,77 @@ class SubfieldView:
         return self.add_table()[a, b]
 
 
-def label_matrix_rank(sub: SubfieldView, rows: list[list[int]]) -> int:
-    """Rank over F_Q of a matrix given as rows of subfield labels.
+# ---------------------------------------------------------------------------
+# batched ranks: every elimination of a stack of matrices
+#
+# Each runs one forward elimination on a whole stack.  In each column every
+# matrix takes a row with a nonzero entry as pivot and subtracts a multiple
+# of it from every row to clear the column, which is then dropped.  That
+# zeroes the pivot row too, so no row is picked twice; a matrix whose
+# column is zero subtracts nothing.
 
-    Forward elimination to echelon form only, one leading column at a
-    time: a row with a nonzero entry there is the pivot and leaves the
-    matrix unscaled, every other row with a nonzero entry c there becomes
-    row - (c / pivot) * pivot, and the column goes.  The update reads
-    sub_t[a][mul_t[c * inv][b]] from the nested-list label tables
-    (SubfieldView.label_tables, built from ctx.mul and ctx.sub), fetched
-    only once a row update happens: a matrix that needs none, such as a
-    1 x 1 one, builds no table.  The rows passed in are not modified."""
-    rows = list(rows)
-    rank = 0
-    while rows and rows[0]:
-        for pivot, row in enumerate(rows):
-            if row[0]:
-                break
-        else:
-            rows = [row[1:] for row in rows]
-            continue
-        top = rows.pop(pivot)
-        tail, by_inv = top[1:], None  # by_inv: the row of mul_t for 1 / pivot
-        rank += 1
-        rest = []
-        for row in rows:
-            if c := row[0]:
-                if by_inv is None:
-                    mul_t, sub_t = sub.label_tables()
-                    by_inv = mul_t[sub.inv_label(top[0])]
-                scaled = mul_t[by_inv[c]]
-                rest.append([sub_t[a][scaled[b]] for a, b in zip(row[1:], tail)])
-            else:
-                rest.append(row[1:])
-        rows = rest
+
+def label_ranks(sub: SubfieldView, mats) -> np.ndarray:
+    """Ranks over F_Q of a (batch, rows, cols) stack of subfield labels.
+
+    A row with entry c in the column becomes row - (c / pivot) * pivot
+    row, read as sub_t[row, mul_t[mul_t[c, inv[pivot]], pivot row]] from
+    the subfield's mul_table and sub_table, built from the field's mul
+    and sub, and inv = inverse_labels(mul_t): a matrix without a pivot
+    scales every row by inv[0] = 0.  The last column updates no row, so it
+    reads no table: a stack of 1 x 1 matrices builds none.  The stack
+    passed in is not modified."""
+    mats = np.asarray(mats)
+    batch, rank = np.arange(len(mats)), np.zeros(len(mats), dtype=np.int64)
+    if mats.shape[2] > 1:
+        mul_t, sub_t = sub.mul_table(), sub.sub_table()
+        inv = inverse_labels(mul_t)
+    while mats.shape[2]:
+        entries, rest = mats[:, :, 0], mats[:, :, 1:]
+        piv = entries.argmax(axis=1)
+        pivot = entries[batch, piv]
+        rank += pivot != 0
+        if rest.shape[2]:
+            scale = mul_t[entries, inv[pivot][:, None]]
+            rest = sub_t[rest, mul_t[scale[:, :, None], rest[batch, piv][:, None, :]]]
+        mats = rest
+    return rank
+
+
+def inverse_labels(mul_t: np.ndarray) -> np.ndarray:
+    """1 / L for every label L of a mul_table: the column of row L that
+    holds 1, and 0 at L = 0, whose row holds no 1."""
+    return (mul_t == 1).argmax(axis=1)
+
+
+def gf2_ranks(mats: np.ndarray, cols: int) -> np.ndarray:
+    """Ranks over GF(2) of a (batch, rows) stack of cols-bit row words, by
+    fp_ranks's elimination, XOR-ing the pivot row into the rows."""
+    batch = np.arange(mats.shape[0])
+    rank = np.zeros(mats.shape[0], dtype=np.int64)
+    for col in range(cols):
+        bit = (mats >> col) & 1
+        rank += bit.any(axis=1)
+        mats ^= bit * mats[batch, bit.argmax(axis=1)][:, None]
+    return rank
+
+
+def fp_ranks(mats: np.ndarray, p: int) -> np.ndarray:
+    """Ranks over F_p of a (batch, rows, cols) stack of residue matrices.
+
+    The pivot row is scaled to 1 before it is subtracted.  In uint16 no
+    intermediate reaches p^2, as q <= MAX_LABEL_Q."""
+    mats = mats.astype(np.uint16, copy=False)
+    inv = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.uint16)
+    batch = np.arange(mats.shape[0])
+    rank = np.zeros(mats.shape[0], dtype=np.int64)
+    while mats.shape[2]:
+        entries, rest = mats[:, :, 0], mats[:, :, 1:]
+        piv = entries.argmax(axis=1)
+        pivot = entries[batch, piv]
+        rank += pivot != 0
+        pivot_row = inv[pivot][:, None] * rest[batch, piv] % p
+        mats = (rest + (p - entries)[:, :, None] * pivot_row[:, None, :]) % p
     return rank
 
 

@@ -20,14 +20,15 @@ those of F_p^N, y -> w_p^(y.x), indexed by the same digits: a Cayley
 graph's spectrum is the multiset of its connection set's character sums,
 however the characters are named.
 
-Each matrix is built and ranked once per field; that one enumeration,
+Each matrix is built once per field; that one enumeration,
 enumerate_hermitian, is also where the witness's budget is checked, by
-admission.check_witness_budget, which needs (q, m) alone.  The
-embedding is checked as one F_p-linear map, each image's base-p digits
-against its coordinates times the basis images' digits; for odd m, the
-leading coordinate's membership in F_{q^m} (an F_p-subspace) on the
-basis.  The connection set is read off the exp table, one gather per
-exponent.
+admission.check_witness_budget, which needs (q, m) alone.  The matrices
+are ranked once, as one stack of F_{q^2} labels in one
+fields.label_ranks call.  The embedding is checked as one F_p-linear
+map, each image's base-p digits against its coordinates times the basis
+images' digits; for odd m, the leading coordinate's membership in
+F_{q^m} (an F_p-subspace) on the basis.  The connection set is read
+off the exp table, one gather per exponent.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .admission import DEFAULT_WITNESS_BOUND, check_witness_budget
 from .codes import ConsistencyError
-from .fields import FieldCtx, label_matrix_rank
+from .fields import FieldCtx, label_ranks
 from .quadforms import integral_character_sum
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -74,10 +75,12 @@ def enumerate_hermitian(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND
 
 @functools.lru_cache(maxsize=8)
 def rank1_indices(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND) -> tuple[int, ...]:
-    """Indices of the rank-1 matrices, cached so the witness ranks once."""
+    """Indices of the rank-1 matrices, cached so the witness ranks once:
+    every matrix's F_{q^2} labels in one label_ranks call."""
     fq2 = ctx.subfield(ctx.q * ctx.q)
-    return tuple(i for i, h in enumerate(enumerate_hermitian(ctx, budget))
-                 if label_matrix_rank(fq2, [[fq2.label_of(v) for v in row] for row in h]) == 1)
+    labels = [[[fq2.label_of(v) for v in row] for row in h]
+              for h in enumerate_hermitian(ctx, budget)]
+    return tuple(np.flatnonzero(label_ranks(fq2, labels) == 1).tolist())
 
 
 def rank1_count(ctx: FieldCtx, budget: int = DEFAULT_WITNESS_BOUND) -> int:

@@ -49,14 +49,15 @@ A block of forms (_FormBlock) owns every per-form table, the engine's
 brute oracle's included.  FormSpace.blocks cuts indices into blocks of
 max(1, MATCH_WORDS // n) forms with their value tables, FormSpace.forms
 hands out a QuadForm per row, and _FormBlock.matches makes one
-coordinate_matches call per match_block of forms.  The Grams, the beta
-tables (the matches of all q targets) and the plain sums T (big_T, one
-blocked bincount of the block's labels with a per-form offset) are each
-built for the whole block on the first request for any one form.  A
-standalone QuadForm(ctx, coeffs) is a block of one.  S(beta) and
-R_b(beta) are one bincount of row 0 and of row label(-b) of the form's
-beta table, the x = 0 term folded into the keys.  A form caches its
-rank, its own elimination of its Gram, and its sign epsilon.
+coordinate_matches call per match_block of forms.  The Grams, the ranks
+(one fields.label_ranks call on the block's Grams, an elimination over
+F_q), the beta tables (the matches of all q targets) and the plain sums
+T (big_T, one blocked bincount of the block's labels with a per-form
+offset) are each built for the whole block on the first request for
+any one form.  A standalone QuadForm(ctx, coeffs) is a block of one.
+S(beta) and R_b(beta) are one bincount of row 0 and of row label(-b) of
+the form's beta table, the x = 0 term folded into the keys.  A form
+caches its rank, its row of the block's ranks, and its sign epsilon.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ import numpy as np
 
 from .admission import LINEAR_TRACE_BOUND, FieldSizeError
 from .codes import ConsistencyError, form_exponents
-from .fields import FieldCtx, coordinate_inverse, label_matrix_rank
+from .fields import FieldCtx, coordinate_inverse, label_ranks
 
 # The most XOR words one group of coordinate_matches holds; FormSpace.blocks
 # and match_block size their blocks of forms by it too, and form_values and
@@ -122,10 +123,9 @@ class QuadForm:
 
     @cached_property
     def rank(self) -> int:
-        """s minus the F_q-dimension of the radical of B, from the Gram
-        that gram_labels read off the value table at the Gram points."""
-        ctx = self.ctx
-        r = label_matrix_rank(ctx.subfield(ctx.q), self._block.grams[self._at].tolist())
+        """s minus the F_q-dimension of the radical of B: the form's row of
+        its block's ranks."""
+        r = int(self._block.ranks[self._at])
         if r % 2:
             raise ConsistencyError(f"odd radical rank {r} for {self.coeffs}")
         return r
@@ -156,8 +156,8 @@ class QuadForm:
 
 class _FormBlock:
     """The tables of a block of forms, one row per form: the int64
-    coefficients and value tables, built at once, and the Grams, beta
-    tables and plain sums T, each built for every form on the first
+    coefficients and value tables, built at once, and the Grams, ranks,
+    beta tables and plain sums T, each built for every form on the first
     request for any one of them."""
 
     def __init__(self, ctx: FieldCtx, coeffs: np.ndarray):
@@ -168,6 +168,12 @@ class _FormBlock:
     def grams(self) -> np.ndarray:
         """(forms, s, s) F_q labels: every form's gram_labels, in one call."""
         return gram_labels(self.ctx, self.values[:, gram_points(self.ctx)])
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """Every form's rank over F_q: its Gram eliminated through F_q's
+        label tables, one fields.label_ranks call for the block."""
+        return label_ranks(self.ctx.subfield(self.ctx.q), self.grams)
 
     def matches(self, targets):
         """(start, coordinate_matches of the forms from row start on) for

@@ -101,7 +101,7 @@ def poly_divmod(f, g):
     if dq < 0:
         return Poly(ctx, ()), f
     quot = [0] * (dq + 1)
-    linv = ctx.inv(g.coeffs[-1])
+    linv = ctx.pow(g.coeffs[-1], -1)
     for shift in range(dq, -1, -1):
         top = rem[shift + g.degree]
         if top:
@@ -438,7 +438,7 @@ def literal_label_rank(sub, rows):
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = sub.label_of(ctx.inv(sub.from_label(rows[rank][col])))
+        inv = sub.label_of(ctx.pow(sub.from_label(rows[rank][col]), -1))
         if inv != 1:
             rows[rank] = [sub.label_of(ctx.mul(sub.from_label(v), sub.from_label(inv)))
                           for v in rows[rank]]

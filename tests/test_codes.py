@@ -70,7 +70,7 @@ def test_gamma_roots_are_kept_per_field_and_checked_on_every_build(monkeypatch):
     roots[1] = 0  # the caller's own copy
     with monkeypatch.context() as patch:
         patch.setattr(ctx, "frobenius_q", None)  # a second call computes nothing
-        assert gamma_roots(ctx) == {1: ctx.inv(ctx.pi), 4: ctx.inv(ctx.pow(ctx.pi, 4))}
+        assert gamma_roots(ctx) == {1: ctx.pow(ctx.pi, -1), 4: ctx.pow(ctx.pow(ctx.pi, 4), -1)}
     assert [build_code(ctx, f).k for f in FAMILIES] == [4, 8, 9]
     # a wrong root in the cache fails the next build's degree check
     ctx._gamma_roots[4] = 1

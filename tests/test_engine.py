@@ -8,17 +8,17 @@ from collections import Counter
 import numpy as np
 import pytest
 from conftest import (codeword, form_at, full_map_local_values, literal_coefficients,
-                      literal_gram, literal_value, parameter_slots, weight)
+                      literal_gram, literal_label_rank, literal_value, parameter_slots, weight)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traceweight import engine, quadforms
+from traceweight import engine, fields, quadforms
 from traceweight.admission import BudgetExceeded, FieldSizeError
 from traceweight.codes import ConsistencyError, build_code
 from traceweight.engine import (TIER_BUDGETS, brute_distribution, brute_work,
                                 measure_rank_counts, rank_sweep,
                                 rank_sweep_work, verify)
-from traceweight.fields import label_matrix_rank, make_field
+from traceweight.fields import make_field
 from traceweight.quadforms import FormSpace, QuadForm, form_values, gram_labels, gram_points
 from traceweight.spectra import frequencies, predict
 
@@ -534,9 +534,21 @@ def test_epsilon_check_catches_sweep_ranks_off_by_two(p, e, m, monkeypatch):
         rank_sweep(spec)
 
 
+@pytest.mark.parametrize("p,e,m", [(3, 1, 3), (2, 2, 2)])
+def test_epsilon_check_ranks_its_sample_in_one_call(p, e, m, monkeypatch):
+    # D(3,3) and D(4,2): the sampled forms share one block, whose Grams go
+    # to one label_ranks call
+    calls = []
+    real = quadforms.label_ranks
+    monkeypatch.setattr(quadforms, "label_ranks",
+                        lambda sub, mats: calls.append(mats.shape) or real(sub, mats))
+    rank_sweep(build_code(make_field(p, e, 2 * m), "D"))
+    assert calls == [(engine._CHECK_SAMPLES, 2 * m, 2 * m)]
+
+
 @pytest.mark.parametrize("p,e,m", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (3, 2, 2)])
 def test_sweep_refuses_f_p_ranks_off_the_multiples_of_2e(p, e, m, monkeypatch):
-    for name in ("_batched_gf2_rank", "_batched_fp_rank"):
+    for name in ("gf2_ranks", "fp_ranks"):
         elimination = getattr(engine, name)
         monkeypatch.setattr(engine, name, lambda *args, f=elimination: f(*args) + 1)
     with pytest.raises(ConsistencyError, match="multiple of 2e"):
@@ -566,14 +578,16 @@ def _residue_matrices(draw):
 @settings(deadline=None, max_examples=80)
 @given(_residue_matrices())
 def test_batched_prime_field_ranks_equal_label_matrix_rank(case):
+    # each of the three eliminations against the literal one
     p, stack = case
     sub = make_field(p, 1, 2).subfield(p)  # F_p labels are the residues
-    expected = [label_matrix_rank(sub, mat.tolist()) for mat in stack]
-    assert engine._batched_fp_rank(stack, p).tolist() == expected
+    expected = [literal_label_rank(sub, mat.tolist()) for mat in stack]
+    assert fields.fp_ranks(stack, p).tolist() == expected
+    assert fields.label_ranks(sub, stack).tolist() == expected
     if p == 2:
         cols = stack.shape[2]
         words = (stack @ (1 << np.arange(cols))).astype(np.uint32)
-        assert engine._batched_gf2_rank(words, cols).tolist() == expected
+        assert fields.gf2_ranks(words, cols).tolist() == expected
 
 
 @settings(deadline=None, max_examples=30)

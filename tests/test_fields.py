@@ -16,7 +16,7 @@ from traceweight import admission, fields
 from traceweight.admission import (FieldSizeError, ModulusRankError, check_witness_budget,
                                    choose_oracle)
 from traceweight.fields import (FieldCtx, Poly, coordinate_inverse, find_primitive_modulus,
-                                label_matrix_rank, make_field, minimal_polynomial,
+                                label_ranks, make_field, minimal_polynomial,
                                 split_prime_power)
 
 
@@ -364,10 +364,10 @@ def test_minimal_polynomial_of_zero_is_x():
 
 def test_minimal_polynomial_frozen_example():
     ctx = make_field(2, 1, 4)
-    mp = minimal_polynomial(ctx, ctx.inv(ctx.pi))
+    mp = minimal_polynomial(ctx, ctx.pow(ctx.pi, -1))
     # least-degree search oracle: no monic polynomial of degree < 4 with
     # this root exists, and the degree-4 one is unique
-    root = ctx.inv(ctx.pi)
+    root = ctx.pow(ctx.pi, -1)
     matches = []
     for packed in range(16):
         coeffs = [(packed >> i) & 1 for i in range(4)] + [1]
@@ -635,30 +635,49 @@ def _rank_cases(sub, rng):
     return cases
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 256])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 256, 17**2])
 def test_label_matrix_rank_equals_the_literal_elimination(q):
-    # the echelon elimination through the label tables against Gauss-Jordan
-    # with a field operation per entry, on seeded random matrices
+    # the batched echelon elimination through the label tables against
+    # Gauss-Jordan with a field operation per entry, on seeded random
+    # matrices, one label_ranks call per shape; 17^2 has uint16 tables
     p, e = split_prime_power(q)
     sub = make_field(p, 1, 2 * e).subfield(q)
+    by_shape = {}
     for rows, known in _rank_cases(sub, random.Random(q)):
         expected = literal_label_rank(sub, rows)
         if known is not None:
             assert expected == known, rows
-        assert label_matrix_rank(sub, rows) == expected, rows
+        by_shape.setdefault((len(rows), len(rows[0])), []).append((rows, expected))
+    for cases in by_shape.values():
+        stack = [rows for rows, _ in cases]
+        assert label_ranks(sub, stack).tolist() == [expected for _, expected in cases], stack
 
 
 def test_label_matrix_rank_above_the_byte_tables():
-    # F_{17^2} has labels above 255: its uint8 op tables are refused before
-    # any entry is computed, while the elimination's list tables hold them
-    sub = make_field(17, 1, 4).subfield(17**2)
-    with pytest.raises(FieldSizeError):
-        sub.mul_table()
-    assert not sub._rows
+    # F_{17^2} has labels above 255: its op tables hold them as uint16, and
+    # a stack of 1 x 1 matrices, which updates no row, builds none
+    sub = FieldCtx(17, 1, 4, find_primitive_modulus(17, 4)).subfield(17**2)
+    assert label_ranks(sub, [[[5]], [[0]], [[288]]]).tolist() == [1, 0, 1]
+    assert not any(a.startswith("_tab_") for a in vars(sub))
     rng = random.Random(17)
-    for rows in ([[rng.randrange(289) for _ in range(3)] for _ in range(3)],
-                 _label_product(sub, [[5], [200]], [[7, 288]])):
-        assert label_matrix_rank(sub, rows) == literal_label_rank(sub, rows)
+    stacks = [[[[rng.randrange(289) for _ in range(3)] for _ in range(3)] for _ in range(8)],
+              [_label_product(sub, [[5], [200]], [[7, 288]]),
+               _label_product(sub, [[1], [0]], [[255, 3]])]]
+    for stack in stacks:
+        assert label_ranks(sub, stack).tolist() == [literal_label_rank(sub, rows)
+                                                    for rows in stack]
+    assert sub.mul_table().dtype == sub.sub_table().dtype == np.uint16
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (7, 1), (2, 4), (17, 1)])
+def test_inverse_labels_invert_every_nonzero_label(p, e):
+    # F_4, F_9, F_16, F_49, F_256 and F_{17^2}: the vector label_ranks
+    # scales its pivot rows by, and 0 at label 0
+    sub = make_field(p, e, 2).subfield(p ** (2 * e))
+    mul_t = sub.mul_table()
+    inv = fields.inverse_labels(mul_t)
+    assert inv[0] == 0
+    assert (mul_t[np.arange(1, sub.order), inv[1:]] == 1).all()
 
 
 def test_poly_divmod_roundtrip():

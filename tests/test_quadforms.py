@@ -6,14 +6,14 @@ from collections import Counter
 import numpy as np
 import pytest
 from conftest import (count_solutions, form_at, linear_trace_rows, literal_bilinear,
-                      literal_coefficients, literal_gram, literal_value, naive_mul,
-                      offset_sum_rows, packed_trace_rows, per_form_histogram,
+                      literal_coefficients, literal_gram, literal_label_rank, literal_value,
+                      naive_mul, offset_sum_rows, packed_trace_rows, per_form_histogram,
                       per_form_tables, shift_sum_rows, slot_trace, solution_count_multiset,
                       solution_counts, trace)
 
 from traceweight.admission import LINEAR_TRACE_BOUND, FieldSizeError
 from traceweight.codes import ConsistencyError
-from traceweight.fields import label_matrix_rank, make_field
+from traceweight.fields import make_field
 from traceweight.quadforms import (MATCH_WORDS, FormSpace, QuadForm, all_forms, big_T,
                                    coordinate_matches, form_values, gram_labels,
                                    gram_points, integral_character_sum,
@@ -74,13 +74,14 @@ def test_rank_against_brute_radical():
 
 @pytest.mark.parametrize("p,e,m,modulus_rank", [(2, 1, 2, 0), (3, 1, 2, 0),
                                                 (2, 2, 2, 0), (2, 1, 3, 0),
-                                                (3, 1, 2, 1)])
+                                                (3, 2, 1, 0), (3, 1, 2, 1)])
 def test_rank_equals_rank_of_the_literal_gram(p, e, m, modulus_rank):
-    # the Gram read off the value table against s^2 literal B(pi^a, pi^b)
+    # the block's batched rank against the literal elimination of the s^2
+    # literal B(pi^a, pi^b)
     ctx = make_field(p, e, 2 * m, modulus_rank)
     sub = ctx.subfield(ctx.q)
     for form in all_forms(ctx):
-        assert form.rank == label_matrix_rank(sub, literal_gram(form)), form.coeffs
+        assert form.rank == literal_label_rank(sub, literal_gram(form)), form.coeffs
 
 
 @pytest.mark.parametrize("p,e,m,expected", [
